@@ -12,21 +12,10 @@ diamonds for divisible families; cokernel (iota) classes are dark green.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import Page
 
 CELL = 40
 MARGIN = 60
-
-
-@dataclass(frozen=True)
-class ChartSpec:
-    s_min: int
-    s_max: int
-    f_min: int
-    f_max: int
-    legend: tuple  # ((descriptor, glyph), ...)
 
 
 def _family_of(summands):

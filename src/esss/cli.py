@@ -19,9 +19,23 @@ from .serialize import (document_json, page_document, page_markdown,
                         pi_document, pi_markdown)
 
 
-def _parse_range(text: str):
+def _parse_range(flag: str, text: str):
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"{flag} expects an integer range a..b, got {text!r}") from None
+
+
+def _join_negative_ranges(argv):
+    """Rewrite `--s -3..25` as `--s=-3..25`: argparse reads -3..25 as a flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--s", "--f", "--w") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _field_from_args(args):
@@ -47,12 +61,12 @@ def _emit(text: str, out: str | None):
 def cmd_compute(args) -> int:
     try:
         field = _field_from_args(args)
+        s_lo, s_hi = _parse_range("--s", args.s)
+        f_lo, f_hi = _parse_range("--f", args.f)
+        w_lo, w_hi = _parse_range("--w", args.w)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    s_lo, s_hi = _parse_range(args.s)
-    f_lo, f_hi = _parse_range(args.f)
-    w_lo, w_hi = _parse_range(args.w)
     window = PageWindow(s_lo, s_hi, f_lo, f_hi, w_lo, w_hi)
     want_page = args.page
     try:
@@ -276,7 +290,7 @@ def main(argv=None) -> int:
     p_check.add_argument("--kmax", type=int, default=16)
     p_check.set_defaults(func=cmd_check)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_ranges(sys.argv[1:] if argv is None else argv))
     return args.func(args)
 
 

@@ -65,6 +65,7 @@ class WindowError(ValueError):
 
 @dataclass
 class DegreeData:
+    # page 1 shares the cached tuples of _kq_degree/_L_degree: read only
     summands: list
     # for L at page 1: which part each summand lives in and its expression
     parts: list = dc_field(default_factory=list)      # 'K' | 'C'
@@ -114,10 +115,6 @@ def _kq_degree(field: FieldId, deg: TriDegree):
     return tuple(e1_kq_basis(field, deg.s, deg.f, deg.w))
 
 
-def _kq_orders(basis):
-    return [cs.order for cs in basis]
-
-
 def _diag_kernel(basis, diag):
     """Per-summand kernels of a diagonal 2-power map: (index, order, shift)."""
     out = []
@@ -157,16 +154,17 @@ def _L_degree(field: FieldId, deg: TriDegree):
     psi^3 - 1 is diagonal on the first page of kq, so the splitting is
     summand by summand in closed form.
     """
-    kq_here = list(_kq_degree(field, deg))
-    up = TriDegree(deg.s + 1, deg.f - 1, deg.w)
-    kq_up = list(_kq_degree(field, up))
+    kq_here = _kq_degree(field, deg)
+    kq_up = _kq_degree(field, TriDegree(deg.s + 1, deg.f - 1, deg.w))
     summands, parts, vectors = [], [], []
     if kq_here:
         diag = psi3_entries(field, kq_here)
         for i, order, shift in _diag_kernel(kq_here, diag):
-            mono = kq_here[i].gen.lead
-            gen = Generator.of(mono.with_coeff2(mono.coeff2 + shift))
-            summands.append(CyclicSummand(order, gen, deg))
+            cs = kq_here[i]  # an unshifted kernel is the whole kq summand
+            if shift:
+                mono = cs.gen.lead.with_coeff2(cs.gen.lead.coeff2 + shift)
+                cs = CyclicSummand(order, Generator.of(mono), deg)
+            summands.append(cs)
             parts.append("K")
             vectors.append((i, 1 << shift))
     if kq_up:
@@ -184,9 +182,7 @@ def _L_degree(field: FieldId, deg: TriDegree):
 
 @lru_cache(maxsize=None)
 def _d1_kq(field: FieldId, deg: TriDegree):
-    src = list(_kq_degree(field, deg))
-    tgt = list(_kq_degree(field, deg + d_shift(1)))
-    return d1_matrix(field, src, tgt)
+    return d1_matrix(field, _kq_degree(field, deg), _kq_degree(field, deg + d_shift(1)))
 
 
 @lru_cache(maxsize=None)
@@ -203,9 +199,9 @@ def _d1_L(field: FieldId, deg: TriDegree):
     M = [[0] * len(s_sum) for _ in range(len(t_sum))]
     if not s_sum or not t_sum:
         return M
-    kq_tgt = list(_kq_degree(field, tgt_deg))
+    kq_tgt = _kq_degree(field, tgt_deg)
     dk = _d1_kq(field, deg)
-    t_orders = _kq_orders(kq_tgt)
+    t_orders = [cs.order for cs in kq_tgt]
     k_rows = {}
     for i, p in enumerate(t_part):
         if p == "K":
@@ -252,11 +248,9 @@ def build_page1(field: FieldId, spectrum: str, window: PageWindow) -> Page:
     data = {}
     for deg in padded.degrees():
         if spectrum == "kq":
-            summands = list(_kq_degree(field, deg))
-            dd = DegreeData(summands)
+            dd = DegreeData(_kq_degree(field, deg))
         else:
-            summands, parts, vectors = _L_degree(field, deg)
-            dd = DegreeData(list(summands), list(parts), list(vectors))
+            dd = DegreeData(*_L_degree(field, deg))
         if dd.summands:
             dd.diff = (_d1_kq if spectrum == "kq" else _d1_L)(field, deg)
             data[deg] = dd
@@ -346,19 +340,6 @@ def degree_vanishing(page: Page) -> bool:
     return True
 
 
-_CITED_COLLAPSE = {
-    ("q2", "kq"): "no room for further differentials over the 2-adic rationals",
-    ("q2", "L"): "comparison with the eta-inverted computation over the 2-adic rationals",
-    ("c", "kq"): "collapse at the second page over algebraically closed fields",
-    ("c", "L"): "collapse at the second page over algebraically closed fields",
-    ("fq", "kq"): "collapse for degree reasons at the second page over finite fields",
-    ("fq", "L"): "no room for higher differentials over finite fields",
-    ("qq", "kq"): "the finite-field collapse carried along the pi classes",
-    ("qq", "L"): "the finite-field collapse carried along the pi classes",
-    ("q", "kq"): "no room for longer differentials over the rationals",
-}
-
-
 @dataclass
 class RunResult:
     pages: list
@@ -380,16 +361,15 @@ def run(field: FieldId, spectrum: str, window: PageWindow,
     e2 = turn_page(e1, hr.rules)
     pages = [e1, e2]
     current = e2
-    key = (field.kind, spectrum)
     while True:
         cert = None
-        if field.kind == "q2" and key in _CITED_COLLAPSE and not hr.loaded_from:
-            cert = CollapseCertificate(field, spectrum, "cited", _CITED_COLLAPSE[key])
+        if field.kind == "q2" and hr.certificate is not None:
+            cert = CollapseCertificate(field, spectrum, "cited", hr.certificate)
         elif degree_vanishing(current):
             cert = CollapseCertificate(field, spectrum, "degree-vanishing",
                                        f"computed for pages r >= {current.r} in window")
-        elif key in _CITED_COLLAPSE and not hr.loaded_from:
-            cert = CollapseCertificate(field, spectrum, "cited", _CITED_COLLAPSE[key])
+        elif hr.certificate is not None:
+            cert = CollapseCertificate(field, spectrum, "cited", hr.certificate)
         if cert is not None:
             return RunResult(pages, current, cert, "Einf")
         remaining = [rule for rule in hr.rules if rule.page >= current.r]

@@ -3,6 +3,10 @@
 Supported bases: algebraically closed fields, finite fields F_q (q an odd
 prime power), q-adic rationals for odd q, the 2-adic rationals, the reals,
 and the rationals with a finite prime support set (2 always included).
+FieldId is an immutable tuple record, so hashing, equality and
+construction run in C.  Caveat: it equals the plain tuple of its fields,
+FieldId("c") == ("c", None, None), so no dict or set may mix FieldId keys
+with plain-tuple keys.
 
 The only products the differential rules ever need are multiplication by a
 power of rho inside pi_**(HZ/2); rho_times implements that as an F2-linear
@@ -10,39 +14,40 @@ combination of basis units, with all field relations applied.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numthy import OddPrimePower
 
 
-@dataclass(frozen=True)
-class FieldId:
+class _FieldIdFields(NamedTuple):
     kind: str  # "c" | "fq" | "qq" | "q2" | "r" | "q"
-    q: int | None = None
-    support: tuple | None = None
+    q: int | None
+    support: tuple | None
 
-    def __post_init__(self):
-        if self.kind not in ("c", "fq", "qq", "q2", "r", "q"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "fq":
-            OddPrimePower(self.q)  # validates
-        elif self.kind == "qq":
-            opp = OddPrimePower(self.q)
+
+class FieldId(_FieldIdFields):
+    __slots__ = ()
+
+    def __new__(cls, kind, q=None, support=None):
+        if kind not in ("c", "fq", "qq", "q2", "r", "q"):
+            raise ValueError(f"unknown field kind {kind!r}")
+        if kind == "fq":
+            OddPrimePower(q)  # validates
+        elif kind == "qq":
+            OddPrimePower(q)
             # completions are taken at primes, not prime powers
-            p = self.q
-            for d in range(3, p, 2):
-                if p % d == 0:
-                    raise ValueError(f"Q_q requires an odd prime, got {p}")
-            del opp
-        elif self.kind == "q":
-            if not self.support:
+            for d in range(3, q, 2):
+                if q % d == 0:
+                    raise ValueError(f"Q_q requires an odd prime, got {q}")
+        elif kind == "q":
+            if not support:
                 raise ValueError("Q needs a nonempty prime support set")
-            sup = tuple(sorted(set(self.support)))
-            if 2 not in sup:
+            support = tuple(sorted(set(support)))
+            if 2 not in support:
                 raise ValueError("the support set over Q must contain 2")
-            object.__setattr__(self, "support", sup)
-        elif self.support is not None or (self.q is not None and self.kind in ("c", "r", "q2")):
+        elif support is not None or q is not None:
             raise ValueError("q/support only make sense for fq, qq, q")
+        return tuple.__new__(cls, (kind, q, support))
 
     @property
     def residue(self) -> int:

@@ -3,18 +3,17 @@
 A generator name is a formal sum of monomials; almost every class is a
 single monomial, but surviving classes over the 2-adic rationals can be
 honest two-term sums, so the sum form is first-class.
+
+TriDegree, Monomial, Generator and CyclicSummand are immutable tuple
+records, so hashing, equality and construction run in C.  Caveat: a record
+equals the plain tuple of its fields, TriDegree(1, 2, 3) == (1, 2, 3), so
+no dict or set may mix record keys with plain-tuple keys.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-# tridegree shifts of the name symbols: (s, f, w) per unit exponent
-_SYMBOL_DEGREE = {
-    "h1": (1, 1, 1),
-    "v1": (2, 0, 1),
-    "iota": (-1, 1, 0),
-    "tau": (0, 0, -1),
-}
 # coefficient-module unit symbols all sit in pi_{-1,-1} except 2-cell classes
 _UNIT_WEIGHT_1 = {"u", "rho", "pi", "[2]"}
 
@@ -27,8 +26,7 @@ def _unit_degree(sym: str, exp: int):
     raise ValueError(f"unknown unit symbol {sym!r}")
 
 
-@dataclass(frozen=True, order=True)
-class TriDegree:
+class TriDegree(NamedTuple):
     s: int
     f: int
     w: int
@@ -54,24 +52,29 @@ def d_shift(r: int) -> TriDegree:
     return TriDegree(-1, 2 * r + 1, 0)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class _MonomialFields(NamedTuple):
+    coeff2: int
+    iota: int
+    h1: int
+    v1: int
+    tau: int
+    units: tuple
+
+
+class Monomial(_MonomialFields):
     """A named generator: 2-power coefficient times a symbol word.
 
     units is a sorted tuple of (symbol, exponent) pairs over the field's
     alphabet; v1 stores the literal (even) exponent of v1.
     """
 
-    coeff2: int = 0
-    iota: int = 0
-    h1: int = 0
-    v1: int = 0
-    tau: int = 0
-    units: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert self.v1 % 2 == 0, "v1 appears only in even powers"
-        assert tuple(sorted(self.units)) == self.units
+    def __new__(cls, coeff2=0, iota=0, h1=0, v1=0, tau=0, units=()):
+        assert v1 % 2 == 0, "v1 appears only in even powers"
+        # words of length < 2 are sorted; the full check also rejects non-tuples
+        assert (len(units) < 2 and type(units) is tuple) or tuple(sorted(units)) == units
+        return tuple.__new__(cls, (coeff2, iota, h1, v1, tau, units))
 
     def degree(self) -> TriDegree:
         s = self.h1 + 2 * self.v1 - self.iota
@@ -92,7 +95,8 @@ class Monomial:
         return Monomial(self.coeff2, self.iota, self.h1, self.v1, self.tau + j, self.units)
 
     def with_coeff2(self, m: int) -> "Monomial":
-        return Monomial(m, self.iota, self.h1, self.v1, self.tau, self.units)
+        # the word is unchanged, so the checks of __new__ still hold
+        return tuple.__new__(Monomial, (m,) + self[1:])
 
     def sort_key(self):
         return (self.iota, self.units, self.v1, self.h1, self.tau, self.coeff2)
@@ -120,14 +124,15 @@ class Monomial:
 ONE = Monomial()
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """Formal sum of monomials naming one cyclic summand."""
 
     terms: tuple = (ONE,)
 
     @staticmethod
     def of(*monos: Monomial) -> "Generator":
+        if len(monos) == 1:
+            return Generator(monos)
         return Generator(tuple(sorted(monos, key=Monomial.sort_key)))
 
     def degree(self) -> TriDegree:
@@ -153,17 +158,21 @@ class Generator:
         return f"<{self.text()}>"
 
 
-@dataclass(frozen=True)
-class CyclicSummand:
-    """Z (order 0, read 2-locally) or Z/2^e, with a named generator."""
-
+class _CyclicSummandFields(NamedTuple):
     order: int
     gen: Generator
     degree: TriDegree
 
-    def __post_init__(self):
-        assert self.order == 0 or (self.order & (self.order - 1)) == 0
-        assert self.order != 1, "trivial summands are dropped, not stored"
+
+class CyclicSummand(_CyclicSummandFields):
+    """Z (order 0, read 2-locally) or Z/2^e, with a named generator."""
+
+    __slots__ = ()
+
+    def __new__(cls, order, gen, degree):
+        assert order == 0 or (order & (order - 1)) == 0
+        assert order != 1, "trivial summands are dropped, not stored"
+        return tuple.__new__(cls, (order, gen, degree))
 
     @property
     def torsion_exponent(self):

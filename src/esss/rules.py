@@ -170,15 +170,17 @@ class HigherRuleset:
         return self.certificate is not None and not self.rules
 
 
-_COLLAPSE_CITATIONS = {
+# one citation per pair whose higher differentials are certified empty;
+# certificates print this wording
+_CITED_COLLAPSE = {
+    ("q2", "kq"): "no room for further differentials over the 2-adic rationals",
+    ("q2", "L"): "comparison with the eta-inverted computation over the 2-adic rationals",
     ("c", "kq"): "collapse at the second page over algebraically closed fields",
     ("c", "L"): "collapse at the second page over algebraically closed fields",
-    ("fq", "kq"): "degree-sparseness over finite fields",
+    ("fq", "kq"): "collapse for degree reasons at the second page over finite fields",
     ("fq", "L"): "no room for higher differentials over finite fields",
-    ("qq", "kq"): "the finite-field collapse tensored with the pi classes",
-    ("qq", "L"): "the finite-field collapse tensored with the pi classes",
-    ("q2", "kq"): "no room on the second page over the 2-adic rationals",
-    ("q2", "L"): "comparison with the eta-inverted computation",
+    ("qq", "kq"): "the finite-field collapse carried along the pi classes",
+    ("qq", "L"): "the finite-field collapse carried along the pi classes",
     ("q", "kq"): "no room for longer differentials over the rationals",
 }
 
@@ -195,8 +197,8 @@ def higher_ruleset(field: FieldId, spectrum: str, rule_file: str | None = None):
     if rule_file is not None:
         rules = parse_rule_file(rule_file)
         return HigherRuleset(field, spectrum, tuple(rules), None, loaded_from=rule_file)
-    if key in _COLLAPSE_CITATIONS:
-        return HigherRuleset(field, spectrum, (), _COLLAPSE_CITATIONS[key])
+    if key in _CITED_COLLAPSE:
+        return HigherRuleset(field, spectrum, (), _CITED_COLLAPSE[key])
     return HigherRuleset(field, spectrum, (), None)
 
 

@@ -16,6 +16,24 @@ def test_validation():
     assert Q((5, 2, 3)).support == (2, 3, 5)
 
 
+def test_invalid_field_ids():
+    for kind, q, support in [("x", None, None), ("c", 3, None), ("r", None, (2,)),
+                             ("q2", 5, None), ("q", None, None), ("q", None, ()),
+                             ("q", None, (3, 5)), ("fq", 15, None), ("fq", 1, None),
+                             ("qq", 9, None)]:
+        with pytest.raises(ValueError):
+            FieldId(kind, q=q, support=support)
+
+
+def test_q_support_is_normalized():
+    field = Q((7, 2, 3, 7, 2))
+    assert field.support == (2, 3, 7)
+    assert field == Q((2, 3, 7)) and hash(field) == hash(Q((3, 7, 2)))
+    assert {field: 1}[FieldId("q", support=[3, 2, 7])] == 1
+    assert repr(field) == "Q(2,3,7)"
+    assert repr(Fq(5)) == "F5" and Fq(5) == FieldId("fq", q=5)
+
+
 def test_parse_field():
     assert parse_field("c") == ALG_CLOSED
     assert parse_field("fq", q=5) == Fq(5)

@@ -109,3 +109,25 @@ def test_cli_errors_on_bad_flags():
     proc = _run_cli("compute", "--field", "fq", "--spectrum", "kq", "--page",
                     "2", "--s", "0..4", "--f", "0..4", "--w", "0..2")
     assert proc.returncode != 0  # missing --q
+
+
+def test_cli_malformed_range_is_one_line_error():
+    for bad in ("5", "a..b", "3.."):
+        proc = _run_cli("compute", "--field", "c", "--spectrum", "kq", "--page", "1",
+                        "--s", bad, "--f", "0..2", "--w", "0..1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "--s" in lines[0], proc.stderr
+
+
+def test_cli_negative_range_with_space():
+    common = ("compute", "--field", "c", "--spectrum", "kq", "--page", "2",
+              "--f", "0..4", "--format", "json")
+    spaced = _run_cli(*common, "--s", "-3..25", "--w", "-1..1")
+    joined = _run_cli(*common, "--s=-3..25", "--w=-1..1")
+    assert spaced.returncode == 0, spaced.stderr
+    assert joined.returncode == 0
+    assert spaced.stdout == joined.stdout
+    assert json.loads(spaced.stdout)["window"]["s"] == [-3, 25]
