@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .engine import Page, _d1_kq, _d1_L, _kq_degree, _L_degree
 from .fields import FieldId
 from .groups import Monomial, TriDegree, d_shift
-from .homalg import StructuredGroup, express_in_group, kernel_cokernel, mat_mul, mat_vec
+from .homalg import StructuredGroup, express_in_group, is_injective, mat_vec, sparse_mul
 
 
 def _unit_image(src: FieldId, dst: FieldId, units):
@@ -177,22 +177,16 @@ def compare_e1(src: FieldId, dst_list, spectrum: str, degrees) -> ComparisonRepo
             M = page1_map_matrix(src, dst, spectrum, deg)
             stacked.extend(M)
             tgt_orders.extend(cs.order for cs in _page1_basis(dst, spectrum, deg))
-            commutes[(dst.text(), deg)] = _commutes_with_d1(src, dst, spectrum, deg)
+            commutes[(dst.text(), deg)] = _commutes_with_d1(src, dst, spectrum, deg,
+                                                            src_basis, M)
         if not src_basis:
             injective[deg] = True
             continue
         if not stacked:
             stacked = [[0] * len(src_basis)]
             tgt_orders = [2]
-        ker, _ = kernel_cokernel(stacked, [cs.order for cs in src_basis], tgt_orders)
-        injective[deg] = not ker.orders
+        injective[deg] = is_injective(stacked, [cs.order for cs in src_basis], tgt_orders)
     return ComparisonReport(src, spectrum, 1, injective, commutes)
-
-
-def _entry(M, i, j):
-    if i < len(M) and j < len(M[i]):
-        return M[i][j]
-    return 0
 
 
 def _leaks(src: FieldId, dst: FieldId, mono) -> bool:
@@ -214,22 +208,23 @@ def _leaks(src: FieldId, dst: FieldId, mono) -> bool:
     return False
 
 
-def _commutes_with_d1(src, dst, spectrum, deg) -> bool:
+def _commutes_with_d1(src, dst, spectrum, deg, src_basis, M_here) -> bool:
+    """M_tgt d1 = d1 M_here modulo the target orders, off the _leaks sources.
+
+    src_basis and M_here are the source basis and the comparison matrix at deg.
+    """
     tgt_deg = deg + d_shift(1)
-    M_here = page1_map_matrix(src, dst, spectrum, deg)
     M_tgt = page1_map_matrix(src, dst, spectrum, tgt_deg)
-    lhs = mat_mul(M_tgt, _d1(src, spectrum, deg))
-    rhs = mat_mul(_d1(dst, spectrum, deg), M_here)
-    src_basis = _page1_basis(src, spectrum, deg)
     tgt_basis = _page1_basis(dst, spectrum, tgt_deg)
+    rows, cols = len(tgt_basis), len(src_basis)
+    lhs = sparse_mul(M_tgt, _d1(src, spectrum, deg), rows, cols)
+    rhs = sparse_mul(_d1(dst, spectrum, deg), M_here, rows, cols)
+    checked = [j for j, scs in enumerate(src_basis)
+               if not (scs.gen.is_single() and _leaks(src, dst, scs.gen.lead))]
     for i, cs in enumerate(tgt_basis):
-        for j, scs in enumerate(src_basis):
-            if scs.gen.is_single() and _leaks(src, dst, scs.gen.lead):
-                continue
-            diff = _entry(lhs, i, j) - _entry(rhs, i, j)
-            if cs.order and diff % cs.order != 0:
-                return False
-            if not cs.order and diff != 0:
+        for j in checked:
+            diff = lhs[i][j] - rhs[i][j]
+            if (diff % cs.order if cs.order else diff) != 0:
                 return False
     return True
 
@@ -269,6 +264,5 @@ def compare_e2(src: FieldId, dst_list, spectrum: str,
         if not stacked:
             stacked = [[0] * len(dd.summands)]
             tgt_orders_all = [2]
-        ker, _ = kernel_cokernel(stacked, src_orders, tgt_orders_all)
-        injective[deg] = not ker.orders
+        injective[deg] = is_injective(stacked, src_orders, tgt_orders_all)
     return ComparisonReport(src, spectrum, 2, injective, {})

@@ -43,9 +43,6 @@ class TriDegree(NamedTuple):
             raise ValueError(f"{self} has odd s+f; no slice index")
         return (self.s + self.f) // 2
 
-    def as_tuple(self):
-        return (self.s, self.f, self.w)
-
 
 def d_shift(r: int) -> TriDegree:
     """Tridegree shift of the page-r differential: slices jump by r."""

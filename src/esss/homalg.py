@@ -5,11 +5,12 @@ summand (Z, read 2-locally), any other value is the actual order of a finite
 cyclic summand (always a power of 2 in this engine; asserted by callers).
 Maps are integer matrices in the generator bases, columns indexed by source
 summands.  All computations go through Smith normal form; nothing is ever
-done modulo a proxy prime, so free-rank information is never lost.
+done modulo a proxy prime, so free-rank information is never lost.  `snf`
+builds only the transforms its caller reads and keeps U^-1 up to date as it
+eliminates, so no second SNF inverts U; `is_injective` decides injectivity
+without a cokernel or generator vectors.
 """
 from __future__ import annotations
-
-Matrix = "list[list[int]]"
 
 
 def identity(n: int):
@@ -31,108 +32,122 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in A]
+    return [sum(a * b for a, b in zip(row, v)) for row in A]
 
 
-def _swap_rows(A, i, j):
-    A[i], A[j] = A[j], A[i]
+def _sparse_columns(M, ncols):
+    """Column j of M as the list of its nonzero (row, entry) pairs."""
+    cols = [[] for _ in range(ncols)]
+    for i, row in enumerate(M):
+        for j, x in enumerate(row):
+            if x:
+                cols[j].append((i, x))
+    return cols
 
 
-def _swap_cols(A, i, j):
-    for row in A:
-        row[i], row[j] = row[j], row[i]
+def sparse_mul(A, B, rows, cols):
+    """The rows x cols product A B, read from the nonzero entries only."""
+    a_cols = _sparse_columns(A, len(B))
+    out = [[0] * cols for _ in range(rows)]
+    for j, b_col in enumerate(_sparse_columns(B, cols)):
+        for k, y in b_col:
+            for i, x in a_cols[k]:
+                out[i][j] += x * y
+    return out
 
 
-def _add_row(A, dst, src, c):
-    A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
-
-
-def _add_col(A, dst, src, c):
-    for row in A:
-        row[dst] += c * row[src]
-
-
-def snf(M):
+def snf(M, u=True, v=True, u_inv=False):
     """Smith normal form with transforms: returns (U, D, V) with U M V = D.
 
     D is diagonal (same shape as M) with d1 | d2 | ... and nonnegative
-    entries; U and V are unimodular.
+    entries; U and V are unimodular.  Only the transforms asked for are
+    built; the others come back as None.  With u_inv=True the inverse of U
+    is kept up to date during the elimination, each row operation on U
+    matched by the inverse column operation, and returned fourth:
+    (U, D, V, U^-1).
     """
     m = len(M)
     n = len(M[0]) if m else 0
     D = [row[:] for row in M]
-    U = identity(m)
-    V = identity(n)
+    U = identity(m) if u else None
+    # U^-1 and V are kept transposed, so that their column operations are
+    # row operations on W and VT
+    W = identity(m) if u_inv else None
+    VT = identity(n) if v else None
+    left = [X for X in (D, U) if X is not None]
+    swapped = [X for X in (D, U, W) if X is not None]
 
-    def pivot_from(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = D[i][j]
-                if v != 0 and (best is None or abs(v) < abs(best[2])):
-                    best = (i, j, v)
-        return best
+    def add_row(i, j, c):
+        # r_i += c r_j, so U^-1 gets c_j -= c c_i
+        for X in left:
+            X[i] = [a + c * b for a, b in zip(X[i], X[j])]
+        if W is not None:
+            W[j] = [a - c * b for a, b in zip(W[j], W[i])]
 
     t = 0
     while t < min(m, n):
-        piv = pivot_from(t)
-        if piv is None:
+        # pivot: the first entry of least absolute value in row-major order,
+        # so the first unit is the pivot
+        best, pi, pj = 0, t, t
+        for i in range(t, m):
+            row = D[i]
+            for j in range(t, n):
+                a = row[j]
+                if a and (not best or abs(a) < best):
+                    best, pi, pj = abs(a), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
-        pi, pj, _ = piv
-        if pi != t:
-            _swap_rows(D, t, pi)
-            _swap_rows(U, t, pi)
-        if pj != t:
-            _swap_cols(D, t, pj)
-            _swap_cols(V, t, pj)
+        j = pj
+        for X in swapped:
+            X[t], X[pi] = X[pi], X[t]
         # every restart below strictly shrinks |D[t][t]| or the remaining work
         while True:
-            restarted = False
+            if j != t:
+                for row in D:
+                    row[t], row[j] = row[j], row[t]
+                if VT is not None:
+                    VT[t], VT[j] = VT[j], VT[t]
+                j = t
             for i in range(t + 1, m):
-                if D[i][t] == 0:
-                    continue
-                q = D[i][t] // D[t][t]
-                _add_row(D, i, t, -q)
-                _add_row(U, i, t, -q)
-                if D[i][t] != 0:
-                    _swap_rows(D, t, i)
-                    _swap_rows(U, t, i)
-                    restarted = True
-                    break
-            if restarted:
-                continue
-            for j in range(t + 1, n):
-                if D[t][j] == 0:
-                    continue
-                q = D[t][j] // D[t][t]
-                _add_col(D, j, t, -q)
-                _add_col(V, j, t, -q)
-                if D[t][j] != 0:
-                    _swap_cols(D, t, j)
-                    _swap_cols(V, t, j)
-                    restarted = True
-                    break
-            if restarted:
-                continue
-            if any(D[i][t] != 0 for i in range(t + 1, m)):
-                continue
-            rem = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if D[i][j] % D[t][t] != 0:
-                        rem = i
+                if D[i][t]:
+                    add_row(i, t, -(D[i][t] // D[t][t]))
+                    if D[i][t]:
+                        for X in swapped:
+                            X[t], X[i] = X[i], X[t]
                         break
-                if rem is not None:
-                    break
-            if rem is not None:
-                _add_row(D, t, rem, 1)
-                _add_row(U, t, rem, 1)
-                continue
-            break
+            else:
+                # column t is zero below the pivot, so a column operation
+                # changes row t only, until a swap brings in another column
+                row_t = D[t]
+                d = row_t[t]
+                for j in range(t + 1, n):
+                    if row_t[j]:
+                        q = row_t[j] // d
+                        row_t[j] -= q * d
+                        if VT is not None:
+                            VT[j] = [a - q * b for a, b in zip(VT[j], VT[t])]
+                        if row_t[j]:
+                            break
+                else:
+                    rem = None if d in (1, -1) else next(
+                        (i for i in range(t + 1, m) for x in D[i][t + 1:] if x % d), None)
+                    if rem is None:
+                        break
+                    add_row(t, rem, 1)
+                    j = t
         if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
+            # row t of D is zero off the diagonal; U and U^-1 flip with it
+            D[t][t] = -D[t][t]
+            for X in swapped[1:]:
+                X[t] = [-x for x in X[t]]
         t += 1
+    V = [list(col) for col in zip(*VT)] if v else None
+    if u_inv:
+        return U, D, V, [list(col) for col in zip(*W)]
     return U, D, V
 
 
@@ -154,13 +169,8 @@ def integer_kernel(M):
     n = len(M[0]) if m else 0
     if n == 0:
         return []
-    _, D, V = snf(M)
-    cols = []
-    for j in range(n):
-        d = D[j][j] if j < min(m, n) else 0
-        if d == 0:
-            cols.append([V[i][j] for i in range(n)])
-    return cols
+    _, D, V = snf(M, u=False)
+    return [[V[i][j] for i in range(n)] for j in range(n) if j >= min(m, n) or D[j][j] == 0]
 
 
 def lattice_saturation_solve(gens, target):
@@ -209,18 +219,6 @@ class StructuredGroup:
     def __repr__(self):
         return f"StructuredGroup(orders={self.orders})"
 
-    def log2_order(self):
-        """(free rank, total 2-log of torsion); torsion must be 2-power."""
-        rank = 0
-        log = 0
-        for d in self.orders:
-            if d == 0:
-                rank += 1
-            else:
-                assert d & (d - 1) == 0, f"non 2-power torsion order {d}"
-                log += d.bit_length() - 1
-        return rank, log
-
 
 def _presentation_from_relations(gen_vectors, relation_matrix):
     """Decompose span(gen_vectors)/relations into cyclics.
@@ -237,8 +235,7 @@ def _presentation_from_relations(gen_vectors, relation_matrix):
     rel = relation_matrix if relation_matrix and relation_matrix[0] else [[0] for _ in range(r)]
     if len(rel) != r:
         rel = [[0] for _ in range(r)]
-    U, D, _ = snf(rel)
-    Uinv = mat_inverse_unimodular(U)
+    _, D, _, Uinv = snf(rel, u=False, v=False, u_inv=True)
     orders = []
     gens = []
     ncols = len(rel[0])
@@ -251,6 +248,42 @@ def _presentation_from_relations(gen_vectors, relation_matrix):
         orders.append(d)
         gens.append(vec)
     return StructuredGroup(orders, gens)
+
+
+def _kernel_lattice(A, n, tgt_orders):
+    """Nonzero columns spanning {x in Z^n : A x in im diag(tgt_orders)}.
+
+    That is the integer kernel of [A | -diag(tgt)] projected to x.
+    """
+    m = len(tgt_orders)
+    if m:
+        Mk = [[A[i][j] for j in range(n)] + [-tgt_orders[i] if k == i else 0 for k in range(m)]
+              for i in range(m)]
+        C = [col[:n] for col in integer_kernel(Mk)]
+    else:
+        C = identity(n)
+    return [c for c in C if any(x != 0 for x in c)]
+
+
+def _subquotient(C, orders, A=None):
+    """span(C) / (span(C) & (im A + im diag(orders))) as a StructuredGroup.
+
+    C holds nonzero columns in the coordinates of the cyclic sum with the
+    given orders; A, if given, is a matrix with one row per coordinate.
+    """
+    r = len(C)
+    n = len(orders)
+    # relations: v with C v in im(A) + im diag(orders)
+    Mr = []
+    for i in range(n):
+        row = [c[i] for c in C]
+        if A is not None:
+            row += [-x for x in A[i]]
+        row += [-orders[i] if k == i else 0 for k in range(n)]
+        Mr.append(row)
+    rcols = integer_kernel(Mr)
+    rel = [[col[j] for col in rcols] for j in range(r)] if rcols else [[0] for _ in range(r)]
+    return _presentation_from_relations(C, rel)
 
 
 def kernel_cokernel(A, src_orders, tgt_orders):
@@ -267,30 +300,30 @@ def kernel_cokernel(A, src_orders, tgt_orders):
     # cokernel: Z^m / (im A + im diag(tgt_orders))
     R = [[A[i][j] for j in range(n)] + [tgt_orders[i] if k == i else 0 for k in range(m)]
          for i in range(m)]
-    coker = _presentation_from_relations(
-        [[1 if a == i else 0 for a in range(m)] for i in range(m)],
-        R,
-    ) if m else StructuredGroup([], [])
+    coker = _presentation_from_relations(identity(m), R) if m else StructuredGroup([], [])
 
-    # kernel lattice L = {x : A x in im diag(tgt)}, via the integer kernel of
-    # [A | -diag(tgt)] projected to the x block
     if n == 0:
         return StructuredGroup([], []), coker
-    Mk = [[A[i][j] for j in range(n)] + [-tgt_orders[i] if k == i else 0 for k in range(m)]
-          for i in range(m)]
-    kcols = integer_kernel(Mk) if m else [[1 if a == i else 0 for a in range(n)] for i in range(n)]
-    C = [col[:n] for col in kcols]
-    C = [c for c in C if any(x != 0 for x in c)]
+    C = _kernel_lattice(A, n, tgt_orders)
     if not C:
         return StructuredGroup([], []), coker
-    # relations: v with C v in im diag(src_orders)
-    r = len(C)
-    Mr = [[C[j][i] for j in range(r)] + [-src_orders[i] if k == i else 0 for k in range(n)]
-          for i in range(n)]
-    rcols = integer_kernel(Mr)
-    rel = [[col[j] for col in rcols] for j in range(r)] if rcols else [[0] for _ in range(r)]
-    kernel = _presentation_from_relations(C, rel)
-    return kernel, coker
+    return _subquotient(C, src_orders), coker
+
+
+def is_injective(A, src_orders, tgt_orders):
+    """`not kernel_cokernel(A, src_orders, tgt_orders)[0].orders`, cheaply.
+
+    No cokernel, relation SNF or generator: the kernel is L / (L & S), L the
+    kernel lattice and S = im diag(src_orders), so it is zero exactly when
+    each spanning column of L lies in S.
+    """
+    n = len(src_orders)
+    assert len(A) == len(tgt_orders) and all(len(row) == n for row in A), "shape mismatch"
+    for c in _kernel_lattice(A, n, tgt_orders):
+        for x, d in zip(c, src_orders):
+            if (x % d if d else x) != 0:
+                return False
+    return True
 
 
 def homology_group(A, src_orders, B, mid_orders, tgt_orders):
@@ -300,7 +333,7 @@ def homology_group(A, src_orders, B, mid_orders, tgt_orders):
     orders.  Generators of the result are vectors in M's coordinates.
     """
     n_mid = len(mid_orders)
-    BA = mat_mul(B, A)
+    BA = sparse_mul(B, A, len(B), len(A[0]) if A else 0)
     for i, row in enumerate(BA):
         for j, v in enumerate(row):
             if (tgt_orders[i] and v % tgt_orders[i] != 0) or (not tgt_orders[i] and v != 0):
@@ -309,31 +342,10 @@ def homology_group(A, src_orders, B, mid_orders, tgt_orders):
                 )
     if n_mid == 0:
         return StructuredGroup([], [])
-    m_tgt = len(tgt_orders)
-    n_src = len(src_orders)
-    if m_tgt:
-        Mk = [[B[i][j] for j in range(n_mid)]
-              + [-tgt_orders[i] if k == i else 0 for k in range(m_tgt)]
-              for i in range(m_tgt)]
-        kcols = integer_kernel(Mk)
-        C = [col[:n_mid] for col in kcols]
-    else:
-        C = [[1 if a == i else 0 for a in range(n_mid)] for i in range(n_mid)]
-    C = [c for c in C if any(x != 0 for x in c)]
+    C = _kernel_lattice(B, n_mid, tgt_orders)
     if not C:
         return StructuredGroup([], [])
-    r = len(C)
-    # relations: v with C v in im(A) + im diag(mid_orders)
-    cols = n_src + n_mid
-    Mr = []
-    for i in range(n_mid):
-        row = [C[j][i] for j in range(r)]
-        row += [-A[i][j] for j in range(n_src)]
-        row += [-mid_orders[i] if k == i else 0 for k in range(n_mid)]
-        Mr.append(row)
-    rcols = integer_kernel(Mr)
-    rel = [[col[j] for col in rcols] for j in range(r)] if rcols else [[0] for _ in range(r)]
-    return _presentation_from_relations(C, rel)
+    return _subquotient(C, mid_orders, A)
 
 
 def express_in_group(group: StructuredGroup, ambient_orders, vec, modulo_cols=()):

@@ -51,9 +51,6 @@ class _Infinity:
 
 NU_INFINITY = _Infinity()
 
-# Valuations are either a nonnegative int or the sentinel.
-Valuation = "int | _Infinity"
-
 
 def nu2(n: int) -> int:
     """Largest e with 2^e | n, for n >= 1."""
