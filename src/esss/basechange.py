@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .engine import Page, _d1_kq, _d1_L, _kq_degree, _L_degree
 from .fields import FieldId
 from .groups import Monomial, TriDegree, d_shift
-from .homalg import StructuredGroup, express_in_group, is_injective, mat_vec, sparse_mul
+from .homalg import StructuredGroup, express_in_group, is_injective, mat_mul, mat_vec
 
 
 def _unit_image(src: FieldId, dst: FieldId, units):
@@ -189,6 +189,12 @@ def compare_e1(src: FieldId, dst_list, spectrum: str, degrees) -> ComparisonRepo
     return ComparisonReport(src, spectrum, 1, injective, commutes)
 
 
+def _entry(M, i, j):
+    if i < len(M) and j < len(M[i]):
+        return M[i][j]
+    return 0
+
+
 def _leaks(src: FieldId, dst: FieldId, mono) -> bool:
     """Sources excluded from the commutation check for this pair.
 
@@ -216,14 +222,13 @@ def _commutes_with_d1(src, dst, spectrum, deg, src_basis, M_here) -> bool:
     tgt_deg = deg + d_shift(1)
     M_tgt = page1_map_matrix(src, dst, spectrum, tgt_deg)
     tgt_basis = _page1_basis(dst, spectrum, tgt_deg)
-    rows, cols = len(tgt_basis), len(src_basis)
-    lhs = sparse_mul(M_tgt, _d1(src, spectrum, deg), rows, cols)
-    rhs = sparse_mul(_d1(dst, spectrum, deg), M_here, rows, cols)
+    lhs = mat_mul(M_tgt, _d1(src, spectrum, deg))
+    rhs = mat_mul(_d1(dst, spectrum, deg), M_here)
     checked = [j for j, scs in enumerate(src_basis)
                if not (scs.gen.is_single() and _leaks(src, dst, scs.gen.lead))]
     for i, cs in enumerate(tgt_basis):
         for j in checked:
-            diff = lhs[i][j] - rhs[i][j]
+            diff = _entry(lhs, i, j) - _entry(rhs, i, j)
             if (diff % cs.order if cs.order else diff) != 0:
                 return False
     return True

@@ -18,16 +18,21 @@ def identity(n: int):
 
 
 def mat_mul(A, B):
+    """The product A B, read from the nonzero entries only."""
+    rows = len(A)
+    cols = len(B[0]) if B else 0
+    out = [[0] * cols for _ in range(rows)]
     if not A or not B:
-        rows = len(A)
-        cols = len(B[0]) if B else 0
-        return [[0] * cols for _ in range(rows)]
+        return out
     n = len(B)
     assert all(len(row) == n for row in A), "shape mismatch"
-    cols = len(B[0])
-    out = []
-    for row in A:
-        out.append([sum(row[k] * B[k][j] for k in range(n)) for j in range(cols)])
+    assert all(len(row) == cols for row in B), "shape mismatch"
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in B]
+    for row, out_row in zip(A, out):
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    out_row[j] += x * y
     return out
 
 
@@ -35,36 +40,14 @@ def mat_vec(A, v):
     return [sum(a * b for a, b in zip(row, v)) for row in A]
 
 
-def _sparse_columns(M, ncols):
-    """Column j of M as the list of its nonzero (row, entry) pairs."""
-    cols = [[] for _ in range(ncols)]
-    for i, row in enumerate(M):
-        for j, x in enumerate(row):
-            if x:
-                cols[j].append((i, x))
-    return cols
-
-
-def sparse_mul(A, B, rows, cols):
-    """The rows x cols product A B, read from the nonzero entries only."""
-    a_cols = _sparse_columns(A, len(B))
-    out = [[0] * cols for _ in range(rows)]
-    for j, b_col in enumerate(_sparse_columns(B, cols)):
-        for k, y in b_col:
-            for i, x in a_cols[k]:
-                out[i][j] += x * y
-    return out
-
-
 def snf(M, u=True, v=True, u_inv=False):
-    """Smith normal form with transforms: returns (U, D, V) with U M V = D.
+    """Smith normal form with transforms: returns (U, D, V, U^-1), U M V = D.
 
     D is diagonal (same shape as M) with d1 | d2 | ... and nonnegative
     entries; U and V are unimodular.  Only the transforms asked for are
     built; the others come back as None.  With u_inv=True the inverse of U
     is kept up to date during the elimination, each row operation on U
-    matched by the inverse column operation, and returned fourth:
-    (U, D, V, U^-1).
+    matched by the inverse column operation.
     """
     m = len(M)
     n = len(M[0]) if m else 0
@@ -146,15 +129,13 @@ def snf(M, u=True, v=True, u_inv=False):
                 X[t] = [-x for x in X[t]]
         t += 1
     V = [list(col) for col in zip(*VT)] if v else None
-    if u_inv:
-        return U, D, V, [list(col) for col in zip(*W)]
-    return U, D, V
+    return U, D, V, [list(col) for col in zip(*W)] if u_inv else None
 
 
 def mat_inverse_unimodular(U):
     """Inverse of a unimodular integer matrix, via SNF transforms."""
     n = len(U)
-    A, D, B = snf(U)
+    A, D, B, _ = snf(U)
     # A U B = I up to signs on the diagonal of D (all 1 since det = +-1)
     for i in range(n):
         assert abs(D[i][i]) == 1, "matrix is not unimodular"
@@ -169,7 +150,7 @@ def integer_kernel(M):
     n = len(M[0]) if m else 0
     if n == 0:
         return []
-    _, D, V = snf(M, u=False)
+    _, D, V, _ = snf(M, u=False)
     return [[V[i][j] for i in range(n)] for j in range(n) if j >= min(m, n) or D[j][j] == 0]
 
 
@@ -183,7 +164,7 @@ def lattice_saturation_solve(gens, target):
     if r == 0:
         return [] if all(x == 0 for x in target) else None
     M = [[gens[j][i] for j in range(r)] for i in range(n)]
-    U, D, V = snf(M)
+    U, D, V, _ = snf(M)
     rhs = mat_vec(U, target)
     y = [0] * r
     for i in range(r):
@@ -333,7 +314,7 @@ def homology_group(A, src_orders, B, mid_orders, tgt_orders):
     orders.  Generators of the result are vectors in M's coordinates.
     """
     n_mid = len(mid_orders)
-    BA = sparse_mul(B, A, len(B), len(A[0]) if A else 0)
+    BA = mat_mul(B, A)
     for i, row in enumerate(BA):
         for j, v in enumerate(row):
             if (tgt_orders[i] and v % tgt_orders[i] != 0) or (not tgt_orders[i] and v != 0):

@@ -13,7 +13,6 @@ from esss.homalg import (
     mat_inverse_unimodular,
     mat_mul,
     snf,
-    sparse_mul,
 )
 
 
@@ -41,7 +40,7 @@ def group_order(orders):
 
 def test_snf_examples():
     for M in ([[2]], [[0]], [[2, 0], [0, 8]]):
-        U, D, V = snf(M)
+        U, D, V, _ = snf(M)
         assert mat_mul(mat_mul(U, M), V) == D
     assert snf([[2]])[1] == [[2]]
     assert snf([[0]])[1] == [[0]]
@@ -54,7 +53,7 @@ def test_snf_random_reconstruction():
         m = rng.randrange(1, 7)
         n = rng.randrange(1, 7)
         M = [[rng.randrange(-64, 65) for _ in range(n)] for _ in range(m)]
-        U, D, V = snf(M)
+        U, D, V, _ = snf(M)
         assert mat_mul(mat_mul(U, M), V) == D
         diag = [D[i][i] for i in range(min(m, n))]
         for i in range(len(diag) - 1):
@@ -77,7 +76,7 @@ def test_snf_larger_random():
         m = rng.randrange(8, 13)
         n = rng.randrange(8, 13)
         M = [[rng.randrange(-64, 65) for _ in range(n)] for _ in range(m)]
-        U, D, V = snf(M)
+        U, D, V, _ = snf(M)
         assert mat_mul(mat_mul(U, M), V) == D
 
 
@@ -215,10 +214,10 @@ def _random_matrices():
 def test_tracked_inverse_matches_oracle():
     for M in _random_matrices():
         U, D, V, U_inv = snf(M, u_inv=True)
-        assert (U, D, V) == snf(M)
+        assert (U, D, V, None) == snf(M)
         assert U_inv == mat_inverse_unimodular(U)
         assert mat_mul(U, U_inv) == identity(len(M))
-        assert snf(M, u=False, v=False) == (None, D, None)
+        assert snf(M, u=False, v=False) == (None, D, None, None)
         assert snf(M, u=False, v=False, u_inv=True) == (None, D, None, U_inv)
 
 
@@ -265,7 +264,7 @@ def test_is_injective_edge_cases():
     assert is_injective([[1, 0], [0, 1]], [0, 2], [0, 2])
 
 
-def test_sparse_mul_matches_mat_mul():
+def test_mat_mul_matches_dense_product():
     rng = random.Random(8)
     for _ in range(100):
         rows, inner, cols = rng.randrange(0, 5), rng.randrange(0, 5), rng.randrange(0, 5)
@@ -273,7 +272,12 @@ def test_sparse_mul_matches_mat_mul():
         B = [[rng.choice((0, 0, 0, 2, -1, 5)) for _ in range(cols)] for _ in range(inner)]
         expected = [[sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)]
                     for i in range(rows)]
-        assert sparse_mul(A, B, rows, cols) == expected
+        # with no inner dimension B has no rows to give the column count
+        assert mat_mul(A, B) == (expected if inner else [[] for _ in range(rows)])
+    with pytest.raises(AssertionError, match="shape mismatch"):
+        mat_mul([[1, 2]], [[1], [2], [3]])
+    with pytest.raises(AssertionError, match="shape mismatch"):
+        mat_mul([[1, 2]], [[1, 0], [2]])
 
 
 def _orders(rng, k):
@@ -297,7 +301,7 @@ def _outputs_digest():
     h = hashlib.sha256()
     for _ in range(60):
         M = _matrix(rng, rng.randrange(0, 9), rng.randrange(1, 9))
-        h.update(repr(snf(M)).encode())
+        h.update(repr(snf(M)[:3]).encode())
     for _ in range(40):
         M = _matrix(rng, rng.randrange(1, 8), rng.randrange(1, 9))
         h.update(repr(integer_kernel(M)).encode())
