@@ -11,6 +11,10 @@ the first differential.
 The maps commute with psi^3 - 1 (they preserve integral cells and the
 multiplier depends only on the slice), so they act on the kernel and
 cokernel parts of the L pages block by block.
+
+Comparison matrices are built from per-column images of the kq basis, each
+once per call (compare_e1 reuses the one its commutation check built), and
+compare_e2 solves each (degree, target) against one factorisation.
 """
 from __future__ import annotations
 
@@ -75,27 +79,40 @@ def _unit_image(src: FieldId, dst: FieldId, units):
 
 
 def monomial_image(src: FieldId, dst: FieldId, mono: Monomial):
-    out = []
-    for units in _unit_image(src, dst, mono.units):
-        out.append(Monomial(coeff2=mono.coeff2, iota=mono.iota, h1=mono.h1,
-                            v1=mono.v1, tau=mono.tau, units=units))
-    return out
+    return [Monomial(mono.coeff2, mono.iota, mono.h1, mono.v1, mono.tau, units)
+            for units in _unit_image(src, dst, mono.units)]
 
 
-def _kq_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree):
-    src_basis = list(_kq_degree(src, deg))
-    tgt_basis = list(_kq_degree(dst, deg))
-    index = {cs.gen.lead.with_coeff2(0): i for i, cs in enumerate(tgt_basis)}
-    M = [[0] * len(src_basis) for _ in range(len(tgt_basis))]
-    for j, cs in enumerate(src_basis):
-        for img in monomial_image(src, dst, cs.gen.lead):
-            t = index.get(img.with_coeff2(0))
+def _kq_images(src: FieldId, dst: FieldId, deg: TriDegree, words):
+    """Per source kq column at deg, {target kq index: coefficient} of its image.
+
+    Words are matched on lead[1:], the lead monomial without its coefficient;
+    words memoizes _unit_image(src, dst, units) for the caller.
+    """
+    index = {cs.gen.lead[1:]: i for i, cs in enumerate(_kq_degree(dst, deg))}
+    cols = []
+    for cs in _kq_degree(src, deg):
+        lead = cs.gen.lead
+        if lead.units not in words:
+            words[lead.units] = _unit_image(src, dst, lead.units)
+        col = {}
+        for units in words[lead.units]:
+            t = index.get(lead[1:5] + (units,))
             if t is not None:
-                M[t][j] += 1 << img.coeff2
+                col[t] = col.get(t, 0) + (1 << lead.coeff2)
+        cols.append(col)
+    return cols
+
+
+def _kq_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree, words):
+    M = [[0] * len(_kq_degree(src, deg)) for _ in _kq_degree(dst, deg)]
+    for j, col in enumerate(_kq_images(src, dst, deg, words)):
+        for t, c in col.items():
+            M[t][j] = c
     return M
 
 
-def _L_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree):
+def _L_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree, words):
     """The induced map on kernel-plus-shifted-cokernel generators.
 
     The splitting is componentwise over the ambient kq classes, so the
@@ -104,38 +121,37 @@ def _L_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree):
     s_sum, s_part, s_vec = _L_degree(src, deg)
     t_sum, t_part, t_vec = _L_degree(dst, deg)
     M = [[0] * len(s_sum) for _ in range(len(t_sum))]
-    if not s_sum or not t_sum:
-        return M
     up = TriDegree(deg.s + 1, deg.f - 1, deg.w)
     for part, amb_deg in (("K", deg), ("C", up)):
         rows = {t_vec[i][0]: i for i, p in enumerate(t_part) if p == part}
         cols = [j for j, p in enumerate(s_part) if p == part]
         if not rows or not cols:
             continue
-        kq_map = _kq_map_matrix(src, dst, amb_deg)
-        amb_orders = [cs.order for cs in _kq_degree(dst, amb_deg)]
+        images = _kq_images(src, dst, amb_deg, words)
+        amb_basis = _kq_degree(dst, amb_deg)
         for j in cols:
             sidx, mult = s_vec[j]
-            for amb, i in rows.items():
-                v = kq_map[amb][sidx] * mult
-                if amb_orders[amb]:
-                    v %= amb_orders[amb]
+            for amb, v in images[sidx].items():
+                i = rows.get(amb)
+                if i is None:
+                    continue
+                o = amb_basis[amb].order
+                v = v * mult % o if o else v * mult
                 if v == 0:
                     continue
-                if part == "K":
-                    shift = t_vec[i][1].bit_length() - 1
-                    assert v % (1 << shift) == 0, (src, dst, deg)
-                    c = v >> shift
-                else:
-                    c = v
+                # a kernel class is 2^shift times its kq class, shift 0 for C
+                shift = t_vec[i][1].bit_length() - 1
+                assert v % (1 << shift) == 0, (src, dst, deg)
+                c = v >> shift
                 if t_sum[i].order:
                     c %= t_sum[i].order
                 M[i][j] = c
     return M
 
 
-def page1_map_matrix(src, dst, spectrum, deg):
-    return (_kq_map_matrix if spectrum == "kq" else _L_map_matrix)(src, dst, deg)
+def page1_map_matrix(src, dst, spectrum, deg, words):
+    """The comparison matrix at deg; words as for _kq_images."""
+    return (_kq_map_matrix if spectrum == "kq" else _L_map_matrix)(src, dst, deg, words)
 
 
 def _page1_basis(field, spectrum, deg):
@@ -155,6 +171,7 @@ class ComparisonReport:
     page: int
     injective: dict        # deg -> bool (product map per tridegree)
     commutes: dict         # (dst text, deg) -> bool
+    excluded: dict         # dst text -> sources _leaks kept out of `commutes`
 
     @property
     def all_injective(self):
@@ -166,33 +183,37 @@ class ComparisonReport:
 
 
 def compare_e1(src: FieldId, dst_list, spectrum: str, degrees) -> ComparisonReport:
-    """Injectivity of the product comparison map and d1-commutation on E1."""
+    """Injectivity of the product comparison map and d1-commutation on E1.
+
+    Each comparison matrix is built once per call, into a dict local to it,
+    so the commutation check's matrix at deg + d_shift(1) is reused there.
+    """
     injective = {}
     commutes = {}
+    excluded = {dst.text(): 0 for dst in dst_list}
+    words = {dst: {} for dst in dst_list}
+    built = {}
+
+    def matrix(dst, deg):
+        if (dst, deg) not in built:
+            built[dst, deg] = page1_map_matrix(src, dst, spectrum, deg, words[dst])
+        return built[dst, deg]
+
     for deg in degrees:
         src_basis = _page1_basis(src, spectrum, deg)
         stacked = []
         tgt_orders = []
         for dst in dst_list:
-            M = page1_map_matrix(src, dst, spectrum, deg)
+            M = matrix(dst, deg)
             stacked.extend(M)
             tgt_orders.extend(cs.order for cs in _page1_basis(dst, spectrum, deg))
-            commutes[(dst.text(), deg)] = _commutes_with_d1(src, dst, spectrum, deg,
-                                                            src_basis, M)
-        if not src_basis:
-            injective[deg] = True
-            continue
-        if not stacked:
-            stacked = [[0] * len(src_basis)]
-            tgt_orders = [2]
+            checked = [j for j, scs in enumerate(src_basis)
+                       if not (scs.gen.is_single() and _leaks(src, dst, scs.gen.lead))]
+            excluded[dst.text()] += len(src_basis) - len(checked)
+            commutes[(dst.text(), deg)] = _commutes_with_d1(
+                src, dst, spectrum, deg, checked, M, matrix(dst, deg + d_shift(1)))
         injective[deg] = is_injective(stacked, [cs.order for cs in src_basis], tgt_orders)
-    return ComparisonReport(src, spectrum, 1, injective, commutes)
-
-
-def _entry(M, i, j):
-    if i < len(M) and j < len(M[i]):
-        return M[i][j]
-    return 0
+    return ComparisonReport(src, spectrum, 1, injective, commutes, excluded)
 
 
 def _leaks(src: FieldId, dst: FieldId, mono) -> bool:
@@ -214,21 +235,18 @@ def _leaks(src: FieldId, dst: FieldId, mono) -> bool:
     return False
 
 
-def _commutes_with_d1(src, dst, spectrum, deg, src_basis, M_here) -> bool:
-    """M_tgt d1 = d1 M_here modulo the target orders, off the _leaks sources.
+def _commutes_with_d1(src, dst, spectrum, deg, checked, M_here, M_tgt) -> bool:
+    """M_tgt d1 = d1 M_here modulo the target orders, on the checked sources.
 
-    src_basis and M_here are the source basis and the comparison matrix at deg.
+    M_here and M_tgt are the comparison matrices at deg and deg + d_shift(1).
     """
-    tgt_deg = deg + d_shift(1)
-    M_tgt = page1_map_matrix(src, dst, spectrum, tgt_deg)
-    tgt_basis = _page1_basis(dst, spectrum, tgt_deg)
+    tgt_basis = _page1_basis(dst, spectrum, deg + d_shift(1))
     lhs = mat_mul(M_tgt, _d1(src, spectrum, deg))
     rhs = mat_mul(_d1(dst, spectrum, deg), M_here)
-    checked = [j for j, scs in enumerate(src_basis)
-               if not (scs.gen.is_single() and _leaks(src, dst, scs.gen.lead))]
-    for i, cs in enumerate(tgt_basis):
+    # a row is empty where an inner dimension is 0: the product is zero there
+    for cs, l_row, r_row in zip(tgt_basis, lhs, rhs):
         for j in checked:
-            diff = _entry(lhs, i, j) - _entry(rhs, i, j)
+            diff = (l_row[j] if l_row else 0) - (r_row[j] if r_row else 0)
             if (diff % cs.order if cs.order else diff) != 0:
                 return False
     return True
@@ -236,8 +254,12 @@ def _commutes_with_d1(src, dst, spectrum, deg, src_basis, M_here) -> bool:
 
 def compare_e2(src: FieldId, dst_list, spectrum: str,
                src_page: Page, dst_pages, degrees) -> ComparisonReport:
-    """Injectivity of the product comparison map on second pages."""
+    """Injectivity of the product comparison map on second pages.
+
+    Per target, every source class is solved against one factorisation.
+    """
     injective = {}
+    words = {dst: {} for dst in dst_list}
     for deg in degrees:
         dd = src_page.data.get(deg)
         if dd is None or not dd.summands:
@@ -246,28 +268,18 @@ def compare_e2(src: FieldId, dst_list, spectrum: str,
         stacked = []
         tgt_orders_all = []
         for dst, dpage in zip(dst_list, dst_pages):
-            M = page1_map_matrix(src, dst, spectrum, deg)
+            M = page1_map_matrix(src, dst, spectrum, deg, words[dst])
             tdd = dpage.data.get(deg)
-            t_orders = [cs.order for cs in tdd.summands] if tdd else []
-            t_vectors = [list(v) for v in tdd.history] if tdd else []
-            boundary_deg = TriDegree(deg.s + 1, deg.f - 3, deg.w)
-            dmat = _d1(dst, spectrum, boundary_deg)
-            b_cols = [[dmat[row][col] for row in range(len(dmat))]
-                      for col in range(len(dmat[0]) if dmat else 0)]
+            group = StructuredGroup([cs.order for cs in tdd.summands] if tdd else [],
+                                    tdd.history if tdd else ())
+            # quotient by the image of d1 from deg - d_shift(1)
+            dmat = _d1(dst, spectrum, TriDegree(deg.s + 1, deg.f - 3, deg.w))
+            b_cols = [list(col) for col in zip(*dmat)]
             amb_orders = [cs.order for cs in _page1_basis(dst, spectrum, deg)]
-            group = StructuredGroup(t_orders, t_vectors)
-            rows = [[0] * len(dd.summands) for _ in range(len(t_orders))]
-            for j, hist in enumerate(dd.history):
-                img = mat_vec(M, list(hist))
-                coords = express_in_group(group, amb_orders, img, modulo_cols=b_cols)
-                assert coords is not None, (src.text(), dst.text(), deg)
-                for i, c in enumerate(coords):
-                    rows[i][j] = c
-            stacked.extend(rows)
-            tgt_orders_all.extend(t_orders)
-        src_orders = [cs.order for cs in dd.summands]
-        if not stacked:
-            stacked = [[0] * len(dd.summands)]
-            tgt_orders_all = [2]
-        injective[deg] = is_injective(stacked, src_orders, tgt_orders_all)
-    return ComparisonReport(src, spectrum, 2, injective, {})
+            imgs = [mat_vec(M, hist) for hist in dd.history]
+            cols = express_in_group(group, amb_orders, imgs, modulo_cols=b_cols)
+            assert None not in cols, (src.text(), dst.text(), deg)
+            stacked.extend(map(list, zip(*cols)))
+            tgt_orders_all.extend(group.orders)
+        injective[deg] = is_injective(stacked, [cs.order for cs in dd.summands], tgt_orders_all)
+    return ComparisonReport(src, spectrum, 2, injective, {}, {})

@@ -8,7 +8,8 @@ summands.  All computations go through Smith normal form; nothing is ever
 done modulo a proxy prime, so free-rank information is never lost.  `snf`
 builds only the transforms its caller reads and keeps U^-1 up to date as it
 eliminates, so no second SNF inverts U; `is_injective` decides injectivity
-without a cokernel or generator vectors.
+without a cokernel or generator vectors, one connected block at a time;
+`express_in_group` solves a batch of vectors against one factorisation.
 """
 from __future__ import annotations
 
@@ -37,7 +38,9 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in A]
+    """The product A v, read from the nonzero entries of v only."""
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return [sum([row[j] * x for j, x in nz]) for row in A]
 
 
 def snf(M, u=True, v=True, u_inv=False):
@@ -132,18 +135,6 @@ def snf(M, u=True, v=True, u_inv=False):
     return U, D, V, [list(col) for col in zip(*W)] if u_inv else None
 
 
-def mat_inverse_unimodular(U):
-    """Inverse of a unimodular integer matrix, via SNF transforms."""
-    n = len(U)
-    A, D, B, _ = snf(U)
-    # A U B = I up to signs on the diagonal of D (all 1 since det = +-1)
-    for i in range(n):
-        assert abs(D[i][i]) == 1, "matrix is not unimodular"
-    # U^-1 = B * diag(D) * A
-    S = [[D[i][i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return mat_mul(mat_mul(B, S), A)
-
-
 def integer_kernel(M):
     """Columns spanning the integer kernel of M (as a list of column vectors)."""
     m = len(M)
@@ -154,33 +145,28 @@ def integer_kernel(M):
     return [[V[i][j] for i in range(n)] for j in range(n) if j >= min(m, n) or D[j][j] == 0]
 
 
-def lattice_saturation_solve(gens, target):
-    """Express target as an integer combination of the column vectors gens.
+def lattice_saturation_solve(gens, targets):
+    """Express each target as an integer combination of the column vectors gens.
 
-    Returns the coefficient vector, or None if target is not in the lattice.
+    The matrix of gens is factored once and every target solved against the
+    same U, D, V.  Returns one coefficient vector per target, or None for a
+    target not in the lattice.
     """
-    n = len(target)
     r = len(gens)
     if r == 0:
-        return [] if all(x == 0 for x in target) else None
-    M = [[gens[j][i] for j in range(r)] for i in range(n)]
-    U, D, V, _ = snf(M)
-    rhs = mat_vec(U, target)
-    y = [0] * r
-    for i in range(r):
-        d = D[i][i] if i < min(n, r) else 0
-        b = rhs[i] if i < n else 0
-        if d == 0:
-            if b != 0:
-                return None
+        return [[] if not any(t) else None for t in targets]
+    n = len(gens[0])
+    U, D, V, _ = snf([[g[i] for g in gens] for i in range(n)])
+    # rhs = U target must be divisible by the diagonal, and 0 past it
+    diag = [D[i][i] if i < r else 0 for i in range(n)]
+    out = []
+    for rhs in (mat_vec(U, t) for t in targets):
+        if any(b % d if d else b for b, d in zip(rhs, diag)):
+            out.append(None)
         else:
-            if b % d != 0:
-                return None
-            y[i] = b // d
-    for i in range(r, n):
-        if rhs[i] != 0:
-            return None
-    return mat_vec(V, y)
+            y = [b // d if d else 0 for b, d in zip(rhs, diag)] + [0] * (r - n)
+            out.append(mat_vec(V, y[:r]))
+    return out
 
 
 class StructuredGroup:
@@ -296,14 +282,37 @@ def is_injective(A, src_orders, tgt_orders):
 
     No cokernel, relation SNF or generator: the kernel is L / (L & S), L the
     kernel lattice and S = im diag(src_orders), so it is zero exactly when
-    each spanning column of L lies in S.
+    each spanning column of L lies in S.  The map is the direct sum of its
+    connected blocks (columns joined by a shared nonzero row), and its
+    kernel is zero exactly when each block's is, so each block is tested
+    on its own.
     """
     n = len(src_orders)
     assert len(A) == len(tgt_orders) and all(len(row) == n for row in A), "shape mismatch"
-    for c in _kernel_lattice(A, n, tgt_orders):
-        for x, d in zip(c, src_orders):
-            if (x % d if d else x) != 0:
-                return False
+    root = list(range(n))
+
+    def find(j):
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        return j
+
+    row_cols = [[j for j, x in enumerate(row) if x] for row in A]
+    for cols in row_cols:
+        for j in cols[1:]:
+            root[find(j)] = find(cols[0])
+    blocks = {}
+    for j in range(n):
+        blocks.setdefault(find(j), ([], []))[0].append(j)
+    for i, cols in enumerate(row_cols):
+        if cols:
+            blocks[find(cols[0])][1].append(i)
+    for cols, rows in blocks.values():
+        sub = [[A[i][j] for j in cols] for i in rows]
+        for c in _kernel_lattice(sub, len(cols), [tgt_orders[i] for i in rows]):
+            for x, j in zip(c, cols):
+                d = src_orders[j]
+                if (x % d if d else x) != 0:
+                    return False
     return True
 
 
@@ -329,25 +338,17 @@ def homology_group(A, src_orders, B, mid_orders, tgt_orders):
     return _subquotient(C, mid_orders, A)
 
 
-def express_in_group(group: StructuredGroup, ambient_orders, vec, modulo_cols=()):
-    """Coordinates of an ambient vector in a StructuredGroup's generators.
+def express_in_group(group: StructuredGroup, ambient_orders, vecs, modulo_cols=()):
+    """Coordinates of ambient vectors in a StructuredGroup's generators.
 
     Solves vec = sum c_i gens[i] modulo the ambient orders and the extra
-    columns in modulo_cols (e.g. an image to quotient by); returns the
-    coefficient list reduced modulo the group's own orders, or None.
+    columns in modulo_cols (e.g. an image to quotient by), for every vec in
+    vecs with one factorisation; returns one coefficient list per vec,
+    reduced modulo the group's own orders, or None where there is none.
     """
-    gens = list(group.gens)
     n = len(ambient_orders)
-    ext = gens + list(modulo_cols)
+    ext = list(group.gens) + list(modulo_cols)
     ext += [[ambient_orders[i] if k == i else 0 for k in range(n)]
             for i in range(n) if ambient_orders[i]]
-    sol = lattice_saturation_solve(ext, vec)
-    if sol is None:
-        return None
-    out = []
-    for i, d in enumerate(group.orders):
-        c = sol[i]
-        if d:
-            c %= d
-        out.append(c)
-    return out
+    return [None if sol is None else [c % d if d else c for c, d in zip(sol, group.orders)]
+            for sol in lattice_saturation_solve(ext, vecs)]

@@ -1,13 +1,39 @@
+import hashlib
+import random
+
+import pytest
+
+from esss import basechange
 from esss.basechange import compare_e1, compare_e2, monomial_image
 from esss.engine import PageWindow, run
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
-from esss.groups import Monomial, TriDegree, isomorphic_orders
+from esss.groups import Monomial, TriDegree, d_shift, isomorphic_orders
+from esss.homalg import StructuredGroup, express_in_group
 
 
 def degree_list(s_hi=9, f_hi=9, w_lo=-3):
     return [TriDegree(s, f, w) for s in range(-3, s_hi) for f in range(0, f_hi)
             if (s + f) % 2 == 0 and s + f >= 0
             for w in range(w_lo, (s + f) // 2 + 1)]
+
+
+HASSE_SRC = Q((2, 3, 5, 7))
+HASSE_DSTS = [REALS, Q2, Qq(3), Qq(5), Qq(7)]
+
+
+@pytest.fixture(scope="module")
+def hasse_reports():
+    """compare_e1 and compare_e2 of Q(2,3,5,7) into R, Q2 and Q_3, Q_5, Q_7,
+    keyed by (page, spectrum)."""
+    win = PageWindow(-3, 9, 0, 9, -3, 5)
+    out = {}
+    for spectrum in ("kq", "L"):
+        out[1, spectrum] = compare_e1(HASSE_SRC, HASSE_DSTS, spectrum, degree_list())
+        spage = run(HASSE_SRC, spectrum, win, want_einf=False).pages[1]
+        dpages = [run(d, spectrum, win, want_einf=False).pages[1] for d in HASSE_DSTS]
+        out[2, spectrum] = compare_e2(HASSE_SRC, HASSE_DSTS, spectrum, spage, dpages,
+                                      list(spage.data))
+    return out
 
 
 def test_monomial_images():
@@ -23,25 +49,100 @@ def test_monomial_images():
     assert monomial_image(Fq(5), ALG_CLOSED, Monomial(units=(("u", 1),))) == []
 
 
-def test_hasse_injectivity_e1():
-    src = Q((2, 3, 5, 7))
-    dsts = [REALS, Q2, Qq(3), Qq(5), Qq(7)]
-    degs = degree_list()
+def test_hasse_injectivity_e1(hasse_reports):
     for spectrum in ("kq", "L"):
-        rep = compare_e1(src, dsts, spectrum, degs)
+        rep = hasse_reports[1, spectrum]
         assert rep.all_injective
         assert rep.all_commute
 
 
-def test_hasse_injectivity_e2():
-    src = Q((2, 3, 5, 7))
-    dsts = [REALS, Q2, Qq(3), Qq(5), Qq(7)]
-    win = PageWindow(-3, 9, 0, 9, -3, 5)
+def test_hasse_injectivity_e2(hasse_reports):
     for spectrum in ("kq", "L"):
-        spage = run(src, spectrum, win, want_einf=False).pages[1]
-        dpages = [run(d, spectrum, win, want_einf=False).pages[1] for d in dsts]
-        rep = compare_e2(src, dsts, spectrum, spage, dpages, list(spage.data))
+        rep = hasse_reports[2, spectrum]
         assert rep.all_injective
+
+
+def test_hasse_reports_are_pinned(hasse_reports):
+    """Every per-tridegree verdict, not just the conjunction, is exactly the
+    one computed before the comparison matrices and solves were shared."""
+    h = hashlib.sha256()
+    for spectrum in ("kq", "L"):
+        for page in (1, 2):
+            rep = hasse_reports[page, spectrum]
+            h.update(repr((sorted(rep.injective.items()),
+                           sorted(rep.commutes.items()))).encode())
+    assert h.hexdigest() == "845c16469ae9c4735c8c9b86f2e3bcdff7d648832f865e4c78cfc85891d33640"
+
+
+def _solver_cases():
+    """Seeded random groups, each with vectors inside it and random ones."""
+    rng = random.Random(2026)
+    for _ in range(120):
+        n = rng.randrange(1, 7)
+        amb = [rng.choice((0, 0, 2, 4, 8, 16)) for _ in range(n)]
+        r = rng.randrange(0, 4)
+        orders = [rng.choice((0, 2, 4, 8)) for _ in range(r)]
+        gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+        if r and rng.random() < 0.4:
+            # a dependent generator leaves a zero on the diagonal of D
+            gens.append([2 * x for x in gens[0]])
+            orders.append(rng.choice((0, 2)))
+        mod = [[rng.choice((0, 0, 1, 2, -2)) for _ in range(n)]
+               for _ in range(rng.randrange(0, 3))]
+        vecs = []
+        for _ in range(rng.randrange(0, 6)):
+            if rng.random() < 0.6:
+                v = [0] * n
+                for col in gens + mod:
+                    c = rng.randint(-3, 3)
+                    v = [a + c * b for a, b in zip(v, col)]
+                v = [a + rng.randint(-2, 2) * d for a, d in zip(v, amb)]
+            else:
+                v = [rng.randint(-8, 8) for _ in range(n)]
+            vecs.append(v)
+        yield StructuredGroup(orders, gens), amb, mod, vecs
+
+
+def test_express_in_group_is_pinned():
+    """The batched solve gives each vector the coordinates (or None) that a
+    solve of that vector alone gave; the digest was taken one vector at a
+    time."""
+    h = hashlib.sha256()
+    found = set()
+    for group, amb, mod, vecs in _solver_cases():
+        out = express_in_group(group, amb, vecs, modulo_cols=mod)
+        assert len(out) == len(vecs)
+        for coords in out:
+            found.add(coords is None)
+            h.update(repr(coords).encode())
+    assert found == {True, False}
+    assert h.hexdigest() == "81df9ef194687773f7bee1e562bd33eb8989c514b86a212e6106ce36410c0f48"
+
+
+def test_compare_e1_builds_each_matrix_once(monkeypatch):
+    """The matrix the commutation check builds one degree up is the one
+    compared there, not built again."""
+    built = []
+    build = basechange.page1_map_matrix
+
+    def counting(src, dst, spectrum, deg, words):
+        built.append((dst, deg))
+        return build(src, dst, spectrum, deg, words)
+
+    monkeypatch.setattr(basechange, "page1_map_matrix", counting)
+    degs = degree_list(4, 5)
+    dsts = [REALS, Q2, Qq(3)]
+    rep = compare_e1(Q((2, 3)), dsts, "L", degs)
+    assert rep.all_injective and rep.all_commute
+    wanted = {(dst, d) for dst in dsts for deg in degs for d in (deg, deg + d_shift(1))}
+    assert sorted(built) == sorted(wanted)
+
+
+def test_excluded_sources_are_counted(hasse_reports):
+    assert hasse_reports[1, "kq"].excluded["Q2"] > 0
+    assert hasse_reports[2, "kq"].excluded == {}
+    rep = compare_e1(Fq(3), [ALG_CLOSED], "kq", degree_list(8, 8))
+    assert rep.excluded == {"Fbar": 0}
 
 
 def test_base_change_to_closure_commutes():

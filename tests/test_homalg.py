@@ -10,7 +10,6 @@ from esss.homalg import (
     integer_kernel,
     is_injective,
     kernel_cokernel,
-    mat_inverse_unimodular,
     mat_mul,
     snf,
 )
@@ -65,9 +64,10 @@ def test_snf_random_reconstruction():
             for j in range(n):
                 if i != j:
                     assert D[i][j] == 0
-        # transforms are unimodular
-        assert mat_mul(U, mat_inverse_unimodular(U)) == identity(m)
-        assert mat_mul(V, mat_inverse_unimodular(V)) == identity(n)
+        # transforms are unimodular: U has the tracked inverse, and V has
+        # invariant factors all 1
+        assert mat_mul(U, snf(M, u_inv=True)[3]) == identity(m)
+        assert snf(V, u=False, v=False)[1] == identity(n)
 
 
 def test_snf_larger_random():
@@ -215,7 +215,6 @@ def test_tracked_inverse_matches_oracle():
     for M in _random_matrices():
         U, D, V, U_inv = snf(M, u_inv=True)
         assert (U, D, V, None) == snf(M)
-        assert U_inv == mat_inverse_unimodular(U)
         assert mat_mul(U, U_inv) == identity(len(M))
         assert snf(M, u=False, v=False) == (None, D, None, None)
         assert snf(M, u=False, v=False, u_inv=True) == (None, D, None, U_inv)
@@ -243,6 +242,50 @@ def test_is_injective_matches_kernel():
         assert is_injective(A, src, tgt) == expected, (A, src, tgt)
         seen.add(expected)
     assert seen == {True, False}
+
+
+def _block_diagonal_map(rng):
+    """A direct sum of small random maps, with rows and columns shuffled.
+
+    Returns the map, its orders, and each block as (rows, cols) index lists
+    into it; zero rows and zero columns are blocks of their own.
+    """
+    widths = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 5))]
+    shapes = [(c + rng.randrange(-1, 2) or 1, c) for c in widths]
+    shapes += [(1, 0)] * rng.randrange(0, 3) + [(0, 1)] * rng.randrange(0, 3)
+    m, n = sum(r for r, _ in shapes), sum(c for _, c in shapes)
+    row_at, col_at = rng.sample(range(m), m), rng.sample(range(n), n)
+    A = [[0] * n for _ in range(m)]
+    blocks, r0, c0 = [], 0, 0
+    for r, c in shapes:
+        rows, cols = row_at[r0:r0 + r], col_at[c0:c0 + c]
+        for i in rows:
+            for j in cols:
+                A[i][j] = rng.choice((0, 1, 1, 1, 2, 3, -6))
+        blocks.append((rows, cols))
+        r0, c0 = r0 + r, c0 + c
+    free = rng.choice((0.0, 0.3, 0.7))
+    src = [0 if rng.random() < free else 2 ** rng.randrange(0, 4) for _ in range(n)]
+    tgt = [0 if rng.random() < free else 2 ** rng.randrange(1, 5) for _ in range(m)]
+    for j in col_at[c0 - shapes.count((0, 1)):]:
+        src[j] = rng.choice((1, 2))  # a zero column is injective only on Z/1
+    return A, src, tgt, blocks
+
+
+def test_is_injective_on_block_diagonal_maps():
+    """A direct sum is injective exactly when each summand is."""
+    rng = random.Random(44)
+    seen = set()
+    for _ in range(200):
+        A, src, tgt, blocks = _block_diagonal_map(rng)
+        expected = not kernel_cokernel(A, src, tgt)[0].orders
+        assert is_injective(A, src, tgt) == expected, (A, src, tgt)
+        per_block = all(is_injective([[A[i][j] for j in cols] for i in rows],
+                                     [src[j] for j in cols], [tgt[i] for i in rows])
+                        for rows, cols in blocks)
+        assert per_block == expected, (A, src, tgt)
+        seen.add((expected, sum(1 for rows, cols in blocks if rows and cols) > 1))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_is_injective_edge_cases():
