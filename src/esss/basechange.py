@@ -12,8 +12,7 @@ The maps commute with psi^3 - 1 (they preserve integral cells and the
 multiplier depends only on the slice), so they act on the kernel and
 cokernel parts of the L pages block by block.
 
-Comparison matrices are built from per-column images of the kq basis, each
-once per call (compare_e1 reuses the one its commutation check built), and
+Comparison matrices are built from per-column images of the kq basis, and
 compare_e2 solves each (degree, target) against one factorisation.
 """
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 from .engine import Page, _d1_kq, _d1_L, _kq_degree, _L_degree
 from .fields import FieldId
-from .groups import Monomial, TriDegree, d_shift
+from .groups import TriDegree, d_shift
 from .homalg import StructuredGroup, express_in_group, is_injective, mat_mul, mat_vec
 
 
@@ -78,25 +77,17 @@ def _unit_image(src: FieldId, dst: FieldId, units):
     raise ValueError(f"unsupported base change {src.text()} -> {dst.text()}")
 
 
-def monomial_image(src: FieldId, dst: FieldId, mono: Monomial):
-    return [Monomial(mono.coeff2, mono.iota, mono.h1, mono.v1, mono.tau, units)
-            for units in _unit_image(src, dst, mono.units)]
-
-
-def _kq_images(src: FieldId, dst: FieldId, deg: TriDegree, words):
+def _kq_images(src: FieldId, dst: FieldId, deg: TriDegree):
     """Per source kq column at deg, {target kq index: coefficient} of its image.
 
-    Words are matched on lead[1:], the lead monomial without its coefficient;
-    words memoizes _unit_image(src, dst, units) for the caller.
+    Words are matched on lead[1:], the lead monomial without its coefficient.
     """
     index = {cs.gen.lead[1:]: i for i, cs in enumerate(_kq_degree(dst, deg))}
     cols = []
     for cs in _kq_degree(src, deg):
         lead = cs.gen.lead
-        if lead.units not in words:
-            words[lead.units] = _unit_image(src, dst, lead.units)
         col = {}
-        for units in words[lead.units]:
+        for units in _unit_image(src, dst, lead.units):
             t = index.get(lead[1:5] + (units,))
             if t is not None:
                 col[t] = col.get(t, 0) + (1 << lead.coeff2)
@@ -104,15 +95,15 @@ def _kq_images(src: FieldId, dst: FieldId, deg: TriDegree, words):
     return cols
 
 
-def _kq_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree, words):
+def _kq_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree):
     M = [[0] * len(_kq_degree(src, deg)) for _ in _kq_degree(dst, deg)]
-    for j, col in enumerate(_kq_images(src, dst, deg, words)):
+    for j, col in enumerate(_kq_images(src, dst, deg)):
         for t, c in col.items():
             M[t][j] = c
     return M
 
 
-def _L_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree, words):
+def _L_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree):
     """The induced map on kernel-plus-shifted-cokernel generators.
 
     The splitting is componentwise over the ambient kq classes, so the
@@ -127,7 +118,7 @@ def _L_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree, words):
         cols = [j for j, p in enumerate(s_part) if p == part]
         if not rows or not cols:
             continue
-        images = _kq_images(src, dst, amb_deg, words)
+        images = _kq_images(src, dst, amb_deg)
         amb_basis = _kq_degree(dst, amb_deg)
         for j in cols:
             sidx, mult = s_vec[j]
@@ -149,9 +140,8 @@ def _L_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree, words):
     return M
 
 
-def page1_map_matrix(src, dst, spectrum, deg, words):
-    """The comparison matrix at deg; words as for _kq_images."""
-    return (_kq_map_matrix if spectrum == "kq" else _L_map_matrix)(src, dst, deg, words)
+def page1_map_matrix(src, dst, spectrum, deg):
+    return (_kq_map_matrix if spectrum == "kq" else _L_map_matrix)(src, dst, deg)
 
 
 def _page1_basis(field, spectrum, deg):
@@ -183,35 +173,24 @@ class ComparisonReport:
 
 
 def compare_e1(src: FieldId, dst_list, spectrum: str, degrees) -> ComparisonReport:
-    """Injectivity of the product comparison map and d1-commutation on E1.
-
-    Each comparison matrix is built once per call, into a dict local to it,
-    so the commutation check's matrix at deg + d_shift(1) is reused there.
-    """
+    """Injectivity of the product comparison map and d1-commutation on E1."""
     injective = {}
     commutes = {}
     excluded = {dst.text(): 0 for dst in dst_list}
-    words = {dst: {} for dst in dst_list}
-    built = {}
-
-    def matrix(dst, deg):
-        if (dst, deg) not in built:
-            built[dst, deg] = page1_map_matrix(src, dst, spectrum, deg, words[dst])
-        return built[dst, deg]
-
     for deg in degrees:
         src_basis = _page1_basis(src, spectrum, deg)
         stacked = []
         tgt_orders = []
         for dst in dst_list:
-            M = matrix(dst, deg)
+            M = page1_map_matrix(src, dst, spectrum, deg)
             stacked.extend(M)
             tgt_orders.extend(cs.order for cs in _page1_basis(dst, spectrum, deg))
             checked = [j for j, scs in enumerate(src_basis)
                        if not (scs.gen.is_single() and _leaks(src, dst, scs.gen.lead))]
             excluded[dst.text()] += len(src_basis) - len(checked)
             commutes[(dst.text(), deg)] = _commutes_with_d1(
-                src, dst, spectrum, deg, checked, M, matrix(dst, deg + d_shift(1)))
+                src, dst, spectrum, deg, checked, M,
+                page1_map_matrix(src, dst, spectrum, deg + d_shift(1)))
         injective[deg] = is_injective(stacked, [cs.order for cs in src_basis], tgt_orders)
     return ComparisonReport(src, spectrum, 1, injective, commutes, excluded)
 
@@ -259,7 +238,6 @@ def compare_e2(src: FieldId, dst_list, spectrum: str,
     Per target, every source class is solved against one factorisation.
     """
     injective = {}
-    words = {dst: {} for dst in dst_list}
     for deg in degrees:
         dd = src_page.data.get(deg)
         if dd is None or not dd.summands:
@@ -268,7 +246,7 @@ def compare_e2(src: FieldId, dst_list, spectrum: str,
         stacked = []
         tgt_orders_all = []
         for dst, dpage in zip(dst_list, dst_pages):
-            M = page1_map_matrix(src, dst, spectrum, deg, words[dst])
+            M = page1_map_matrix(src, dst, spectrum, deg)
             tdd = dpage.data.get(deg)
             group = StructuredGroup([cs.order for cs in tdd.summands] if tdd else [],
                                     tdd.history if tdd else ())

@@ -8,8 +8,8 @@ summands.  All computations go through Smith normal form; nothing is ever
 done modulo a proxy prime, so free-rank information is never lost.  `snf`
 builds only the transforms its caller reads and keeps U^-1 up to date as it
 eliminates, so no second SNF inverts U; `is_injective` decides injectivity
-without a cokernel or generator vectors, one connected block at a time;
-`express_in_group` solves a batch of vectors against one factorisation.
+without a cokernel or generator vectors; `express_in_group` solves a batch
+of vectors against one factorisation.
 """
 from __future__ import annotations
 
@@ -38,9 +38,7 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
-    """The product A v, read from the nonzero entries of v only."""
-    nz = [(j, x) for j, x in enumerate(v) if x]
-    return [sum([row[j] * x for j, x in nz]) for row in A]
+    return [sum(a * b for a, b in zip(row, v)) for row in A]
 
 
 def snf(M, u=True, v=True, u_inv=False):
@@ -164,8 +162,9 @@ def lattice_saturation_solve(gens, targets):
         if any(b % d if d else b for b, d in zip(rhs, diag)):
             out.append(None)
         else:
-            y = [b // d if d else 0 for b, d in zip(rhs, diag)] + [0] * (r - n)
-            out.append(mat_vec(V, y[:r]))
+            # y is 0 past min(n, r); mat_vec reads only its first r entries
+            y = [b // d if d else 0 for b, d in zip(rhs, diag)]
+            out.append(mat_vec(V, y))
     return out
 
 
@@ -282,37 +281,14 @@ def is_injective(A, src_orders, tgt_orders):
 
     No cokernel, relation SNF or generator: the kernel is L / (L & S), L the
     kernel lattice and S = im diag(src_orders), so it is zero exactly when
-    each spanning column of L lies in S.  The map is the direct sum of its
-    connected blocks (columns joined by a shared nonzero row), and its
-    kernel is zero exactly when each block's is, so each block is tested
-    on its own.
+    each spanning column of L lies in S.
     """
     n = len(src_orders)
     assert len(A) == len(tgt_orders) and all(len(row) == n for row in A), "shape mismatch"
-    root = list(range(n))
-
-    def find(j):
-        while root[j] != j:
-            root[j] = j = root[root[j]]
-        return j
-
-    row_cols = [[j for j, x in enumerate(row) if x] for row in A]
-    for cols in row_cols:
-        for j in cols[1:]:
-            root[find(j)] = find(cols[0])
-    blocks = {}
-    for j in range(n):
-        blocks.setdefault(find(j), ([], []))[0].append(j)
-    for i, cols in enumerate(row_cols):
-        if cols:
-            blocks[find(cols[0])][1].append(i)
-    for cols, rows in blocks.values():
-        sub = [[A[i][j] for j in cols] for i in rows]
-        for c in _kernel_lattice(sub, len(cols), [tgt_orders[i] for i in rows]):
-            for x, j in zip(c, cols):
-                d = src_orders[j]
-                if (x % d if d else x) != 0:
-                    return False
+    for c in _kernel_lattice(A, n, tgt_orders):
+        for x, d in zip(c, src_orders):
+            if (x % d if d else x) != 0:
+                return False
     return True
 
 

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from esss import basechange
-from esss.basechange import compare_e1, compare_e2, monomial_image
+from esss.basechange import (_commutes_with_d1, _page1_basis, _unit_image, compare_e1,
+                             compare_e2, page1_map_matrix)
 from esss.engine import PageWindow, run
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
-from esss.groups import Monomial, TriDegree, d_shift, isomorphic_orders
+from esss.groups import TriDegree, d_shift, isomorphic_orders
 from esss.homalg import StructuredGroup, express_in_group
 
 
@@ -37,16 +37,28 @@ def hasse_reports():
 
 
 def test_monomial_images():
+    """A monomial maps to the monomials with the same non-unit part and the
+    image words of its unit word."""
     field = Q((2, 3, 5))
-    mono = Monomial(v1=2, tau=1, units=(("[3]", 1),))
-    img = monomial_image(field, Qq(3), mono)
-    assert [m.text() for m in img] == ["pi v1^2 tau"]
-    img = monomial_image(field, Q2, Monomial(units=(("[2]", 1),)))
-    assert [m.text() for m in img] == ["pi"]
-    img = monomial_image(field, REALS, Monomial(units=(("rho", 2),), tau=3))
-    assert [m.text() for m in img] == ["rho^2 tau^3"]
-    assert monomial_image(field, REALS, Monomial(units=(("a_3", 1),))) == []
-    assert monomial_image(Fq(5), ALG_CLOSED, Monomial(units=(("u", 1),))) == []
+    assert _unit_image(field, Qq(3), (("[3]", 1),)) == [(("pi", 1),)]
+    assert _unit_image(field, Q2, (("[2]", 1),)) == [(("pi", 1),)]
+    assert _unit_image(field, REALS, (("rho", 2),)) == [(("rho", 2),)]
+    assert _unit_image(field, REALS, (("a_3", 1),)) == []
+    assert _unit_image(Fq(5), ALG_CLOSED, (("u", 1),)) == []
+
+
+def test_commutation_check_rejects_a_wrong_matrix():
+    """Every report commutes, so check that the check can fail: with the
+    comparison matrix one degree up replaced by zero it must."""
+    src = Q((2, 3))
+    for dst, spectrum, deg in ((Q2, "kq", TriDegree(1, 1, -2)),
+                               (REALS, "L", TriDegree(-2, 2, -3))):
+        cols = list(range(len(_page1_basis(src, spectrum, deg))))
+        here = page1_map_matrix(src, dst, spectrum, deg)
+        up = page1_map_matrix(src, dst, spectrum, deg + d_shift(1))
+        assert _commutes_with_d1(src, dst, spectrum, deg, cols, here, up)
+        zero = [[0] * len(row) for row in up]
+        assert not _commutes_with_d1(src, dst, spectrum, deg, cols, here, zero)
 
 
 def test_hasse_injectivity_e1(hasse_reports):
@@ -117,25 +129,6 @@ def test_express_in_group_is_pinned():
             h.update(repr(coords).encode())
     assert found == {True, False}
     assert h.hexdigest() == "81df9ef194687773f7bee1e562bd33eb8989c514b86a212e6106ce36410c0f48"
-
-
-def test_compare_e1_builds_each_matrix_once(monkeypatch):
-    """The matrix the commutation check builds one degree up is the one
-    compared there, not built again."""
-    built = []
-    build = basechange.page1_map_matrix
-
-    def counting(src, dst, spectrum, deg, words):
-        built.append((dst, deg))
-        return build(src, dst, spectrum, deg, words)
-
-    monkeypatch.setattr(basechange, "page1_map_matrix", counting)
-    degs = degree_list(4, 5)
-    dsts = [REALS, Q2, Qq(3)]
-    rep = compare_e1(Q((2, 3)), dsts, "L", degs)
-    assert rep.all_injective and rep.all_commute
-    wanted = {(dst, d) for dst in dsts for deg in degs for d in (deg, deg + d_shift(1))}
-    assert sorted(built) == sorted(wanted)
 
 
 def test_excluded_sources_are_counted(hasse_reports):

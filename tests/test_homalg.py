@@ -245,47 +245,39 @@ def test_is_injective_matches_kernel():
 
 
 def _block_diagonal_map(rng):
-    """A direct sum of small random maps, with rows and columns shuffled.
-
-    Returns the map, its orders, and each block as (rows, cols) index lists
-    into it; zero rows and zero columns are blocks of their own.
-    """
+    """A direct sum of small random maps, with rows and columns shuffled;
+    zero rows and zero columns are summands of their own."""
     widths = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 5))]
     shapes = [(c + rng.randrange(-1, 2) or 1, c) for c in widths]
     shapes += [(1, 0)] * rng.randrange(0, 3) + [(0, 1)] * rng.randrange(0, 3)
     m, n = sum(r for r, _ in shapes), sum(c for _, c in shapes)
     row_at, col_at = rng.sample(range(m), m), rng.sample(range(n), n)
     A = [[0] * n for _ in range(m)]
-    blocks, r0, c0 = [], 0, 0
+    r0, c0 = 0, 0
     for r, c in shapes:
-        rows, cols = row_at[r0:r0 + r], col_at[c0:c0 + c]
-        for i in rows:
-            for j in cols:
+        for i in row_at[r0:r0 + r]:
+            for j in col_at[c0:c0 + c]:
                 A[i][j] = rng.choice((0, 1, 1, 1, 2, 3, -6))
-        blocks.append((rows, cols))
         r0, c0 = r0 + r, c0 + c
     free = rng.choice((0.0, 0.3, 0.7))
     src = [0 if rng.random() < free else 2 ** rng.randrange(0, 4) for _ in range(n)]
     tgt = [0 if rng.random() < free else 2 ** rng.randrange(1, 5) for _ in range(m)]
     for j in col_at[c0 - shapes.count((0, 1)):]:
         src[j] = rng.choice((1, 2))  # a zero column is injective only on Z/1
-    return A, src, tgt, blocks
+    return A, src, tgt
 
 
 def test_is_injective_on_block_diagonal_maps():
-    """A direct sum is injective exactly when each summand is."""
+    """Maps with several summands, zero rows and zero columns, which the
+    random maps above almost never are."""
     rng = random.Random(44)
     seen = set()
     for _ in range(200):
-        A, src, tgt, blocks = _block_diagonal_map(rng)
+        A, src, tgt = _block_diagonal_map(rng)
         expected = not kernel_cokernel(A, src, tgt)[0].orders
         assert is_injective(A, src, tgt) == expected, (A, src, tgt)
-        per_block = all(is_injective([[A[i][j] for j in cols] for i in rows],
-                                     [src[j] for j in cols], [tgt[i] for i in rows])
-                        for rows, cols in blocks)
-        assert per_block == expected, (A, src, tgt)
-        seen.add((expected, sum(1 for rows, cols in blocks if rows and cols) > 1))
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_is_injective_edge_cases():
