@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Page, _d1_kq, _d1_L, _kq_degree, _L_degree
+from .engine import Page, _kq_degree, _L_degree, page1_basis, page1_d1
 from .fields import FieldId
 from .groups import TriDegree, d_shift
 from .homalg import StructuredGroup, express_in_group, is_injective, mat_mul, mat_vec
@@ -144,16 +144,6 @@ def page1_map_matrix(src, dst, spectrum, deg):
     return (_kq_map_matrix if spectrum == "kq" else _L_map_matrix)(src, dst, deg)
 
 
-def _page1_basis(field, spectrum, deg):
-    if spectrum == "kq":
-        return list(_kq_degree(field, deg))
-    return list(_L_degree(field, deg)[0])
-
-
-def _d1(field, spectrum, deg):
-    return (_d1_kq if spectrum == "kq" else _d1_L)(field, deg)
-
-
 @dataclass
 class ComparisonReport:
     src: FieldId
@@ -178,13 +168,13 @@ def compare_e1(src: FieldId, dst_list, spectrum: str, degrees) -> ComparisonRepo
     commutes = {}
     excluded = {dst.text(): 0 for dst in dst_list}
     for deg in degrees:
-        src_basis = _page1_basis(src, spectrum, deg)
+        src_basis = page1_basis(src, spectrum, deg)
         stacked = []
         tgt_orders = []
         for dst in dst_list:
             M = page1_map_matrix(src, dst, spectrum, deg)
             stacked.extend(M)
-            tgt_orders.extend(cs.order for cs in _page1_basis(dst, spectrum, deg))
+            tgt_orders.extend(cs.order for cs in page1_basis(dst, spectrum, deg))
             checked = [j for j, scs in enumerate(src_basis)
                        if not (scs.gen.is_single() and _leaks(src, dst, scs.gen.lead))]
             excluded[dst.text()] += len(src_basis) - len(checked)
@@ -219,9 +209,9 @@ def _commutes_with_d1(src, dst, spectrum, deg, checked, M_here, M_tgt) -> bool:
 
     M_here and M_tgt are the comparison matrices at deg and deg + d_shift(1).
     """
-    tgt_basis = _page1_basis(dst, spectrum, deg + d_shift(1))
-    lhs = mat_mul(M_tgt, _d1(src, spectrum, deg))
-    rhs = mat_mul(_d1(dst, spectrum, deg), M_here)
+    tgt_basis = page1_basis(dst, spectrum, deg + d_shift(1))
+    lhs = mat_mul(M_tgt, page1_d1(src, spectrum, deg))
+    rhs = mat_mul(page1_d1(dst, spectrum, deg), M_here)
     # a row is empty where an inner dimension is 0: the product is zero there
     for cs, l_row, r_row in zip(tgt_basis, lhs, rhs):
         for j in checked:
@@ -251,9 +241,9 @@ def compare_e2(src: FieldId, dst_list, spectrum: str,
             group = StructuredGroup([cs.order for cs in tdd.summands] if tdd else [],
                                     tdd.history if tdd else ())
             # quotient by the image of d1 from deg - d_shift(1)
-            dmat = _d1(dst, spectrum, TriDegree(deg.s + 1, deg.f - 3, deg.w))
+            dmat = page1_d1(dst, spectrum, TriDegree(deg.s + 1, deg.f - 3, deg.w))
             b_cols = [list(col) for col in zip(*dmat)]
-            amb_orders = [cs.order for cs in _page1_basis(dst, spectrum, deg)]
+            amb_orders = [cs.order for cs in page1_basis(dst, spectrum, deg)]
             imgs = [mat_vec(M, hist) for hist in dd.history]
             cols = express_in_group(group, amb_orders, imgs, modulo_cols=b_cols)
             assert None not in cols, (src.text(), dst.text(), deg)

@@ -8,13 +8,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .basechange import compare_e1, compare_e2
 from .charts import chart_svg
 from .engine import PageWindow, WindowError, run
-from .fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq, parse_field
-from .groups import TriDegree
-from .numthy import NU_INFINITY, bernoulli_denom_two_part, nu2
-from .pitable import assemble_pi, compute_pi_group, bernoulli_witness_order
+from .fields import parse_field
+from .pitable import compute_pi_group
 from .serialize import (document_json, page_document, page_markdown,
                         pi_document, pi_markdown)
 
@@ -114,144 +111,18 @@ def cmd_pi(args) -> int:
     return 0
 
 
-def _report(lines, ok: bool, label: str, citation: str):
-    mark = "PASS" if ok else "FAIL"
-    lines.append(f"[{mark}] {label}  ({citation})")
-    return ok
-
-
-def check_oracles(lines) -> bool:
-    from .coefficients import coeff_classes
-    from .oracles import les_oracle, mass_hz2n_oracle
-
-    fields = [ALG_CLOSED, Fq(3), Fq(5), Fq(7), Fq(13), Qq(3), Qq(5), Q2, REALS,
-              Q((2, 3, 5, 7))]
-    ok = True
-    for field in fields:
-        good = True
-        for n in (1, 2, 3, 4, NU_INFINITY):
-            for s in range(-4, 1):
-                for w in range(-12, 1):
-                    a = sorted(cs.order for cs in mass_hz2n_oracle(field, n, s, w))
-                    b = sorted(cs.order for cs in coeff_classes(field, n, s, w))
-                    good = good and a == b
-        ok &= _report(lines, good, f"tower oracle = closed form over {field.text()}",
-                      "mod-2 tower spectral sequence")
-    for field in (ALG_CLOSED, REALS):
-        good = True
-        for n in (1, 2, 3, 4, NU_INFINITY):
-            for s in range(-4, 1):
-                for w in range(-12, 1):
-                    a = sorted(cs.order for cs in les_oracle(field, n, s, w))
-                    b = sorted(cs.order for cs in coeff_classes(field, n, s, w))
-                    good = good and a == b
-        ok &= _report(lines, good, f"long exact sequence = closed form over {field.text()}",
-                      "multiplication by 2^n")
-    return ok
-
-
-def check_ddzero(lines) -> bool:
-    from .engine import build_page1, _kq_degree, _L_degree
-    from .groups import d_shift
-    from .homalg import mat_mul
-
-    fields = [ALG_CLOSED, Fq(3), Fq(5), Fq(7), Fq(13), Qq(3), Qq(5), Q2, REALS,
-              Q((2, 3, 5, 7))]
-    window = PageWindow(-4, 16, 0, 18, -10, 9)
-    ok = True
-    for field in fields:
-        for spectrum in ("kq", "L"):
-            good = True
-            page = build_page1(field, spectrum, window)
-            for deg, dd in page.data.items():
-                tgt = page.data.get(deg + d_shift(1))
-                if tgt is None or dd.diff is None or tgt.diff is None:
-                    continue
-                prod = mat_mul(tgt.diff, dd.diff)
-                deg2 = deg + d_shift(1) + d_shift(1)
-                basis = (_kq_degree(field, deg2) if spectrum == "kq"
-                         else _L_degree(field, deg2)[0])
-                for i, row in enumerate(prod):
-                    o = basis[i].order
-                    for v in row:
-                        if (o and v % o) or (not o and v):
-                            good = False
-            ok &= _report(lines, good, f"d after d vanishes: {spectrum} over {field.text()}",
-                          "required complex property")
-    return ok
-
-
-def check_hasse(lines) -> bool:
-    src = Q((2, 3, 5, 7))
-    dsts = [REALS, Q2, Qq(3), Qq(5), Qq(7)]
-    degs = [TriDegree(s, f, w) for s in range(-3, 10) for f in range(0, 10)
-            if (s + f) % 2 == 0 and s + f >= 0
-            for w in range(-3, (s + f) // 2 + 1)]
-    ok = True
-    for spectrum in ("kq", "L"):
-        rep = compare_e1(src, dsts, spectrum, degs)
-        ok &= _report(lines, rep.all_injective,
-                      f"first-page product map injective for {spectrum}",
-                      "motivic local-global comparison")
-        ok &= _report(lines, rep.all_commute,
-                      f"designated blocks intertwine d1 for {spectrum}",
-                      "comparison with the completions")
-        win = PageWindow(-3, 10, 0, 10, -3, 5)
-        spage = run(src, spectrum, win, want_einf=False).pages[1]
-        dpages = [run(d, spectrum, win, want_einf=False).pages[1] for d in dsts]
-        rep2 = compare_e2(src, dsts, spectrum, spage, dpages, list(spage.data))
-        ok &= _report(lines, rep2.all_injective,
-                      f"second-page product map injective for {spectrum}",
-                      "differentials are lifted from the completions")
-    return ok
-
-
-def check_bernoulli(lines, kmax=16) -> bool:
-    ok = True
-    for field in (ALG_CLOSED, Fq(3), Fq(5), Q2):
-        good = True
-        for k in range(1, kmax + 1):
-            bound = bernoulli_denom_two_part(k)
-            if bound != 2 ** (nu2(k) + 3):
-                good = False
-            if bernoulli_witness_order(field, k) < bound:
-                good = False
-        ok &= _report(lines, good,
-                      f"image-of-J torsion embeds over {field.text()} (k <= {kmax})",
-                      "2-part of denom(B_2k/4k)")
-    return ok
-
-
-def check_goldens(lines) -> bool:
-    import importlib.resources as res
-
-    ok = True
-    win = PageWindow(0, 12, 0, 14, -8, 7)
-    result = run(ALG_CLOSED, "kq", win)
-    doc = document_json(page_document(result.einf, result))
-    want = res.files("esss").joinpath("goldens/kq_closed_einf.json").read_text()
-    ok &= _report(lines, doc == want, "collapsed page of kq over the closure, stems 0..12",
-                  "hand-checked golden file")
-    table = assemble_pi(run(Fq(5), "L", PageWindow(-2, 8, 0, 13, -4, 5)).einf,
-                        (-2, 6), (-3, 4))
-    md = pi_markdown(table)
-    want = res.files("esss").joinpath("goldens/L_f5_pi.md").read_text()
-    ok &= _report(lines, md == want, "homotopy table of L over F5, stems -2..6",
-                  "hand-checked golden file")
-    return ok
-
-
 def cmd_check(args) -> int:
-    lines = []
+    from . import verify  # the checks pull in base change, which no other command needs
+
     suites = {
-        "oracles": check_oracles,
-        "ddzero": check_ddzero,
-        "hasse": check_hasse,
-        "bernoulli": lambda ls: check_bernoulli(ls, kmax=args.kmax),
-        "goldens": check_goldens,
+        "oracles": verify.oracles_suite,
+        "ddzero": verify.ddzero_suite,
+        "hasse": verify.hasse_suite,
+        "bernoulli": lambda ls: verify.bernoulli_suite(ls, kmax=args.kmax),
+        "goldens": verify.goldens_suite,
     }
-    fn = suites[args.suite]
-    ok = fn(lines)
+    lines = []
+    ok = suites[args.suite](lines)
     for line in lines:
         print(line)
     print("suite", args.suite + ":", "PASS" if ok else "FAIL")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .fields import FieldId, Fq, mod2_unit_basis
-from .groups import CyclicSummand, Generator, GroupWindow, Monomial, Window
+from .groups import CyclicSummand, Generator, Monomial
 from .numthy import NU_INFINITY, s_q, vmin
 
 
@@ -294,23 +294,6 @@ def _coeff_classes(field: FieldId, n, s: int, w: int):
     if kind == "q":
         return _q_blocks(field, n, s, w)
     raise AssertionError(kind)
-
-
-def coeff_module(field: FieldId, n, window: Window) -> GroupWindow:
-    """The coefficient module on a finite (s, w) window as a GroupWindow.
-
-    The filtration slot of the window is ignored: coefficient modules are
-    bigraded, and the stored f components are the shifts the classes will
-    acquire on slice cells.
-    """
-    summands = []
-    for s in range(window.s_min, window.s_max + 1):
-        for w in range(window.w_min, window.w_max + 1):
-            summands.extend(coeff_classes(field, n, s, w))
-    f_values = [cs.degree.f for cs in summands] or [0]
-    widened = Window(window.s_min, window.s_max, min(f_values), max(f_values),
-                     window.w_min, window.w_max)
-    return GroupWindow(widened, summands)
 
 
 def reduce_integral_units(field: FieldId, units):

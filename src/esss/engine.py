@@ -65,11 +65,8 @@ class WindowError(ValueError):
 
 @dataclass
 class DegreeData:
-    # page 1 shares the cached tuples of _kq_degree/_L_degree: read only
+    # page 1 shares the cached tuples of page1_basis: read only
     summands: list
-    # for L at page 1: which part each summand lives in and its expression
-    parts: list = dc_field(default_factory=list)      # 'K' | 'C'
-    vectors: list = dc_field(default_factory=list)    # over the ambient kq basis
     # page >= 2: expressions of the new generators over the previous page
     history: list = dc_field(default_factory=list)
     diff: list | None = None
@@ -89,9 +86,6 @@ class Page:
 
     def orders(self, deg: TriDegree):
         return sorted(cs.order for cs in self.summands(deg))
-
-    def nonzero_degrees(self):
-        return sorted(d for d, dd in self.data.items() if dd.summands)
 
 
 def _name_from_vector(vec, basis) -> Generator:
@@ -242,18 +236,32 @@ def _d1_L(field: FieldId, deg: TriDegree):
     return M
 
 
+def page1_basis(field: FieldId, spectrum: str, deg: TriDegree):
+    """First-page summands at deg: the kq classes, or the K and C classes of L."""
+    if spectrum == "kq":
+        return _kq_degree(field, deg)
+    if spectrum == "L":
+        return _L_degree(field, deg)[0]
+    raise ValueError(f"unknown spectrum {spectrum!r}")
+
+
+def page1_d1(field: FieldId, spectrum: str, deg: TriDegree):
+    """The first differential at deg, in the bases of page1_basis."""
+    if spectrum == "kq":
+        return _d1_kq(field, deg)
+    if spectrum == "L":
+        return _d1_L(field, deg)
+    raise ValueError(f"unknown spectrum {spectrum!r}")
+
+
 def build_page1(field: FieldId, spectrum: str, window: PageWindow) -> Page:
     """The first page on a padded window, with its differential attached."""
     padded = window.pad(1, 3)
     data = {}
     for deg in padded.degrees():
-        if spectrum == "kq":
-            dd = DegreeData(_kq_degree(field, deg))
-        else:
-            dd = DegreeData(*_L_degree(field, deg))
-        if dd.summands:
-            dd.diff = (_d1_kq if spectrum == "kq" else _d1_L)(field, deg)
-            data[deg] = dd
+        summands = page1_basis(field, spectrum, deg)
+        if summands:
+            data[deg] = DegreeData(summands, diff=page1_d1(field, spectrum, deg))
     return Page(field, spectrum, 1, padded, data)
 
 
@@ -261,9 +269,7 @@ def turn_page(page: Page, higher_rules=()) -> Page:
     """Homology with respect to the page's differential; names carried over."""
     r = page.r
     shift = d_shift(r)
-    new_window = page.window.shrink(r) if r > 1 else PageWindow(
-        page.window.s_min + 1, page.window.s_max - 1, page.window.f_min,
-        page.window.f_max - 3, page.window.w_min, page.window.w_max)
+    new_window = page.window.shrink(r)
     if new_window.f_max < new_window.f_min or new_window.s_max < new_window.s_min:
         raise WindowError(f"window exhausted turning page {r}")
     data = {}

@@ -11,7 +11,6 @@ no dict or set may mix record keys with plain-tuple keys.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 # coefficient-module unit symbols all sit in pi_{-1,-1} except 2-cell classes
@@ -87,9 +86,6 @@ class Monomial(_MonomialFields):
     @property
     def slice_index(self) -> int:
         return self.h1 + self.v1
-
-    def times_tau(self, j=1) -> "Monomial":
-        return Monomial(self.coeff2, self.iota, self.h1, self.v1, self.tau + j, self.units)
 
     def with_coeff2(self, m: int) -> "Monomial":
         # the word is unchanged, so the checks of __new__ still hold
@@ -171,10 +167,6 @@ class CyclicSummand(_CyclicSummandFields):
         assert order != 1, "trivial summands are dropped, not stored"
         return tuple.__new__(cls, (order, gen, degree))
 
-    @property
-    def torsion_exponent(self):
-        return None if self.order == 0 else self.order.bit_length() - 1
-
     def order_text(self) -> str:
         return "Z" if self.order == 0 else f"Z/{self.order}"
 
@@ -183,64 +175,6 @@ class CyclicSummand(_CyclicSummandFields):
 
     def __repr__(self):
         return self.text()
-
-
-@dataclass(frozen=True)
-class Window:
-    """Rectangular tridegree bounds; w bounds may differ per caller."""
-
-    s_min: int
-    s_max: int
-    f_min: int
-    f_max: int
-    w_min: int
-    w_max: int
-
-    def __contains__(self, deg: TriDegree) -> bool:
-        return (self.s_min <= deg.s <= self.s_max
-                and self.f_min <= deg.f <= self.f_max
-                and self.w_min <= deg.w <= self.w_max)
-
-    def degrees(self):
-        for s in range(self.s_min, self.s_max + 1):
-            for f in range(self.f_min, self.f_max + 1):
-                for w in range(self.w_min, self.w_max + 1):
-                    yield TriDegree(s, f, w)
-
-
-class WindowUnderflowError(LookupError):
-    """Raised when an operation needs a degree outside the stored window."""
-
-
-@dataclass
-class GroupWindow:
-    """Ordered direct sum of cyclic summands inside a degree window."""
-
-    window: Window
-    summands: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for cs in self.summands:
-            if cs.degree not in self.window:
-                raise WindowUnderflowError(f"{cs} outside {self.window}")
-        self.summands.sort(key=lambda cs: (cs.degree, cs.gen.sort_key()))
-
-    def at(self, deg: TriDegree):
-        if deg not in self.window:
-            raise WindowUnderflowError(f"window underflow at {deg}")
-        return [cs for cs in self.summands if cs.degree == deg]
-
-    def orders_at(self, deg: TriDegree):
-        return sorted(cs.order for cs in self.at(deg))
-
-    def nonzero_degrees(self):
-        return sorted({cs.degree for cs in self.summands})
-
-    def __iter__(self):
-        return iter(self.summands)
-
-    def __len__(self):
-        return len(self.summands)
 
 
 def isomorphic_orders(a, b) -> bool:

@@ -44,51 +44,6 @@ def _sq2_coefficient(j: int, k: int) -> int:
     return 1 if j % 4 in (1, 2) else 0
 
 
-@dataclass(frozen=True)
-class GeneratorRule:
-    """One source pattern with the full list of its target components."""
-
-    name: str
-    description: str
-    provenance: str
-
-
-def d1_ruleset(field: FieldId, spectrum: str):
-    """The rule components active for (field, spectrum), with citations.
-
-    The executable content lives in d1_components; this list is the
-    human-readable contract and is also used to reject unsupported pairs.
-    """
-    if spectrum not in ("kq", "L"):
-        raise ValueError(f"unknown spectrum {spectrum!r}")
-    rules = [GeneratorRule(
-        "tau-shift",
-        "h1^a v1^2k tau^j mu -> tau^(j+1) mu h1^(a+3) v1^(2k-2), firing for k odd",
-        "seed differential on v1^2 with multiplicativity over tau and the unit classes",
-    )]
-    if field.kind in _RHO2_FIELDS:
-        rules.append(GeneratorRule(
-            "rho-square",
-            "h1^a v1^2k tau^j mu -> rho^2 mu tau^(j-1) h1^(a+1) v1^2k, "
-            "firing for j = 2,3 mod 4 (k even) or j = 1,2 mod 4 (k odd)",
-            "seed differential on tau^2 and the weight-one operation on tau powers",
-        ))
-    if field.kind in _RHO4_FIELDS:
-        rules.append(GeneratorRule(
-            "rho-fourth",
-            "h1^a v1^2k tau^j mu -> rho^4 mu tau^(j-3) h1^(a-1) v1^(2k+2), firing for j = 3 mod 4",
-            "composite weight-two operation on tau powers; lands on integral 2-torsion for a = 1",
-        ))
-    if spectrum == "L":
-        rules.append(GeneratorRule(
-            "fiber-transport",
-            "kernel classes inherit the rules by restriction, iota classes by the induced "
-            "map on the cokernel of psi^3 - 1",
-            "naturality of the slice differential for the fiber of psi^3 - 1",
-        ))
-    return rules
-
-
 def d1_components(field: FieldId, mono: Monomial):
     """Differential components of one E1(kq) basis monomial.
 
@@ -163,11 +118,6 @@ class HigherRuleset:
     spectrum: str
     rules: tuple
     certificate: str | None  # citation when the set is certified empty
-    loaded_from: str | None = None
-
-    @property
-    def certified_empty(self) -> bool:
-        return self.certificate is not None and not self.rules
 
 
 # one citation per pair whose higher differentials are certified empty;
@@ -196,7 +146,7 @@ def higher_ruleset(field: FieldId, spectrum: str, rule_file: str | None = None):
     key = (field.kind, spectrum)
     if rule_file is not None:
         rules = parse_rule_file(rule_file)
-        return HigherRuleset(field, spectrum, tuple(rules), None, loaded_from=rule_file)
+        return HigherRuleset(field, spectrum, tuple(rules), None)
     if key in _CITED_COLLAPSE:
         return HigherRuleset(field, spectrum, (), _CITED_COLLAPSE[key])
     return HigherRuleset(field, spectrum, (), None)

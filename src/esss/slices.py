@@ -14,7 +14,7 @@ from functools import lru_cache
 from .coefficients import coeff_classes
 from .fields import FieldId
 from .groups import CyclicSummand, Generator, Monomial, TriDegree
-from .numthy import NU_INFINITY, a_q, nu2, s_q
+from .numthy import NU_INFINITY, a_q
 
 
 @dataclass(frozen=True)
@@ -98,97 +98,3 @@ def psi3_entries(field: FieldId, basis):
         else:
             diag.append(0)
     return diag
-
-
-@dataclass(frozen=True)
-class KCFamily:
-    """Kernel or cokernel family of psi^3 - 1 on integral slice torsion."""
-
-    field: FieldId
-    k: int
-    kind: str  # "K" or "C"
-    underline: bool
-    summands: tuple
-
-    def summand(self, i: int):
-        for cs in self.summands:
-            if cs.gen.lead.tau == i:
-                return cs
-        return None
-
-
-def _family(field, k, kind, underline, summands):
-    return KCFamily(field, k, kind, underline, tuple(summands))
-
-
-def _ker_coker_cyclic(e: int, a: int, units, tau, v1):
-    """Kernel and cokernel summands of *2^a on Z/2^e{units tau^i v1^..}."""
-    m = min(e, a)
-    kmono = Monomial(coeff2=max(e - a, 0), v1=v1, tau=tau, units=units)
-    cmono = Monomial(v1=v1, tau=tau, units=units)
-    ker = CyclicSummand(1 << m, Generator.of(kmono), kmono.degree())
-    cok = CyclicSummand(1 << m, Generator.of(cmono), cmono.degree())
-    return ker, cok
-
-
-def kc_families(field: FieldId, k: int, i_max: int = 16):
-    """The kernel/cokernel families K(k), C(k) of the slice-2k integral cell.
-
-    Over the 2-adic rationals the dict also carries the underlined variants
-    (stem -1 classes); elsewhere only the plain pair is returned.  Summands
-    are indexed by the tau exponent, truncated at i_max.
-    """
-    if field.kind not in ("fq", "qq", "q2"):
-        raise ValueError(f"kc_families is defined over F_q, Q_q and Q_2, not {field}")
-    a = NU_INFINITY if k == 0 else nu2(k) + 3
-    out = {}
-    if field.kind in ("fq", "qq"):
-        x = field.x_symbol
-        units_list = [((x, 1),)]
-        if field.kind == "qq":
-            units_list.append(tuple(sorted(((x, 1), ("pi", 1)))))
-        kers, coks = [], []
-        for units in units_list:
-            for i in range(i_max + 1):
-                e = s_q(field.q, i)
-                ker, cok = _ker_coker_cyclic(e, e if a is NU_INFINITY else a,
-                                             units, i, 2 * k)
-                kers.append(ker)
-                coks.append(cok)
-        out["K"] = _family(field, k, "K", False, kers)
-        out["C"] = _family(field, k, "C", False, coks)
-        return out
-    # Q_2: rho^2 families (plain) and stem -1 families (underlined)
-    kers, coks = [], []
-    for i in range(i_max + 1):
-        e = s_q(3, i)
-        ker, cok = _ker_coker_cyclic(e, e if a is NU_INFINITY else a,
-                                     (("rho", 2),), i, 2 * k)
-        kers.append(ker)
-        coks.append(cok)
-    out["K"] = _family(field, k, "K", False, kers)
-    out["C"] = _family(field, k, "C", False, coks)
-    ukers, ucoks = [], []
-    for i in range(i_max + 1):
-        z = "pi" if i % 2 else "rho"
-        y = "u" if i % 2 else "pi"
-        e = s_q(3, i)
-        ker, cok = _ker_coker_cyclic(e, e if a is NU_INFINITY else a,
-                                     ((z, 1),), i, 2 * k)
-        ukers.append(ker)
-        ucoks.append(cok)
-        # the free y tower contributes only to the cokernel
-        if a is NU_INFINITY:
-            ymono = Monomial(v1=2 * k, tau=i, units=((y, 1),))
-            ucoks.append(CyclicSummand(0, Generator.of(ymono), ymono.degree()))
-        else:
-            ymono = Monomial(v1=2 * k, tau=i, units=((y, 1),))
-            ucoks.append(CyclicSummand(1 << a, Generator.of(ymono), ymono.degree()))
-    umono = Monomial(v1=2 * k, units=(("u", 1),))
-    if a is NU_INFINITY:
-        ucoks.append(CyclicSummand(0, Generator.of(umono), umono.degree()))
-    else:
-        ucoks.append(CyclicSummand(1 << a, Generator.of(umono), umono.degree()))
-    out["K_"] = _family(field, k, "K", True, ukers)
-    out["C_"] = _family(field, k, "C", True, ucoks)
-    return out

@@ -10,19 +10,14 @@ import time
 
 import pytest
 
-from esss.basechange import compare_e1, compare_e2
-from esss.coefficients import coeff_classes
-from esss.engine import (PageWindow, WindowError, build_page1, run,
-                         _kq_degree, _L_degree)
+from esss.engine import PageWindow, WindowError, run, _L_degree
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
-from esss.groups import TriDegree, d_shift, isomorphic_orders
-from esss.homalg import mat_mul
-from esss.numthy import NU_INFINITY, bernoulli_denom_two_part, nu2, s_q, vmin
+from esss.groups import TriDegree, isomorphic_orders
+from esss.numthy import bernoulli_denom_two_part, nu2, s_q, vmin
 from esss.oracles import les_oracle, mass_hz2n_oracle
 from esss.pitable import assemble_pi, bernoulli_witness_order, compute_pi_group
-
-TEN_FIELDS = [ALG_CLOSED, Fq(3), Fq(5), Fq(7), Fq(13), Qq(3), Qq(5), Q2, REALS,
-              Q((2, 3, 5, 7))]
+from esss.verify import (TEN_FIELDS, dd_failures, hasse_reports, oracle_mismatches,
+                         slice_degrees)
 
 
 def _announce(num, text, t0):
@@ -32,19 +27,9 @@ def _announce(num, text, t0):
 def test_criterion_01_coefficient_oracles():
     t0 = time.time()
     for field in TEN_FIELDS:
-        for n in (1, 2, 3, 4, NU_INFINITY):
-            for s in range(-4, 1):
-                for w in range(-12, 1):
-                    got = sorted(cs.order for cs in mass_hz2n_oracle(field, n, s, w))
-                    want = sorted(cs.order for cs in coeff_classes(field, n, s, w))
-                    assert got == want, (field, n, s, w)
+        assert oracle_mismatches(mass_hz2n_oracle, field) == [], field
     for field in (ALG_CLOSED, REALS):
-        for n in (1, 2, 3, 4, NU_INFINITY):
-            for s in range(-4, 1):
-                for w in range(-12, 1):
-                    got = sorted(cs.order for cs in les_oracle(field, n, s, w))
-                    want = sorted(cs.order for cs in coeff_classes(field, n, s, w))
-                    assert got == want, (field, n, s, w)
+        assert oracle_mismatches(les_oracle, field) == [], field
     elapsed = time.time() - t0
     assert elapsed < 5.0
     _announce(1, "tower and long-exact-sequence oracles match the closed forms "
@@ -58,56 +43,22 @@ def test_criterion_02_d_after_d_vanishes():
     reaching 32 tau powers deep exercises large dyadic valuations in the
     torsion orders as well."""
     t0 = time.time()
-    from esss.engine import _d1_kq, _d1_L
-
-    sparse_cache = {}
-
-    def sparse(d1, field, deg):
-        key = (field, deg)
-        hit = sparse_cache.get(key)
-        if hit is None:
-            m = d1(field, deg)
-            hit = [(i, j, v) for i, row in enumerate(m)
-                   for j, v in enumerate(row) if v]
-            sparse_cache[key] = hit
-        return hit
-
+    degrees = []
+    regions = (((-4, 32), (0, 40), 0, 10), ((-4, 8), (0, 12), 10, 32))
+    for (s_lo, s_hi), (f_lo, f_hi), skip, depth in regions:
+        for s in range(s_lo, s_hi + 1):
+            for f in range(f_lo, f_hi + 1):
+                if (s + f) % 2 or s + f < 0:
+                    continue
+                c = (s + f) // 2
+                degrees.extend(TriDegree(s, f, w)
+                               for w in range(c - depth + 1, c + 1 - skip))
     checked = 0
     for field in TEN_FIELDS:
         for spectrum in ("kq", "L"):
-            basis = _kq_degree if spectrum == "kq" else (
-                lambda f, d: _L_degree(f, d)[0])
-            d1 = _d1_kq if spectrum == "kq" else _d1_L
-            regions = (((-4, 32), (0, 40), 0, 10), ((-4, 8), (0, 12), 10, 32))
-            for (s_lo, s_hi), (f_lo, f_hi), skip, depth in regions:
-                for s in range(s_lo, s_hi + 1):
-                    for f in range(f_lo, f_hi + 1):
-                        if (s + f) % 2 or s + f < 0:
-                            continue
-                        c = (s + f) // 2
-                        for w in range(c - depth + 1, c + 1 - skip):
-                            deg = TriDegree(s, f, w)
-                            if not basis(field, deg):
-                                continue
-                            m1 = sparse(d1, field, deg)
-                            if not m1:
-                                continue
-                            mid = deg + d_shift(1)
-                            m2 = sparse(d1, field, mid)
-                            acc = {}
-                            cols = {}
-                            for i, j, v in m1:
-                                cols.setdefault(i, []).append((j, v))
-                            for t, i, v2 in m2:
-                                for j, v1 in cols.get(i, ()):
-                                    acc[(t, j)] = acc.get((t, j), 0) + v2 * v1
-                            b2 = basis(field, mid + d_shift(1))
-                            for (t, j), v in acc.items():
-                                o = b2[t].order
-                                assert (v % o == 0) if o else (v == 0), \
-                                    (field, spectrum, deg)
-                            checked += 1
-            sparse_cache.clear()
+            n, failures = dd_failures(field, spectrum, degrees)
+            assert failures == [], (field, spectrum, failures[:1])
+            checked += n
     elapsed = time.time() - t0
     assert checked > 5000
     assert elapsed < 10.0
@@ -292,19 +243,12 @@ def test_criterion_09_q2_collapse_and_patterns():
 
 def test_criterion_10_hasse_injectivity():
     t0 = time.time()
-    src = Q((2, 3, 5, 7))
-    dsts = [REALS, Q2, Qq(3), Qq(5), Qq(7)]
-    degs = [TriDegree(s, f, w) for s in range(-3, 17) for f in range(0, 13)
-            if (s + f) % 2 == 0 and s + f >= 0
-            for w in range(-4, (s + f) // 2 + 1)]
+    degs = slice_degrees((-3, 16), (0, 12), -4)
     win = PageWindow(-3, 16, 0, 12, -4, 8)
     for spectrum in ("kq", "L"):
-        rep = compare_e1(src, dsts, spectrum, degs)
+        rep, rep2 = hasse_reports(spectrum, degs, win)
         assert rep.all_injective
         assert rep.all_commute
-        spage = run(src, spectrum, win, want_einf=False).pages[1]
-        dpages = [run(d, spectrum, win, want_einf=False).pages[1] for d in dsts]
-        rep2 = compare_e2(src, dsts, spectrum, spage, dpages, list(spage.data))
         assert rep2.all_injective
     _announce(10, "the product comparison maps to the completions are "
                   "injective per tridegree on the first and second pages "

@@ -3,22 +3,12 @@ import random
 
 import pytest
 
-from esss.basechange import (_commutes_with_d1, _page1_basis, _unit_image, compare_e1,
-                             compare_e2, page1_map_matrix)
-from esss.engine import PageWindow, run
+from esss.basechange import _commutes_with_d1, _unit_image, compare_e1, page1_map_matrix
+from esss.engine import PageWindow, page1_basis, run
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import TriDegree, d_shift, isomorphic_orders
 from esss.homalg import StructuredGroup, express_in_group
-
-
-def degree_list(s_hi=9, f_hi=9, w_lo=-3):
-    return [TriDegree(s, f, w) for s in range(-3, s_hi) for f in range(0, f_hi)
-            if (s + f) % 2 == 0 and s + f >= 0
-            for w in range(w_lo, (s + f) // 2 + 1)]
-
-
-HASSE_SRC = Q((2, 3, 5, 7))
-HASSE_DSTS = [REALS, Q2, Qq(3), Qq(5), Qq(7)]
+from esss.verify import hasse_reports as verify_hasse_reports, slice_degrees
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +18,8 @@ def hasse_reports():
     win = PageWindow(-3, 9, 0, 9, -3, 5)
     out = {}
     for spectrum in ("kq", "L"):
-        out[1, spectrum] = compare_e1(HASSE_SRC, HASSE_DSTS, spectrum, degree_list())
-        spage = run(HASSE_SRC, spectrum, win, want_einf=False).pages[1]
-        dpages = [run(d, spectrum, win, want_einf=False).pages[1] for d in HASSE_DSTS]
-        out[2, spectrum] = compare_e2(HASSE_SRC, HASSE_DSTS, spectrum, spage, dpages,
-                                      list(spage.data))
+        out[1, spectrum], out[2, spectrum] = verify_hasse_reports(
+            spectrum, slice_degrees((-3, 8), (0, 8), -3), win)
     return out
 
 
@@ -53,7 +40,7 @@ def test_commutation_check_rejects_a_wrong_matrix():
     src = Q((2, 3))
     for dst, spectrum, deg in ((Q2, "kq", TriDegree(1, 1, -2)),
                                (REALS, "L", TriDegree(-2, 2, -3))):
-        cols = list(range(len(_page1_basis(src, spectrum, deg))))
+        cols = list(range(len(page1_basis(src, spectrum, deg))))
         here = page1_map_matrix(src, dst, spectrum, deg)
         up = page1_map_matrix(src, dst, spectrum, deg + d_shift(1))
         assert _commutes_with_d1(src, dst, spectrum, deg, cols, here, up)
@@ -134,12 +121,12 @@ def test_express_in_group_is_pinned():
 def test_excluded_sources_are_counted(hasse_reports):
     assert hasse_reports[1, "kq"].excluded["Q2"] > 0
     assert hasse_reports[2, "kq"].excluded == {}
-    rep = compare_e1(Fq(3), [ALG_CLOSED], "kq", degree_list(8, 8))
+    rep = compare_e1(Fq(3), [ALG_CLOSED], "kq", slice_degrees((-3, 7), (0, 7), -3))
     assert rep.excluded == {"Fbar": 0}
 
 
 def test_base_change_to_closure_commutes():
-    degs = degree_list(8, 8)
+    degs = slice_degrees((-3, 7), (0, 7), -3)
     for field in (Fq(3), Fq(5), Qq(3), REALS):
         rep = compare_e1(field, [ALG_CLOSED], "kq", degs)
         assert rep.all_commute, field

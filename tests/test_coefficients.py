@@ -43,6 +43,8 @@ def test_hz2n_spot_values():
     assert texts(coeff_classes(Fq(5), 3, 0, -1)) == ["Z/4{2 tau}"]
     assert texts(coeff_classes(ALG_CLOSED, 2, 0, -1)) == ["Z/4{tau}"]
     assert texts(coeff_classes(Q2, 1, -2, -3)) == ["Z/2{rho^2 tau}"]
+    assert texts(coeff_classes(Fq(5), 2, 0, 0)) == ["Z/4{1}"]
+    assert texts(coeff_classes(Fq(5), 2, -1, -1)) == ["Z/4{u}"]
 
 
 def test_hz2n_modulus_one_is_mod2():
@@ -118,15 +120,3 @@ def test_les_oracle_spot_names():
     assert texts(les_oracle(REALS, 1, -1, -1)) == ["Z/2{rho}"]
     assert texts(les_oracle(ALG_CLOSED, 3, 0, 0)) == ["Z/8{1}"]
     assert texts(les_oracle(REALS, 2, 0, -2)) == ["Z/4{tau^2}"]
-
-
-def test_coeff_module_window():
-    from esss.coefficients import coeff_module
-    from esss.groups import TriDegree, Window, WindowUnderflowError
-
-    win = Window(-2, 0, 0, 0, -4, 0)
-    module = coeff_module(Fq(5), 2, win)
-    assert module.orders_at(TriDegree(0, 0, 0)) == [4]
-    assert module.orders_at(TriDegree(-1, 1, -1)) == [4]
-    with pytest.raises(WindowUnderflowError):
-        module.at(TriDegree(5, 0, 0))

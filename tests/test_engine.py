@@ -2,7 +2,7 @@ import pytest
 
 from esss.coefficients import coeff_classes
 from esss.engine import (PageWindow, WindowError, build_page1, degree_vanishing,
-                         run, turn_page)
+                         page1_basis, page1_d1, run, turn_page)
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import TriDegree, isomorphic_orders
 from esss.slices import slices_L
@@ -148,6 +148,14 @@ def test_statuses_for_pluggable_pairs():
         assert res.einf is None and res.certificate is None
         with pytest.raises(WindowError):
             run(field, "L", win, want_einf=True)
+
+
+def test_unknown_spectrum_is_rejected():
+    with pytest.raises(ValueError, match="unknown spectrum"):
+        run(Fq(5), "knot", PageWindow(-2, 8, 0, 12, -4, 4))
+    for page1 in (page1_basis, page1_d1):
+        with pytest.raises(ValueError, match="unknown spectrum"):
+            page1(Fq(5), "knot", TriDegree(4, 0, 2))
 
 
 def test_empty_rule_file_refuses_certification(tmp_path):

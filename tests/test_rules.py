@@ -2,7 +2,7 @@ import pytest
 
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import Monomial, d_shift
-from esss.rules import (d1_components, d1_ruleset, higher_ruleset, parse_rule_file,
+from esss.rules import (d1_components, higher_ruleset, parse_rule_file,
                         RuleFileError)
 
 
@@ -79,23 +79,13 @@ def test_reals_rho_fourth_component():
     assert texts(got) == sorted(["rho^2 h1^3 tau^2", "rho^4 v1^2 h1"])
 
 
-def test_ruleset_presentation():
-    rules = d1_ruleset(Fq(5), "kq")
-    assert [r.name for r in rules] == ["tau-shift"]
-    rules = d1_ruleset(REALS, "L")
-    assert [r.name for r in rules] == ["tau-shift", "rho-square", "rho-fourth",
-                                       "fiber-transport"]
-    with pytest.raises(ValueError):
-        d1_ruleset(Fq(5), "knot")
-
-
 def test_higher_ruleset_certificates():
     hr = higher_ruleset(Fq(5), "L")
-    assert hr.certified_empty and hr.rules == ()
+    assert hr.certificate is not None and hr.rules == ()
     hr = higher_ruleset(Q2, "L")
-    assert hr.certified_empty
+    assert hr.certificate is not None and hr.rules == ()
     hr = higher_ruleset(REALS, "L")
-    assert not hr.certified_empty and hr.certificate is None
+    assert hr.certificate is None and hr.rules == ()
 
 
 def test_rule_file_parsing(tmp_path):

@@ -1,7 +1,8 @@
+from esss.engine import _L_degree
 from esss.fields import ALG_CLOSED, Q2, Fq, Qq
-from esss.groups import TriDegree
+from esss.groups import Monomial
 from esss.numthy import NU_INFINITY, nu2, s_q, vmin
-from esss.slices import e1_kq_basis, kc_families, psi3_entries, slices_L, slices_kq
+from esss.slices import e1_kq_basis, psi3_entries, slices_L, slices_kq
 
 
 def cells(summands):
@@ -54,49 +55,61 @@ def test_psi3_entries():
     assert psi3_entries(Fq(3), basis) == [0]
 
 
+def kc_classes(field, mono):
+    """Kernel and cokernel classes of psi^3 - 1 on the kq class named mono,
+    as the first page of L carries them: the kernel class in the same
+    tridegree, the cokernel (iota) class one stem lower."""
+    deg = mono.degree()
+    summands, parts, _ = _L_degree(field, deg)
+    ker = [cs for cs, p in zip(summands, parts)
+           if p == "K" and cs.gen.lead.with_coeff2(0) == mono]
+    summands, parts, _ = _L_degree(field, deg.shifted(s=-1, f=1))
+    cok = [cs for cs, p in zip(summands, parts)
+           if p == "C" and cs.gen.lead == mono._replace(iota=1)]
+    return ker, cok
+
+
 def test_kc_families_f3():
-    fam = kc_families(Fq(3), 1)
-    ker = fam["K"].summand(3)
-    cok = fam["C"].summand(3)
+    (ker,), (cok,) = kc_classes(Fq(3), Monomial(v1=2, tau=3, units=(("rho", 1),)))
     # s_3(3) = 4 > nu2(1)+3: kernel generated by twice the class
     assert ker.text() == "Z/8{2 rho v1^2 tau^3}"
     assert cok.order == 8  # exact cokernel of *8 on Z/16
-    assert cok.gen.text() == "rho v1^2 tau^3"
+    assert cok.gen.text() == "iota rho v1^2 tau^3"
 
 
 def test_kc_families_f5():
-    fam = kc_families(Fq(5), 1)
-    assert fam["K"].summand(0).text() == "Z/4{u v1^2}"
-    assert fam["C"].summand(0).text() == "Z/4{u v1^2}"
+    (ker,), (cok,) = kc_classes(Fq(5), Monomial(v1=2, units=(("u", 1),)))
+    assert ker.text() == "Z/4{u v1^2}"
+    assert cok.text() == "Z/4{iota u v1^2}"
 
 
 def test_kc_families_k0_full():
-    fam = kc_families(Fq(5), 0)
+    # psi^3 - 1 vanishes on the weight-0 slice: kernel and cokernel are whole
     for i in range(8):
-        assert fam["K"].summand(i).order == 1 << s_q(5, i)
-        assert fam["C"].summand(i).order == 1 << s_q(5, i)
+        (ker,), (cok,) = kc_classes(Fq(5), Monomial(tau=i, units=(("u", 1),)))
+        assert ker.order == 1 << s_q(5, i)
+        assert cok.order == 1 << s_q(5, i)
 
 
 def test_kc_order_bookkeeping():
     # log ker + log coker = 2 min(s_q(i), nu2(k)+3) on every summand
     for q in (3, 5, 7, 9):
+        x = Fq(q).x_symbol
         for k in (1, 2, 3, 4):
-            fam = kc_families(Fq(q), k)
             for i in range(12):
-                lk = fam["K"].summand(i).order.bit_length() - 1
-                lc = fam["C"].summand(i).order.bit_length() - 1
+                (ker,), (cok,) = kc_classes(Fq(q), Monomial(v1=2 * k, tau=i, units=((x, 1),)))
+                lk = ker.order.bit_length() - 1
+                lc = cok.order.bit_length() - 1
                 assert lk + lc == 2 * vmin(s_q(q, i), nu2(k) + 3)
 
 
 def test_kc_families_q2_underlined():
-    fam = kc_families(Q2, 1)
-    assert set(fam) == {"K", "C", "K_", "C_"}
-    # underlined cokernel carries the free-part reductions of order 8
-    texts = [cs.text() for cs in fam["C_"].summands]
-    assert "Z/8{u v1^2}" in texts
-    assert "Z/8{pi v1^2}" in texts  # y_0 = pi
-    assert "Z/8{u v1^2 tau}" in texts  # y_1 = u
-    assert fam["K"].summand(3).text() == "Z/8{2 rho^2 v1^2 tau^3}"
+    # the free integral classes have no kernel; their cokernel has order 8
+    for units, tau in (((("u", 1),), 0), ((("pi", 1),), 0), ((("u", 1),), 1)):
+        ker, (cok,) = kc_classes(Q2, Monomial(v1=2, tau=tau, units=units))
+        assert ker == [] and cok.order == 8
+    (ker,), _ = kc_classes(Q2, Monomial(v1=2, tau=3, units=(("rho", 2),)))
+    assert ker.text() == "Z/8{2 rho^2 v1^2 tau^3}"
 
 
 def test_e1_window_parity_guard():
