@@ -97,13 +97,7 @@ def coeff_hz(field: FieldId, s: int, w: int):
             i = -1 - w
             out.append(_summand(1 << s_q(field.q, i), ((x, 1),), i))
     elif kind == "qq":
-        # F_q classes tensored with Z[pi]/(pi^2)
-        for cs in coeff_hz(Fq(field.q), s, w):
-            out.append(cs)
-        for cs in coeff_hz(Fq(field.q), s + 1, w + 1):
-            mono = cs.gen.lead
-            units = tuple(sorted(mono.units + (("pi", 1),)))
-            out.append(_summand(cs.order, units, mono.tau))
+        out.extend(_qq_classes(field, NU_INFINITY, s, w))
     elif kind == "q2":
         if s == 0 and w == 0:
             out.append(_summand(0, (), 0))
@@ -161,41 +155,29 @@ def _hz2n_r(n, s, w):
     return out
 
 
-def _hz2n_fq(field, n, s, w, decorate=()):
-    q = field.q
-    x = field.x_symbol
+def _hz2n_fq(field, n, s, w):
+    if s not in (0, -1) or w > s:
+        return []
+    i = vmin(s_q(field.q, -w - 1), n)
+    if s == 0:
+        return [_summand(1 << i, (), -w, coeff2=n - i)]
+    return [_summand(1 << i, ((field.x_symbol, 1),), -w - 1)]
+
+
+def _decorated(classes, units):
+    """The classes multiplied by the unit word `units`."""
     out = []
-    if s == 0 and w <= 0:
-        j = -w
-        i = vmin(s_q(q, j - 1), n)
-        out.append(_summand(1 << i, decorate, j, coeff2=n - i))
-    elif s == -1 and w <= -1:
-        j = -w
-        i = vmin(s_q(q, j - 1), n)
-        units = tuple(sorted(decorate + ((x, 1),)))
-        out.append(_summand(1 << i, units, j - 1))
+    for cs in classes:
+        mono = cs.gen.lead
+        out.append(_summand(cs.order, mono.units + units, mono.tau, coeff2=mono.coeff2))
     return out
 
 
-def _hz2n_qq(field, n, s, w):
-    q = field.q
-    x = field.x_symbol
-    out = []
-    if s == 0 and w <= 0:
-        j = -w
-        i = vmin(s_q(q, j - 1), n)
-        out.append(_summand(1 << i, (), j, coeff2=n - i))
-    elif s == -1 and w <= -1:
-        j = -w
-        i = vmin(s_q(q, j - 1), n)
-        out.append(_summand(1 << i, ((x, 1),), j - 1))
-        i2 = vmin(s_q(q, j - 2), n)
-        out.append(_summand(1 << i2, (("pi", 1),), j - 1, coeff2=n - i2))
-    elif s == -2 and w <= -2:
-        j = -w
-        i = vmin(s_q(q, j - 2), n)
-        out.append(_summand(1 << i, tuple(sorted(((x, 1), ("pi", 1)))), j - 2))
-    return out
+def _qq_classes(field, n, s, w):
+    """Over Q_q: the F_q classes tensored with Z[pi]/(pi^2)."""
+    fq = Fq(field.q)
+    return (_coeff_classes(fq, n, s, w)
+            + _decorated(_coeff_classes(fq, n, s + 1, w + 1), (("pi", 1),)))
 
 
 def _hz2n_q2(n, s, w):
@@ -243,33 +225,17 @@ def _q_c3_block(n, s, w):
 
 
 def _q_blocks(field, n, s, w):
-    out = []
-    out.extend(_q_c3_block(n, s, w))
-    if n is NU_INFINITY:
-        out.extend(coeff_hz(FieldId("r"), s, w))
-    else:
-        out.extend(_hz2n_r(n, s, w))
+    out = _q_c3_block(n, s, w)
+    out.extend(_coeff_classes(FieldId("r"), n, s, w))
     for p in field.odd_support():
-        fp = Fq(p)
-        dec = ((f"[{p}]", 1),)
-        if n is NU_INFINITY:
-            for cs in coeff_hz(fp, s + 1, w + 1):
-                mono = cs.gen.lead
-                units = tuple(sorted(mono.units + dec))
-                out.append(_summand(cs.order, units, mono.tau))
-        else:
-            out.extend(_hz2n_fq(fp, n, s + 1, w + 1, decorate=dec))
+        out.extend(_decorated(_coeff_classes(Fq(p), n, s + 1, w + 1), ((f"[{p}]", 1),)))
     return out
 
 
 @lru_cache(maxsize=None)
-def _coeff_classes_cached(field: FieldId, n, s: int, w: int):
-    return tuple(_coeff_classes(field, n, s, w))
-
-
 def coeff_classes(field: FieldId, n, s: int, w: int):
     """pi_{s,w}(HZ/2^n); n is the exponent, NU_INFINITY for HZ."""
-    return _coeff_classes_cached(field, n, s, w)
+    return tuple(_coeff_classes(field, n, s, w))
 
 
 def _coeff_classes(field: FieldId, n, s: int, w: int):
@@ -286,7 +252,7 @@ def _coeff_classes(field: FieldId, n, s: int, w: int):
     if kind == "fq":
         return _hz2n_fq(field, n, s, w)
     if kind == "qq":
-        return _hz2n_qq(field, n, s, w)
+        return _qq_classes(field, n, s, w)
     if kind == "q2":
         return _hz2n_q2(n, s, w)
     if kind == "r":

@@ -64,15 +64,17 @@ def _identity(n):
 
 
 def snf_dvr(M, P):
-    """(U, D, V) with U M V = D diagonal over F2[[x]] mod x^P.
+    """(D, V, U^-1) with U M V = D diagonal over F2[[x]] mod x^P.
 
     Diagonal entries are normalized to pure powers of x (or 0); U and V are
-    invertible over the local ring.
+    invertible over the local ring.  U is never built: each row operation
+    on D is matched by the inverse column operation on U^-1, kept
+    transposed as W so that those are row operations too.
     """
     m = len(M)
     n = len(M[0]) if m else 0
     D = [[trunc(v, P) for v in row] for row in M]
-    U = _identity(m)
+    W = _identity(m)
     V = _identity(n)
     t = 0
     while t < min(m, n):
@@ -86,7 +88,7 @@ def snf_dvr(M, P):
         pi, pj, _ = piv
         if pi != t:
             D[t], D[pi] = D[pi], D[t]
-            U[t], U[pi] = U[pi], U[t]
+            W[t], W[pi] = W[pi], W[t]
         if pj != t:
             for row in D:
                 row[t], row[pj] = row[pj], row[t]
@@ -95,11 +97,12 @@ def snf_dvr(M, P):
         p = D[t][t]
         for i in range(t + 1, m):
             if D[i][t]:
+                # r_i ^= q r_t, so U^-1 gets c_t ^= q c_i
                 q = div_exact(D[i][t], p, P)
                 for j in range(n):
                     D[i][j] = trunc(D[i][j] ^ clmul(q, D[t][j]), P)
                 for j in range(m):
-                    U[i][j] = trunc(U[i][j] ^ clmul(q, U[t][j]), P)
+                    W[t][j] = trunc(W[t][j] ^ clmul(q, W[i][j]), P)
         for j in range(t + 1, n):
             if D[t][j]:
                 q = div_exact(D[t][j], p, P)
@@ -107,26 +110,16 @@ def snf_dvr(M, P):
                     D[i][j] = trunc(D[i][j] ^ clmul(q, D[i][t]), P)
                 for i in range(n):
                     V[i][j] = trunc(V[i][j] ^ clmul(q, V[i][t]), P)
-        # normalize the pivot to a pure power of x
+        # normalize the pivot to a pure power of x; U^-1 takes the unit
         u = p >> val(p)
         if u != 1:
             inv = unit_inv(u, P)
             for j in range(n):
                 D[t][j] = trunc(clmul(D[t][j], inv), P)
             for j in range(m):
-                U[t][j] = trunc(clmul(U[t][j], inv), P)
+                W[t][j] = trunc(clmul(W[t][j], u), P)
         t += 1
-    return U, D, V
-
-
-def dvr_inverse(U, P):
-    """Inverse of an invertible-over-F2[[x]] matrix, via SNF transforms."""
-    n = len(U)
-    A, D, B = snf_dvr(U, P)
-    for i in range(n):
-        assert D[i][i] == 1, "matrix is not invertible over the local ring"
-    return [[trunc(sum_xor(clmul(B[i][k], A[k][j]) for k in range(n)), P)
-             for j in range(n)] for i in range(n)]
+    return D, V, [list(col) for col in zip(*W)]
 
 
 def dvr_kernel(M, P):
@@ -135,7 +128,7 @@ def dvr_kernel(M, P):
     n = len(M[0]) if m else 0
     if n == 0:
         return []
-    _, D, V = snf_dvr(M, P)
+    D, V, _ = snf_dvr(M, P)
     cols = []
     for j in range(n):
         d = D[j][j] if j < min(m, n) else 0
@@ -158,8 +151,7 @@ def dvr_presentation(gen_vectors, relation_matrix, P):
     rel = relation_matrix if relation_matrix and relation_matrix[0] else [[0] for _ in range(r)]
     if len(rel) != r:
         rel = [[0] for _ in range(r)]
-    U, D, _ = snf_dvr(rel, P)
-    Uinv = dvr_inverse(U, P)
+    D, _, Uinv = snf_dvr(rel, P)
     ncols = len(rel[0])
     vals = []
     gens = []

@@ -236,26 +236,30 @@ def _d1_L(field: FieldId, deg: TriDegree):
     return M
 
 
+def _is_L(spectrum: str) -> bool:
+    """True for L, False for kq; the one place that rejects other names."""
+    if spectrum not in ("kq", "L"):
+        raise ValueError(f"unknown spectrum {spectrum!r}")
+    return spectrum == "L"
+
+
 def page1_basis(field: FieldId, spectrum: str, deg: TriDegree):
     """First-page summands at deg: the kq classes, or the K and C classes of L."""
-    if spectrum == "kq":
-        return _kq_degree(field, deg)
-    if spectrum == "L":
+    if _is_L(spectrum):
         return _L_degree(field, deg)[0]
-    raise ValueError(f"unknown spectrum {spectrum!r}")
+    return _kq_degree(field, deg)
 
 
 def page1_d1(field: FieldId, spectrum: str, deg: TriDegree):
     """The first differential at deg, in the bases of page1_basis."""
-    if spectrum == "kq":
-        return _d1_kq(field, deg)
-    if spectrum == "L":
+    if _is_L(spectrum):
         return _d1_L(field, deg)
-    raise ValueError(f"unknown spectrum {spectrum!r}")
+    return _d1_kq(field, deg)
 
 
 def build_page1(field: FieldId, spectrum: str, window: PageWindow) -> Page:
     """The first page on a padded window, with its differential attached."""
+    _is_L(spectrum)
     padded = window.pad(1, 3)
     data = {}
     for deg in padded.degrees():

@@ -252,32 +252,8 @@ def _subquotient(C, orders, A=None):
     return _presentation_from_relations(C, rel)
 
 
-def kernel_cokernel(A, src_orders, tgt_orders):
-    """Kernel and cokernel of a map between direct sums of cyclics.
-
-    A is the matrix of the map (rows = target summands, columns = source).
-    Returns (kernel, cokernel) as StructuredGroups; kernel generators are
-    vectors in source coordinates, cokernel generators in target coordinates.
-    """
-    n = len(src_orders)
-    m = len(tgt_orders)
-    assert len(A) == m and all(len(row) == n for row in A), "shape mismatch"
-
-    # cokernel: Z^m / (im A + im diag(tgt_orders))
-    R = [[A[i][j] for j in range(n)] + [tgt_orders[i] if k == i else 0 for k in range(m)]
-         for i in range(m)]
-    coker = _presentation_from_relations(identity(m), R) if m else StructuredGroup([], [])
-
-    if n == 0:
-        return StructuredGroup([], []), coker
-    C = _kernel_lattice(A, n, tgt_orders)
-    if not C:
-        return StructuredGroup([], []), coker
-    return _subquotient(C, src_orders), coker
-
-
 def is_injective(A, src_orders, tgt_orders):
-    """`not kernel_cokernel(A, src_orders, tgt_orders)[0].orders`, cheaply.
+    """Whether the map A of cyclic sums has zero kernel, cheaply.
 
     No cokernel, relation SNF or generator: the kernel is L / (L & S), L the
     kernel lattice and S = im diag(src_orders), so it is zero exactly when

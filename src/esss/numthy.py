@@ -161,35 +161,3 @@ def bernoulli_denom_two_part(k: int) -> int:
         raise ValueError("k must be >= 1")
     d = (bernoulli_even(k) / (4 * k)).denominator
     return 1 << nu2(d)
-
-
-def _primes_up_to(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
-
-
-def von_staudt_clausen_denom(k: int) -> int:
-    """Denominator of B_{2k}: the product of primes p with (p-1) | 2k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    d = 1
-    for p in _primes_up_to(2 * k + 1):
-        if (2 * k) % (p - 1) == 0:
-            d *= p
-    return d
-
-
-def bernoulli_denom_two_part_vsc(k: int) -> int:
-    """2-part of denom(B_{2k}/4k) from the von Staudt-Clausen denominator.
-
-    denom(B_{2k}) is squarefree and even, so the numerator of B_{2k} is odd
-    and the 2-part of denom(B_{2k}/4k) is 2^(1 + nu2(4k)).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    assert von_staudt_clausen_denom(k) % 2 == 0
-    return 1 << (1 + nu2(4 * k))

@@ -114,8 +114,6 @@ class HigherRule:
 class HigherRuleset:
     """Either a certified-empty set or file-loaded templates."""
 
-    field: FieldId
-    spectrum: str
     rules: tuple
     certificate: str | None  # citation when the set is certified empty
 
@@ -146,10 +144,10 @@ def higher_ruleset(field: FieldId, spectrum: str, rule_file: str | None = None):
     key = (field.kind, spectrum)
     if rule_file is not None:
         rules = parse_rule_file(rule_file)
-        return HigherRuleset(field, spectrum, tuple(rules), None)
+        return HigherRuleset(tuple(rules), None)
     if key in _CITED_COLLAPSE:
-        return HigherRuleset(field, spectrum, (), _CITED_COLLAPSE[key])
-    return HigherRuleset(field, spectrum, (), None)
+        return HigherRuleset((), _CITED_COLLAPSE[key])
+    return HigherRuleset((), None)
 
 
 class RuleFileError(ValueError):

@@ -1,4 +1,4 @@
-"""Slice decompositions of kq and L, slice coefficients, and psi^3 - 1.
+"""Slice decomposition of kq, slice coefficients, and psi^3 - 1.
 
 A slice cell is recorded by its suspension stem, its weight (equal to the
 slice index), its modulus exponent (1, a_q(c) or infinity), and the cell
@@ -40,28 +40,6 @@ def slices_kq(c: int):
         cell = Monomial(h1=a, v1=e)
         out.append(SliceSummand(a + 2 * e, c, NU_INFINITY if a == 0 else 1, cell))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def slices_L(c: int):
-    """Cells of the c-th slice of L; negative slices are empty."""
-    if c < 0:
-        return ()
-    if c == 0:
-        unit = Monomial()
-        iota = Monomial(iota=1)
-        return (SliceSummand(-1, 0, NU_INFINITY, iota),
-                SliceSummand(0, 0, NU_INFINITY, unit))
-    out = []
-    for cell in slices_kq(c):
-        if cell.modulus is NU_INFINITY:
-            mono = Monomial(iota=1, v1=cell.cell.v1)
-            out.append(SliceSummand(cell.stem - 1, c, a_q(c), mono))
-        else:
-            out.append(SliceSummand(cell.stem, c, 1, cell.cell))
-            mono = Monomial(iota=1, h1=cell.cell.h1, v1=cell.cell.v1)
-            out.append(SliceSummand(cell.stem - 1, c, 1, mono))
-    return tuple(sorted(out, key=lambda sl: (sl.stem, sl.cell.sort_key())))
 
 
 def e1_kq_basis(field: FieldId, s: int, f: int, w: int):

@@ -1,6 +1,9 @@
 """Coefficient modules: spot values and the closed-form/oracle cross-checks."""
+import hashlib
+
 import pytest
 
+from esss import verify
 from esss.coefficients import coeff_classes, coeff_hz, coeff_hz2
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import isomorphic_orders
@@ -120,3 +123,18 @@ def test_les_oracle_spot_names():
     assert texts(les_oracle(REALS, 1, -1, -1)) == ["Z/2{rho}"]
     assert texts(les_oracle(ALG_CLOSED, 3, 0, 0)) == ["Z/8{1}"]
     assert texts(les_oracle(REALS, 2, 0, -2)) == ["Z/4{tau^2}"]
+
+
+def test_classes_and_oracle_outputs_are_pinned():
+    """Closed-form and tower-oracle classes, names and order included, over
+    the checked fields, n = 1..4 and infinity, stems -4..0, weights -12..0.
+    The cross-checks above compare orders only; generator names feed the d1
+    rules and the goldens, and the oracle's come from dvr_presentation."""
+    h = hashlib.sha256()
+    for field in verify.TEN_FIELDS:
+        for n in MODULI:
+            for s in range(-4, 1):
+                for w in range(-12, 1):
+                    h.update(repr(coeff_classes(field, n, s, w)).encode())
+                    h.update(repr(mass_hz2n_oracle(field, n, s, w)).encode())
+    assert h.hexdigest() == "f56e9158eab4a23f2685d3c16d7607de1b4f40af335c27478c55e047eced2a79"

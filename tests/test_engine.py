@@ -5,7 +5,7 @@ from esss.engine import (PageWindow, WindowError, build_page1, degree_vanishing,
                          page1_basis, page1_d1, run, turn_page)
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import TriDegree, isomorphic_orders
-from esss.slices import slices_L
+from reference import slices_L
 
 
 WIN = PageWindow(-3, 12, 0, 14, -6, 7)
@@ -156,6 +156,11 @@ def test_unknown_spectrum_is_rejected():
     for page1 in (page1_basis, page1_d1):
         with pytest.raises(ValueError, match="unknown spectrum"):
             page1(Fq(5), "knot", TriDegree(4, 0, 2))
+
+
+def test_unknown_spectrum_is_rejected_on_an_empty_window():
+    with pytest.raises(ValueError, match="unknown spectrum"):
+        run(Fq(5), "knot", PageWindow(0, 4, 0, 4, 3, 2))
 
 
 def test_empty_rule_file_refuses_certification(tmp_path):

@@ -8,13 +8,12 @@ from esss.numthy import (
     OddPrimePower,
     a_q,
     bernoulli_denom_two_part,
-    bernoulli_denom_two_part_vsc,
     bernoulli_even,
     nu2,
     nu2_or_infinity,
     s_q,
-    von_staudt_clausen_denom,
 )
+from reference import bernoulli_denom_two_part_vsc, von_staudt_clausen_denom
 
 
 def test_nu2_basic():

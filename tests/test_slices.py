@@ -2,7 +2,8 @@ from esss.engine import _L_degree
 from esss.fields import ALG_CLOSED, Q2, Fq, Qq
 from esss.groups import Monomial
 from esss.numthy import NU_INFINITY, nu2, s_q, vmin
-from esss.slices import e1_kq_basis, psi3_entries, slices_L, slices_kq
+from esss.slices import e1_kq_basis, psi3_entries, slices_kq
+from reference import slices_L
 
 
 def cells(summands):
