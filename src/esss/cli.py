@@ -12,6 +12,7 @@ from .charts import chart_svg
 from .engine import PageWindow, WindowError, run
 from .fields import parse_field
 from .pitable import compute_pi_group
+from .rules import RuleFileError
 from .serialize import (document_json, page_document, page_markdown,
                         pi_document, pi_markdown)
 
@@ -47,12 +48,22 @@ def _add_field_flags(sub):
     sub.add_argument("--spectrum", required=True, choices=["kq", "L"])
 
 
-def _emit(text: str, out: str | None):
-    if out:
+def _fail(exc) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _emit(text: str, out: str | None) -> int:
+    """Write text to the --output path, or stdout; exit code 2 if the path fails."""
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        return _fail(exc)
+    return 0
 
 
 def cmd_compute(args) -> int:
@@ -62,8 +73,7 @@ def cmd_compute(args) -> int:
         f_lo, f_hi = _parse_range("--f", args.f)
         w_lo, w_hi = _parse_range("--w", args.w)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     window = PageWindow(s_lo, s_hi, f_lo, f_hi, w_lo, w_hi)
     want_page = args.page
     try:
@@ -74,41 +84,34 @@ def cmd_compute(args) -> int:
         else:
             result = run(field, args.spectrum, window, rule_file=args.rules,
                          want_einf=(want_page == "inf"))
-            if want_page == "inf":
-                page = result.einf
-            else:
-                page = result.pages[1]
-    except WindowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            page = result.einf if want_page == "inf" else result.pages[1]
+    except (WindowError, RuleFileError, OSError) as exc:
+        # OSError: a rule file that cannot be read
+        return _fail(exc)
     if args.format == "json":
-        _emit(document_json(page_document(page, result, window)), args.output)
+        text = document_json(page_document(page, result, window))
     elif args.format == "md":
-        _emit(page_markdown(page, result, window), args.output)
+        text = page_markdown(page, result, window)
     else:
-        _emit(chart_svg(page, (s_lo, s_hi), (f_lo, f_hi)), args.output)
-    return 0
+        text = chart_svg(page, (s_lo, s_hi), (f_lo, f_hi))
+    return _emit(text, args.output)
 
 
 def cmd_pi(args) -> int:
     try:
-        field = _field_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        table = compute_pi_group(field, args.spectrum, args.stem, args.weight,
-                                 rule_file=args.rules)
-    except (WindowError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        table = compute_pi_group(_field_from_args(args), args.spectrum, args.stem,
+                                 args.weight, rule_file=args.rules)
+    except (ValueError, OSError) as exc:
+        # a bad field, window or rule file (WindowError and RuleFileError
+        # are ValueErrors), or a rule file that cannot be read
+        return _fail(exc)
     if args.format == "md":
-        _emit(pi_markdown(table), args.output)
+        text = pi_markdown(table)
     elif args.format == "json":
-        _emit(document_json(pi_document(table)), args.output)
+        text = document_json(pi_document(table))
     else:
-        _emit(table.group_text(args.stem, args.weight) + "\n", args.output)
-    return 0
+        text = table.group_text(args.stem, args.weight) + "\n"
+    return _emit(text, args.output)
 
 
 def cmd_check(args) -> int:

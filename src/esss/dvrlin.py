@@ -9,6 +9,8 @@ zero, and callers assert that every extracted valuation stays well below P.
 """
 from __future__ import annotations
 
+from .homalg import identity
+
 
 def clmul(a: int, b: int) -> int:
     r = 0
@@ -59,10 +61,6 @@ def div_exact(a: int, b: int, P: int) -> int:
     return trunc(clmul(a >> vb, unit_inv(b >> vb, P)), P)
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def snf_dvr(M, P):
     """(D, V, U^-1) with U M V = D diagonal over F2[[x]] mod x^P.
 
@@ -74,8 +72,8 @@ def snf_dvr(M, P):
     m = len(M)
     n = len(M[0]) if m else 0
     D = [[trunc(v, P) for v in row] for row in M]
-    W = _identity(m)
-    V = _identity(n)
+    W = identity(m)
+    V = identity(n)
     t = 0
     while t < min(m, n):
         piv = None

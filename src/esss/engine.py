@@ -12,15 +12,23 @@ The first page is generated from closed formulas, so build_page1 pads the
 requested window by one differential's reach and the second page is exact
 on the full request.  Further pages shrink the window: page r+1 loses one
 stem on each side and 2r+1 rows of filtration.
+
+Turning a page splits each degree's summands into blocks, two summands
+sharing a block when a source or a target of the differentials touches
+both.  Where every block is one summand the homology is closed form; ties
+between equal orders and larger blocks go to homalg.homology_group.  Either
+way the result is homology_group's, generator vectors and their order
+included.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from math import gcd, lcm
 
 from .fields import FieldId
 from .groups import CyclicSummand, Generator, Monomial, TriDegree, d_shift
-from .homalg import homology_group
+from .homalg import StructuredGroup, check_complex, homology_group
 from .numthy import nu2
 from .rules import d1_matrix, higher_ruleset
 from .slices import e1_kq_basis, psi3_entries
@@ -109,67 +117,36 @@ def _kq_degree(field: FieldId, deg: TriDegree):
     return tuple(e1_kq_basis(field, deg.s, deg.f, deg.w))
 
 
-def _diag_kernel(basis, diag):
-    """Per-summand kernels of a diagonal 2-power map: (index, order, shift)."""
-    out = []
-    for i, cs in enumerate(basis):
-        d = diag[i]
-        if d == 0:
-            out.append((i, cs.order, 0))
-            continue
-        if cs.order == 0:
-            continue  # multiplication by a 2-power is injective on Z
-        e = cs.order.bit_length() - 1
-        a = d.bit_length() - 1
-        out.append((i, 1 << min(e, a), max(e - a, 0)))
-    return out
-
-
-def _diag_cokernel(basis, diag):
-    """Per-summand cokernels of a diagonal 2-power map: (index, order)."""
-    out = []
-    for i, cs in enumerate(basis):
-        d = diag[i]
-        if d == 0:
-            out.append((i, cs.order))
-        elif cs.order == 0:
-            out.append((i, d))
-        else:
-            e = cs.order.bit_length() - 1
-            a = d.bit_length() - 1
-            out.append((i, 1 << min(e, a)))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _L_degree(field: FieldId, deg: TriDegree):
     """Kernel and shifted-cokernel classes of psi^3 - 1 at one tridegree.
 
-    psi^3 - 1 is diagonal on the first page of kq, so the splitting is
-    summand by summand in closed form.
+    psi^3 - 1 is diagonal on the first page of kq, each entry d a 2-power
+    or 0, so the splitting is summand by summand in closed form: on Z/o
+    (o = 0 for Z) the kernel is Z/gcd(d, o), generated by o / gcd(d, o)
+    times the kq class (none on Z unless d = 0), the cokernel Z/gcd(d, o).
     """
     kq_here = _kq_degree(field, deg)
     kq_up = _kq_degree(field, TriDegree(deg.s + 1, deg.f - 1, deg.w))
     summands, parts, vectors = [], [], []
-    if kq_here:
-        diag = psi3_entries(field, kq_here)
-        for i, order, shift in _diag_kernel(kq_here, diag):
-            cs = kq_here[i]  # an unshifted kernel is the whole kq summand
-            if shift:
-                mono = cs.gen.lead.with_coeff2(cs.gen.lead.coeff2 + shift)
-                cs = CyclicSummand(order, Generator.of(mono), deg)
-            summands.append(cs)
-            parts.append("K")
-            vectors.append((i, 1 << shift))
-    if kq_up:
-        diag = psi3_entries(field, kq_up)
-        for i, order in _diag_cokernel(kq_up, diag):
-            t = kq_up[i].gen.lead
-            mono = Monomial(coeff2=t.coeff2, iota=1, h1=t.h1, v1=t.v1,
-                            tau=t.tau, units=t.units)
-            summands.append(CyclicSummand(order, Generator.of(mono), deg))
-            parts.append("C")
-            vectors.append((i, 1))
+    for i, (cs, d) in enumerate(zip(kq_here, psi3_entries(field, kq_here))):
+        if cs.order == 0 and d:
+            continue
+        order = gcd(d, cs.order)
+        mult = cs.order // order if order else 1
+        if mult > 1:  # else the kernel is the whole kq summand
+            mono = cs.gen.lead.with_coeff2(cs.gen.lead.coeff2 + mult.bit_length() - 1)
+            cs = CyclicSummand(order, Generator.of(mono), deg)
+        summands.append(cs)
+        parts.append("K")
+        vectors.append((i, mult))
+    for i, (cs, d) in enumerate(zip(kq_up, psi3_entries(field, kq_up))):
+        t = cs.gen.lead
+        mono = Monomial(coeff2=t.coeff2, iota=1, h1=t.h1, v1=t.v1,
+                        tau=t.tau, units=t.units)
+        summands.append(CyclicSummand(gcd(d, cs.order), Generator.of(mono), deg))
+        parts.append("C")
+        vectors.append((i, 1))
     # vectors are sparse: (ambient kq index, multiplier)
     return tuple(summands), tuple(parts), tuple(vectors)
 
@@ -269,6 +246,35 @@ def build_page1(field: FieldId, spectrum: str, window: PageWindow) -> Page:
     return Page(field, spectrum, 1, padded, data)
 
 
+def _homology(in_m, src_orders, diff, mid_orders, tgt_orders):
+    """homology_group(in_m, src_orders, diff, mid_orders, tgt_orders).
+
+    With one summand k per block and every entry 1, the kernel at k is
+    generated by c e_k, c the lcm of the orders of k's targets (0 when one
+    is free: no kernel); with g the gcd of k's order and entries the image
+    is g Z, and the summand is Z/(lcm(c, g) / c).  The SNF lists summands
+    by ascending order, free last, so only ties need its pivots.
+    """
+    a_rows = [{j: x for j, x in enumerate(row) if x} for row in in_m]
+    b_rows = [{k: x for k, x in enumerate(row) if x} for row in diff]
+    sources = [j for row in a_rows for j in row]
+    if (len(sources) == len(set(sources)) and all(len(row) <= 1 for row in b_rows)
+            and all(x == 1 for row in a_rows + b_rows for x in row.values())):
+        check_complex(a_rows, b_rows, tgt_orders)
+        c = [1] * len(mid_orders)
+        for o, row in zip(tgt_orders, b_rows):
+            for k in row:
+                c[k] = lcm(c[k], o)
+        order = {k: lcm(ck, gcd(mid_orders[k], *a_rows[k].values())) // ck
+                 for k, ck in enumerate(c) if ck}
+        gens = sorted((k for k, o in order.items() if o != 1),
+                      key=lambda k: (order[k] == 0, order[k]))
+        if len({order[k] for k in gens}) == len(gens):
+            return StructuredGroup([order[k] for k in gens],
+                                   [[c[k] * (a == k) for a in range(len(c))] for k in gens])
+    return homology_group(in_m, src_orders, diff, mid_orders, tgt_orders)
+
+
 def turn_page(page: Page, higher_rules=()) -> Page:
     """Homology with respect to the page's differential; names carried over."""
     r = page.r
@@ -291,15 +297,11 @@ def turn_page(page: Page, higher_rules=()) -> Page:
             raise WindowError(f"window not d-closed at {src_deg}")
         in_m = src.diff if src is not None else [[] for _ in dd.summands]
         src_orders = [cs.order for cs in src.summands] if src is not None else []
-        H = homology_group(in_m, src_orders, dd.diff, mid_orders, tgt_orders)
-        if not H.orders:
-            continue
-        summands, history = [], []
-        for order, vec in zip(H.orders, H.gens):
-            gen = _name_from_vector(vec, dd.summands)
-            summands.append(CyclicSummand(order, gen, deg))
-            history.append(tuple(vec))
-        data[deg] = DegreeData(summands, history=history)
+        H = _homology(in_m, src_orders, dd.diff, mid_orders, tgt_orders)
+        if H.orders:
+            data[deg] = DegreeData([CyclicSummand(order, _name_from_vector(vec, dd.summands), deg)
+                                    for order, vec in zip(H.orders, H.gens)],
+                                   history=[tuple(vec) for vec in H.gens])
     new_page = Page(page.field, page.spectrum, r + 1, new_window, data)
     _attach_higher_diff(new_page, higher_rules)
     return new_page

@@ -5,11 +5,12 @@ summand (Z, read 2-locally), any other value is the actual order of a finite
 cyclic summand (always a power of 2 in this engine; asserted by callers).
 Maps are integer matrices in the generator bases, columns indexed by source
 summands.  All computations go through Smith normal form; nothing is ever
-done modulo a proxy prime, so free-rank information is never lost.  `snf`
-builds only the transforms its caller reads and keeps U^-1 up to date as it
-eliminates, so no second SNF inverts U; `is_injective` decides injectivity
-without a cokernel or generator vectors; `express_in_group` solves a batch
-of vectors against one factorisation.
+done modulo a proxy prime, so free-rank information is never lost.  The
+elimination runs on the nonzero entries, one dict per row, and keeps only
+the transforms its caller reads, U^-1 included, so no second SNF inverts U;
+`homology_group` works on such rows throughout, `is_injective` decides
+injectivity without a cokernel or generator vectors, and
+`express_in_group` solves a batch of vectors against one factorisation.
 """
 from __future__ import annotations
 
@@ -41,130 +42,126 @@ def mat_vec(A, v):
     return [sum(a * b for a, b in zip(row, v)) for row in A]
 
 
-def snf(M, u=True, v=True, u_inv=False):
-    """Smith normal form with transforms: returns (U, D, V, U^-1), U M V = D.
+def _rows(M):
+    return [{j: a for j, a in enumerate(row) if a} for row in M]
 
-    D is diagonal (same shape as M) with d1 | d2 | ... and nonnegative
-    entries; U and V are unimodular.  Only the transforms asked for are
-    built; the others come back as None.  With u_inv=True the inverse of U
-    is kept up to date during the elimination, each row operation on U
-    matched by the inverse column operation.
+
+def _add_scaled(x, c, y):
+    """x += c y for rows held as dicts, keeping only nonzero entries."""
+    for k, v in y.items():
+        s = x.get(k, 0) + c * v
+        if s:
+            x[k] = s
+        else:
+            x.pop(k, None)
+
+
+def _eliminate(D, n, U=None, W=None, VT=None):
+    """Smith normal form elimination on D: m rows, each {column: entry}, n columns.
+
+    The pivot is the first entry of least absolute value in row-major
+    order; rows below it and columns right of it are cleared, and a
+    remainder swaps it out and starts again.  U, W = (U^-1)^T and VT = V^T,
+    rows of dicts, follow every step.  Column keys never change: a column
+    swap moves pos and VT.  Returns the diagonal d1 | d2 | ..., positive.
     """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    D = [row[:] for row in M]
-    U = identity(m) if u else None
-    # U^-1 and V are kept transposed, so that their column operations are
-    # row operations on W and VT
-    W = identity(m) if u_inv else None
-    VT = identity(n) if v else None
+    m = len(D)
+    pos, perm, diag = list(range(n)), list(range(n)), []
     left = [X for X in (D, U) if X is not None]
-    swapped = [X for X in (D, U, W) if X is not None]
+    swapped = left + [W] * (W is not None)
 
     def add_row(i, j, c):
         # r_i += c r_j, so U^-1 gets c_j -= c c_i
         for X in left:
-            X[i] = [a + c * b for a, b in zip(X[i], X[j])]
+            _add_scaled(X[i], c, X[j])
         if W is not None:
-            W[j] = [a - c * b for a, b in zip(W[j], W[i])]
+            _add_scaled(W[j], -c, W[i])
 
-    t = 0
-    while t < min(m, n):
-        # pivot: the first entry of least absolute value in row-major order,
-        # so the first unit is the pivot
-        best, pi, pj = 0, t, t
-        for i in range(t, m):
-            row = D[i]
-            for j in range(t, n):
-                a = row[j]
-                if a and (not best or abs(a) < best):
+    for t in range(min(m, n)):
+        best = 0
+        for i in range(t, m):  # rows from t on are empty left of position t
+            for j, a in D[i].items():
+                if not best or abs(a) < best or (abs(a) == best and i == pi and pos[j] < pos[pj]):
                     best, pi, pj = abs(a), i, j
-                    if best == 1:
-                        break
             if best == 1:
                 break
         if not best:
             break
-        j = pj
-        for X in swapped:
-            X[t], X[pi] = X[pi], X[t]
-        # every restart below strictly shrinks |D[t][t]| or the remaining work
+        # each pass swaps in row pi and column pj, then shrinks |pivot| or the work
         while True:
-            if j != t:
-                for row in D:
-                    row[t], row[j] = row[j], row[t]
-                if VT is not None:
-                    VT[t], VT[j] = VT[j], VT[t]
-                j = t
+            for X in swapped:
+                X[t], X[pi] = X[pi], X[t]
+            p, q = pos[pj], perm[t]
+            perm[t], perm[p], pos[pj], pos[q] = pj, q, t, p
+            if VT is not None:
+                VT[t], VT[p] = VT[p], VT[t]
+            row_t, d, pi = D[t], D[t][pj], t
             for i in range(t + 1, m):
-                if D[i][t]:
-                    add_row(i, t, -(D[i][t] // D[t][t]))
-                    if D[i][t]:
-                        for X in swapped:
-                            X[t], X[i] = X[i], X[t]
+                if pj in D[i]:
+                    add_row(i, t, -(D[i][pj] // d))
+                    if pj in D[i]:
+                        pi = i
                         break
+            if pi != t:
+                continue
+            # column pj is zero below the pivot: column operations change row t only
+            # after a unit pivot nothing is left over, so the order is moot
+            cols = [j for j in row_t if j != pj]
+            for j in cols if d in (1, -1) else sorted(cols, key=pos.__getitem__):
+                q, row_t[j] = divmod(row_t[j], d)
+                if VT is not None and q:
+                    _add_scaled(VT[pos[j]], -q, VT[t])
+                if row_t[j]:
+                    pj = j
+                    break
+                del row_t[j]
             else:
-                # column t is zero below the pivot, so a column operation
-                # changes row t only, until a swap brings in another column
-                row_t = D[t]
-                d = row_t[t]
-                for j in range(t + 1, n):
-                    if row_t[j]:
-                        q = row_t[j] // d
-                        row_t[j] -= q * d
-                        if VT is not None:
-                            VT[j] = [a - q * b for a, b in zip(VT[j], VT[t])]
-                        if row_t[j]:
-                            break
-                else:
-                    rem = None if d in (1, -1) else next(
-                        (i for i in range(t + 1, m) for x in D[i][t + 1:] if x % d), None)
-                    if rem is None:
-                        break
-                    add_row(t, rem, 1)
-                    j = t
-        if D[t][t] < 0:
-            # row t of D is zero off the diagonal; U and U^-1 flip with it
-            D[t][t] = -D[t][t]
+                rem = None if d in (1, -1) else next(
+                    (i for i in range(t + 1, m) if any(x % d for x in D[i].values())), None)
+                if rem is None:
+                    break
+                add_row(t, rem, 1)
+        if d < 0:
+            # row t of D is its pivot alone; U and U^-1 flip with it
             for X in swapped[1:]:
-                X[t] = [-x for x in X[t]]
-        t += 1
-    V = [list(col) for col in zip(*VT)] if v else None
-    return U, D, V, [list(col) for col in zip(*W)] if u_inv else None
+                X[t] = {k: -x for k, x in X[t].items()}
+        diag.append(abs(d))
+    return diag
 
 
-def integer_kernel(M):
-    """Columns spanning the integer kernel of M (as a list of column vectors)."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if n == 0:
-        return []
-    _, D, V, _ = snf(M, u=False)
-    return [[V[i][j] for i in range(n)] for j in range(n) if j >= min(m, n) or D[j][j] == 0]
+def _kernel_rows(D, n):
+    """Columns of V spanning the kernel of D (rows of dicts, n columns), as dicts."""
+    VT = [{j: 1} for j in range(n)]
+    return VT[len(_eliminate(D, n, VT=VT)):]
 
 
 def lattice_saturation_solve(gens, targets):
     """Express each target as an integer combination of the column vectors gens.
 
-    The matrix of gens is factored once and every target solved against the
-    same U, D, V.  Returns one coefficient vector per target, or None for a
-    target not in the lattice.
+    The matrix M with columns gens is factored once, U M V = D, and every
+    target solved against the same U, D, V.  Returns one coefficient vector
+    per target, or None for a target not in the lattice.
     """
     r = len(gens)
     if r == 0:
         return [[] if not any(t) else None for t in targets]
     n = len(gens[0])
-    U, D, V, _ = snf([[g[i] for g in gens] for i in range(n)])
-    # rhs = U target must be divisible by the diagonal, and 0 past it
-    diag = [D[i][i] if i < r else 0 for i in range(n)]
+    U, VT = [{i: 1} for i in range(n)], [{j: 1} for j in range(r)]
+    diag = _eliminate([{j: g[i] for j, g in enumerate(gens) if g[i]} for i in range(n)],
+                      r, U, VT=VT)
     out = []
-    for rhs in (mat_vec(U, t) for t in targets):
-        if any(b % d if d else b for b, d in zip(rhs, diag)):
+    for t in targets:
+        # U t must be divisible by the diagonal, and 0 past it
+        rhs = [sum(x * t[k] for k, x in row.items()) for row in U]
+        if any(b % d for b, d in zip(rhs, diag)) or any(rhs[len(diag):]):
             out.append(None)
-        else:
-            # y is 0 past min(n, r); mat_vec reads only its first r entries
-            y = [b // d if d else 0 for b, d in zip(rhs, diag)]
-            out.append(mat_vec(V, y))
+            continue
+        sol = [0] * r
+        for b, d, col in zip(rhs, diag, VT):  # V (D^-1 U t), column by column
+            if b:
+                for k, x in col.items():
+                    sol[k] += b // d * x
+        out.append(sol)
     return out
 
 
@@ -186,70 +183,18 @@ class StructuredGroup:
         return f"StructuredGroup(orders={self.orders})"
 
 
-def _presentation_from_relations(gen_vectors, relation_matrix):
-    """Decompose span(gen_vectors)/relations into cyclics.
+def _lattice(b_rows, n, tgt_orders):
+    """Nonzero columns, as dicts, spanning {x in Z^n : B x in im diag(tgt)}.
 
-    gen_vectors: columns (in ambient coordinates) generating the subgroup.
-    relation_matrix: r x t integer matrix whose columns are relations among
-    the generators.  Returns a StructuredGroup with generator expressions in
-    ambient coordinates; order-1 summands are dropped.
+    That is the integer kernel of [B | -diag(tgt)] cut to x; b_rows holds
+    the rows of B as dicts.
     """
-    r = len(gen_vectors)
-    if r == 0:
-        return StructuredGroup([], [])
-    amb = len(gen_vectors[0])
-    rel = relation_matrix if relation_matrix and relation_matrix[0] else [[0] for _ in range(r)]
-    if len(rel) != r:
-        rel = [[0] for _ in range(r)]
-    _, D, _, Uinv = snf(rel, u=False, v=False, u_inv=True)
-    orders = []
-    gens = []
-    ncols = len(rel[0])
-    for i in range(r):
-        d = D[i][i] if i < min(r, ncols) else 0
-        if d == 1:
-            continue
-        coeffs = [Uinv[k][i] for k in range(r)]
-        vec = [sum(coeffs[k] * gen_vectors[k][a] for k in range(r)) for a in range(amb)]
-        orders.append(d)
-        gens.append(vec)
-    return StructuredGroup(orders, gens)
-
-
-def _kernel_lattice(A, n, tgt_orders):
-    """Nonzero columns spanning {x in Z^n : A x in im diag(tgt_orders)}.
-
-    That is the integer kernel of [A | -diag(tgt)] projected to x.
-    """
-    m = len(tgt_orders)
-    if m:
-        Mk = [[A[i][j] for j in range(n)] + [-tgt_orders[i] if k == i else 0 for k in range(m)]
-              for i in range(m)]
-        C = [col[:n] for col in integer_kernel(Mk)]
-    else:
-        C = identity(n)
-    return [c for c in C if any(x != 0 for x in c)]
-
-
-def _subquotient(C, orders, A=None):
-    """span(C) / (span(C) & (im A + im diag(orders))) as a StructuredGroup.
-
-    C holds nonzero columns in the coordinates of the cyclic sum with the
-    given orders; A, if given, is a matrix with one row per coordinate.
-    """
-    r = len(C)
-    n = len(orders)
-    # relations: v with C v in im(A) + im diag(orders)
-    Mr = []
-    for i in range(n):
-        row = [c[i] for c in C]
-        if A is not None:
-            row += [-x for x in A[i]]
-        row += [-orders[i] if k == i else 0 for k in range(n)]
-        Mr.append(row)
-    rcols = integer_kernel(Mr)
-    rel = [[col[j] for col in rcols] for j in range(r)] if rcols else [[0] for _ in range(r)]
-    return _presentation_from_relations(C, rel)
+    rows = [dict(row) for row in b_rows]
+    for t, o in enumerate(tgt_orders):
+        if o:
+            rows[t][n + t] = -o
+    cols = ({k: x for k, x in col.items() if k < n} for col in _kernel_rows(rows, n + len(rows)))
+    return [c for c in cols if c]
 
 
 def is_injective(A, src_orders, tgt_orders):
@@ -261,11 +206,25 @@ def is_injective(A, src_orders, tgt_orders):
     """
     n = len(src_orders)
     assert len(A) == len(tgt_orders) and all(len(row) == n for row in A), "shape mismatch"
-    for c in _kernel_lattice(A, n, tgt_orders):
-        for x, d in zip(c, src_orders):
-            if (x % d if d else x) != 0:
+    for c in _lattice(_rows(A), n, tgt_orders):
+        for k, x in c.items():
+            if x % src_orders[k] if src_orders[k] else x:
                 return False
     return True
+
+
+def check_complex(a_rows, b_rows, tgt_orders):
+    """Raise ValueError (not a complex) where B A is nonzero modulo the
+    target orders; a_rows and b_rows are the rows of A and B as dicts."""
+    for t, (row, o) in enumerate(zip(b_rows, tgt_orders)):
+        ba = {}
+        for k, b in row.items():
+            for j, a in a_rows[k].items():
+                ba[j] = ba.get(j, 0) + a * b
+        bad = [j for j, x in ba.items() if (x % o if o else x)]
+        if bad:
+            raise ValueError(f"not a complex: composite nonzero at target {t}, "
+                             f"source generator {min(bad)}")
 
 
 def homology_group(A, src_orders, B, mid_orders, tgt_orders):
@@ -274,20 +233,41 @@ def homology_group(A, src_orders, B, mid_orders, tgt_orders):
     Raises ValueError (not a complex) if B A is nonzero modulo the target
     orders.  Generators of the result are vectors in M's coordinates.
     """
-    n_mid = len(mid_orders)
-    BA = mat_mul(B, A)
-    for i, row in enumerate(BA):
-        for j, v in enumerate(row):
-            if (tgt_orders[i] and v % tgt_orders[i] != 0) or (not tgt_orders[i] and v != 0):
-                raise ValueError(
-                    f"not a complex: composite nonzero at target {i}, source generator {j}"
-                )
-    if n_mid == 0:
+    a_rows, b_rows = _rows(A), _rows(B)
+    check_complex(a_rows, b_rows, tgt_orders)
+    n = len(mid_orders)
+    C = _lattice(b_rows, n, tgt_orders)
+    r = len(C)
+    if not r:
         return StructuredGroup([], [])
-    C = _kernel_lattice(B, n_mid, tgt_orders)
-    if not C:
-        return StructuredGroup([], [])
-    return _subquotient(C, mid_orders, A)
+    # relations: v with C v in im A + im diag(mid_orders)
+    rows = [{r + j: -a for j, a in row.items()} for row in a_rows]
+    for i, c in enumerate(C):
+        for k, x in c.items():
+            rows[k][i] = x
+    for k, o in enumerate(mid_orders):
+        if o:
+            rows[k][r + len(src_orders) + k] = -o
+    relations = _kernel_rows(rows, r + len(src_orders) + n)
+    rel = [{} for _ in C]
+    for p, col in enumerate(relations):
+        for i, x in col.items():
+            if i < r:
+                rel[i][p] = x
+    # span(C) / relations: the generators are C U^-1, order-1 ones dropped
+    W = [{i: 1} for i in range(r)]
+    diag = _eliminate(rel, max(len(relations), 1), W=W)
+    orders, gens = [], []
+    for i, w in enumerate(W):
+        d = diag[i] if i < len(diag) else 0
+        if d != 1:
+            vec = [0] * n
+            for k, x in w.items():
+                for a, y in C[k].items():
+                    vec[a] += x * y
+            orders.append(d)
+            gens.append(vec)
+    return StructuredGroup(orders, gens)
 
 
 def express_in_group(group: StructuredGroup, ambient_orders, vecs, modulo_cols=()):

@@ -154,7 +154,7 @@ class RuleFileError(ValueError):
     pass
 
 
-def _parse_template(text: str) -> Monomial:
+def _parse_template(text: str, lineno: int) -> Monomial:
     coeff2 = 0
     kwargs = {"h1": 0, "v1": 0, "tau": 0, "iota": 0}
     units = []
@@ -162,14 +162,17 @@ def _parse_template(text: str) -> Monomial:
         if token.isdigit():
             n = int(token)
             if n & (n - 1):
-                raise RuleFileError(f"coefficient {n} is not a power of 2")
+                raise RuleFileError(f"line {lineno}: coefficient {n} is not a power of 2")
             coeff2 = n.bit_length() - 1
             continue
         if token == "iota":
             kwargs["iota"] = 1
             continue
         sym, _, exp = token.partition("^")
-        exp = int(exp) if exp else 1
+        try:
+            exp = int(exp) if exp else 1
+        except ValueError:
+            raise RuleFileError(f"line {lineno}: bad exponent in {token!r}") from None
         if sym in ("h1", "v1", "tau"):
             kwargs[sym] = exp
         else:
@@ -212,8 +215,8 @@ def parse_rule_file(path: str):
                 tgt_tokens = tgt_tokens[1:]
             rules.append(HigherRule(
                 page=page,
-                source=_parse_template(src),
-                target=_parse_template(" ".join(tgt_tokens)),
+                source=_parse_template(src, lineno),
+                target=_parse_template(" ".join(tgt_tokens), lineno),
                 coefficient=coeff,
                 provenance=provenance,
             ))

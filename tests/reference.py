@@ -4,10 +4,203 @@ from __future__ import annotations
 from functools import lru_cache
 
 from esss.groups import Monomial
-from esss.homalg import (StructuredGroup, _kernel_lattice, _presentation_from_relations,
-                         _subquotient, identity)
+from esss.homalg import StructuredGroup, identity, mat_mul
 from esss.numthy import NU_INFINITY, a_q, nu2
 from esss.slices import SliceSummand, slices_kq
+
+
+# The dense elimination that esss.homalg._eliminate and homology_group
+# repeat on the nonzero entries: the same pivots, transforms and generator
+# vectors, which the page-turning and digest tests compare against.
+
+def snf(M, u=True, v=True, u_inv=False):
+    """Smith normal form with transforms: returns (U, D, V, U^-1), U M V = D.
+
+    D is diagonal (same shape as M) with d1 | d2 | ... and nonnegative
+    entries; U and V are unimodular.  Only the transforms asked for are
+    built; the others come back as None.  With u_inv=True the inverse of U
+    is kept up to date during the elimination, each row operation on U
+    matched by the inverse column operation.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    D = [row[:] for row in M]
+    U = identity(m) if u else None
+    # U^-1 and V are kept transposed, so that their column operations are
+    # row operations on W and VT
+    W = identity(m) if u_inv else None
+    VT = identity(n) if v else None
+    left = [X for X in (D, U) if X is not None]
+    swapped = [X for X in (D, U, W) if X is not None]
+
+    def add_row(i, j, c):
+        # r_i += c r_j, so U^-1 gets c_j -= c c_i
+        for X in left:
+            X[i] = [a + c * b for a, b in zip(X[i], X[j])]
+        if W is not None:
+            W[j] = [a - c * b for a, b in zip(W[j], W[i])]
+
+    t = 0
+    while t < min(m, n):
+        # pivot: the first entry of least absolute value in row-major order,
+        # so the first unit is the pivot
+        best, pi, pj = 0, t, t
+        for i in range(t, m):
+            row = D[i]
+            for j in range(t, n):
+                a = row[j]
+                if a and (not best or abs(a) < best):
+                    best, pi, pj = abs(a), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
+            break
+        j = pj
+        for X in swapped:
+            X[t], X[pi] = X[pi], X[t]
+        # every restart below strictly shrinks |D[t][t]| or the remaining work
+        while True:
+            if j != t:
+                for row in D:
+                    row[t], row[j] = row[j], row[t]
+                if VT is not None:
+                    VT[t], VT[j] = VT[j], VT[t]
+                j = t
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    add_row(i, t, -(D[i][t] // D[t][t]))
+                    if D[i][t]:
+                        for X in swapped:
+                            X[t], X[i] = X[i], X[t]
+                        break
+            else:
+                # column t is zero below the pivot, so a column operation
+                # changes row t only, until a swap brings in another column
+                row_t = D[t]
+                d = row_t[t]
+                for j in range(t + 1, n):
+                    if row_t[j]:
+                        q = row_t[j] // d
+                        row_t[j] -= q * d
+                        if VT is not None:
+                            VT[j] = [a - q * b for a, b in zip(VT[j], VT[t])]
+                        if row_t[j]:
+                            break
+                else:
+                    rem = None if d in (1, -1) else next(
+                        (i for i in range(t + 1, m) for x in D[i][t + 1:] if x % d), None)
+                    if rem is None:
+                        break
+                    add_row(t, rem, 1)
+                    j = t
+        if D[t][t] < 0:
+            # row t of D is zero off the diagonal; U and U^-1 flip with it
+            D[t][t] = -D[t][t]
+            for X in swapped[1:]:
+                X[t] = [-x for x in X[t]]
+        t += 1
+    V = [list(col) for col in zip(*VT)] if v else None
+    return U, D, V, [list(col) for col in zip(*W)] if u_inv else None
+
+
+def integer_kernel(M):
+    """Columns spanning the integer kernel of M (as a list of column vectors)."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    if n == 0:
+        return []
+    _, D, V, _ = snf(M, u=False)
+    return [[V[i][j] for i in range(n)] for j in range(n) if j >= min(m, n) or D[j][j] == 0]
+
+
+def _presentation_from_relations(gen_vectors, relation_matrix):
+    """Decompose span(gen_vectors)/relations into cyclics.
+
+    gen_vectors: columns (in ambient coordinates) generating the subgroup.
+    relation_matrix: r x t integer matrix whose columns are relations among
+    the generators.  Returns a StructuredGroup with generator expressions in
+    ambient coordinates; order-1 summands are dropped.
+    """
+    r = len(gen_vectors)
+    if r == 0:
+        return StructuredGroup([], [])
+    amb = len(gen_vectors[0])
+    rel = relation_matrix if relation_matrix and relation_matrix[0] else [[0] for _ in range(r)]
+    if len(rel) != r:
+        rel = [[0] for _ in range(r)]
+    _, D, _, Uinv = snf(rel, u=False, v=False, u_inv=True)
+    orders = []
+    gens = []
+    ncols = len(rel[0])
+    for i in range(r):
+        d = D[i][i] if i < min(r, ncols) else 0
+        if d == 1:
+            continue
+        coeffs = [Uinv[k][i] for k in range(r)]
+        vec = [sum(coeffs[k] * gen_vectors[k][a] for k in range(r)) for a in range(amb)]
+        orders.append(d)
+        gens.append(vec)
+    return StructuredGroup(orders, gens)
+
+
+def _kernel_lattice(A, n, tgt_orders):
+    """Nonzero columns spanning {x in Z^n : A x in im diag(tgt_orders)}.
+
+    That is the integer kernel of [A | -diag(tgt)] projected to x.
+    """
+    m = len(tgt_orders)
+    if m:
+        Mk = [[A[i][j] for j in range(n)] + [-tgt_orders[i] if k == i else 0 for k in range(m)]
+              for i in range(m)]
+        C = [col[:n] for col in integer_kernel(Mk)]
+    else:
+        C = identity(n)
+    return [c for c in C if any(x != 0 for x in c)]
+
+
+def _subquotient(C, orders, A=None):
+    """span(C) / (span(C) & (im A + im diag(orders))) as a StructuredGroup.
+
+    C holds nonzero columns in the coordinates of the cyclic sum with the
+    given orders; A, if given, is a matrix with one row per coordinate.
+    """
+    r = len(C)
+    n = len(orders)
+    # relations: v with C v in im(A) + im diag(orders)
+    Mr = []
+    for i in range(n):
+        row = [c[i] for c in C]
+        if A is not None:
+            row += [-x for x in A[i]]
+        row += [-orders[i] if k == i else 0 for k in range(n)]
+        Mr.append(row)
+    rcols = integer_kernel(Mr)
+    rel = [[col[j] for col in rcols] for j in range(r)] if rcols else [[0] for _ in range(r)]
+    return _presentation_from_relations(C, rel)
+
+
+def homology_group(A, src_orders, B, mid_orders, tgt_orders):
+    """ker(B)/im(A) for composable maps A: S -> M, B: M -> T of cyclic sums.
+
+    Raises ValueError (not a complex) if B A is nonzero modulo the target
+    orders.  Generators of the result are vectors in M's coordinates.
+    """
+    n_mid = len(mid_orders)
+    BA = mat_mul(B, A)
+    for i, row in enumerate(BA):
+        for j, v in enumerate(row):
+            if (tgt_orders[i] and v % tgt_orders[i] != 0) or (not tgt_orders[i] and v != 0):
+                raise ValueError(
+                    f"not a complex: composite nonzero at target {i}, source generator {j}"
+                )
+    if n_mid == 0:
+        return StructuredGroup([], [])
+    C = _kernel_lattice(B, n_mid, tgt_orders)
+    if not C:
+        return StructuredGroup([], [])
+    return _subquotient(C, mid_orders, A)
 
 
 def kernel_cokernel(A, src_orders, tgt_orders):

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
+import esss.engine as engine
+import reference
 from esss.coefficients import coeff_classes
 from esss.engine import (PageWindow, WindowError, build_page1, degree_vanishing,
                          page1_basis, page1_d1, run, turn_page)
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
-from esss.groups import TriDegree, isomorphic_orders
+from esss.groups import CyclicSummand, TriDegree, d_shift, isomorphic_orders
+from esss.verify import HASSE_DSTS, HASSE_SRC
 from reference import slices_L
 
 
@@ -196,3 +201,112 @@ def test_page_orders_divide_previous():
         log2 = sum(o.bit_length() - 1 for o in o2 if o)
         assert log2 + 2 * (rank1 - rank2) <= log1 + 2 * (rank1 - rank2) + 1
         assert len(o2) <= len(o1) + rank1
+
+
+def _assert_turned_as_by_the_whole_matrix_snf(pages):
+    """Every degree of every page after the first equals what the dense
+    homology_group of tests/reference.py gives on the previous page: the
+    summand orders, generator names, summand order and history vectors."""
+    for page, nxt in zip(pages, pages[1:]):
+        for deg in nxt.window.degrees():
+            dd = page.data.get(deg)
+            got = nxt.data.get(deg)
+            if dd is None:
+                assert got is None, deg
+                continue
+            src = page.data.get(TriDegree(deg.s + 1, deg.f - (2 * page.r + 1), deg.w))
+            H = reference.homology_group(
+                src.diff if src else [[] for _ in dd.summands],
+                [cs.order for cs in src.summands] if src else [], dd.diff,
+                [cs.order for cs in dd.summands],
+                [cs.order for cs in page.summands(deg + d_shift(page.r))])
+            want = [CyclicSummand(order, engine._name_from_vector(vec, dd.summands), deg)
+                    for order, vec in zip(H.orders, H.gens)]
+            assert (got.summands if got else []) == want, (page.field, page.r, deg)
+            assert (got.history if got else []) == [tuple(v) for v in H.gens], deg
+
+
+@pytest.mark.parametrize("criterion", [4, 7, 10])
+def test_turn_page_equals_the_whole_matrix_snf(criterion):
+    """The pages of acceptance criteria 4, 7 and 10, on their windows."""
+    if criterion == 4:
+        runs = [run(Fq(q), "kq", PageWindow(0, 21, 0, 27, -10, 11)) for q in (3, 5, 7, 13)]
+    elif criterion == 7:
+        runs = [run(Fq(q), "L", PageWindow(-3, 25, 0, 30, -12, 13))
+                for q in (3, 5, 7, 9, 13, 17)]
+    else:
+        runs = [run(field, spectrum, PageWindow(-3, 16, 0, 12, -4, 8), want_einf=False)
+                for spectrum in ("kq", "L") for field in [HASSE_SRC] + HASSE_DSTS]
+    for res in runs:
+        _assert_turned_as_by_the_whole_matrix_snf(res.pages)
+
+
+def _random_complex(rng):
+    """A complex S -> M -> T of cyclic sums whose middle falls into blocks
+    of one, two or three summands, in shuffled coordinates.  One-summand
+    blocks carry entries 1 and orders from a short list, so that orders tie
+    and free summands and free targets occur; larger blocks carry random
+    entries, their sources drawn from the kernel of their targets."""
+    orders = (0, 2, 2, 4, 8)
+    mid, tgt, src, b_entries, a_entries = [], [], [], [], []
+    for _ in range(rng.randrange(1, 7)):
+        size = rng.choice((1, 1, 1, 2, 3))
+        block = list(range(len(mid), len(mid) + size))
+        mid += [rng.choice(orders) for _ in block]
+        if size == 1:
+            side = rng.choice(("targets", "sources", "neither"))
+            for _ in range(rng.randrange(1, 3) if side != "neither" else 0):
+                if side == "targets":
+                    b_entries.append({block[0]: 1})
+                    tgt.append(rng.choice(orders))
+                else:
+                    a_entries.append({block[0]: 1})
+                    src.append(rng.choice(orders))
+            continue
+        B = [[rng.randint(-3, 3) for _ in block] for _ in range(rng.randrange(0, 3))]
+        t_orders = [rng.choice(orders) for _ in B]
+        lattice = (reference._kernel_lattice(B, size, t_orders) if B
+                   else [[int(a == i) for a in range(size)] for i in range(size)])
+        for row, o in zip(B, t_orders):
+            b_entries.append(dict(zip(block, row)))
+            tgt.append(o)
+        for _ in range(rng.randrange(0, 3)):
+            coeffs = [rng.randint(-1, 1) for _ in lattice]
+            col = [sum(c * v[a] for c, v in zip(coeffs, lattice)) for a in range(size)]
+            a_entries.append(dict(zip(block, col)))
+            src.append(rng.choice(orders))
+    perm = list(range(len(mid)))
+    rng.shuffle(perm)
+    t_perm = list(range(len(tgt)))
+    rng.shuffle(t_perm)
+    B = [[b_entries[t].get(perm[k], 0) for k in range(len(mid))] for t in t_perm]
+    A = [[a_entries[j].get(perm[k], 0) for j in range(len(src))] for k in range(len(mid))]
+    return A, src, B, [mid[p] for p in perm], [tgt[t] for t in t_perm]
+
+
+def test_block_split_equals_the_whole_matrix_snf_on_random_complexes(monkeypatch):
+    calls = []
+    whole = engine.homology_group
+    monkeypatch.setattr(engine, "homology_group", lambda *a: calls.append(a) or whole(*a))
+    rng = random.Random(7)
+
+    def result(f, *args):
+        try:
+            H = f(*args)
+            return H.orders, H.gens
+        except ValueError as exc:
+            return str(exc)
+
+    broken = 0
+    for trial in range(600):
+        A, src, B, mid, tgt = _random_complex(rng)
+        if trial % 5 == 0 and B and A and src:
+            # a 1 added anywhere in A: mostly no longer a complex
+            A[rng.randrange(len(mid))][rng.randrange(len(src))] += 1
+        want = result(reference.homology_group, A, src, B, mid, tgt)
+        assert result(engine._homology, A, src, B, mid, tgt) == want, (A, src, B, mid, tgt)
+        broken += isinstance(want, str)
+    # every path ran: the closed form, homology_group, and both complex checks
+    assert broken > 20 and 600 - len(calls) > 100 and len(calls) - broken > 100
+    with pytest.raises(ValueError, match="not a complex"):
+        engine._homology([[1]], [2], [[1]], [2], [2])

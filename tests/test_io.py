@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from esss.charts import chart_svg
 from esss.engine import PageWindow, run
 from esss.fields import ALG_CLOSED, Q2, Fq
@@ -131,3 +133,42 @@ def test_cli_negative_range_with_space():
     assert joined.returncode == 0
     assert spaced.stdout == joined.stdout
     assert json.loads(spaced.stdout)["window"]["s"] == [-3, 25]
+
+
+def _one_line_error(capsys, argv):
+    from esss.cli import main
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+    return err
+
+
+def test_cli_bad_rule_file_is_one_line_error(capsys, tmp_path):
+    compute = ["compute", "--field", "r", "--spectrum", "L", "--page", "2",
+               "--s=0..4", "--f=0..6", "--w=-2..1"]
+    assert "/nonexistent" in _one_line_error(capsys, compute + ["--rules", "/nonexistent"])
+    bad = tmp_path / "bad.rules"
+    bad.write_text("# header\nd2: h1 tau -> 1 rho h1^2  # worked out elsewhere\nd2 h1 -> h1\n")
+    assert "line 3" in _one_line_error(capsys, compute + ["--rules", str(bad)])
+    pi = ["pi", "--field", "c", "--spectrum", "L", "--stem", "3", "--weight", "2"]
+    assert "/nonexistent" in _one_line_error(capsys, pi + ["--rules", "/nonexistent"])
+
+
+def test_cli_bad_output_path_is_one_line_error(capsys, tmp_path):
+    missing = str(tmp_path / "no" / "such" / "dir" / "out.json")
+    _one_line_error(capsys, ["compute", "--field", "c", "--spectrum", "kq", "--page", "1",
+                             "--s=0..2", "--f=0..2", "--w=0..1", "--output", missing])
+    _one_line_error(capsys, ["pi", "--field", "c", "--spectrum", "L", "--stem", "3",
+                             "--weight", "2", "--output", missing])
+
+
+def test_cli_program_errors_keep_their_traceback(monkeypatch):
+    import esss.cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("not a complex: composite nonzero at target 0, source generator 0")
+
+    monkeypatch.setattr(esss.cli, "run", broken)
+    with pytest.raises(ValueError, match="not a complex"):
+        esss.cli.main(["compute", "--field", "c", "--spectrum", "kq", "--page", "2",
+                       "--s=0..2", "--f=0..2", "--w=0..1"])

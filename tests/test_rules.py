@@ -107,3 +107,13 @@ def test_rule_file_parsing(tmp_path):
     bad.write_text("d1: h1 -> h1 # too early\n")
     with pytest.raises(RuleFileError, match="external rules start"):
         parse_rule_file(str(bad))
+
+
+def test_rule_file_bad_exponent_names_the_line(tmp_path):
+    bad = tmp_path / "bad.rules"
+    bad.write_text("# header\nd2: iota v1^x tau -> 1 rho h1^2  # a typo\n")
+    with pytest.raises(RuleFileError, match=r"line 2: bad exponent in 'v1\^x'"):
+        parse_rule_file(str(bad))
+    bad.write_text("d2: 3 iota v1^2 tau -> 1 rho h1^2  # not a 2-power\n")
+    with pytest.raises(RuleFileError, match="line 1: coefficient 3"):
+        parse_rule_file(str(bad))
