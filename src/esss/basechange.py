@@ -9,8 +9,8 @@ verifies: injectivity per tridegree where claimed, and commutation with
 the first differential.
 
 The maps commute with psi^3 - 1 (they preserve integral cells and the
-multiplier depends only on the slice), so they act on the kernel and
-cokernel parts of the L pages block by block.
+multiplier depends only on the slice), so on the L pages they are the maps
+engine._L_map induces on the kernel and cokernel parts.
 
 Comparison matrices are built from per-column images of the kq basis, and
 compare_e2 solves each (degree, target) against one factorisation.
@@ -18,8 +18,9 @@ compare_e2 solves each (degree, target) against one factorisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .engine import Page, _kq_degree, _L_degree, page1_basis, page1_d1
+from .engine import Page, _is_L, _kq_degree, _L_map, page1_basis, page1_d1
 from .fields import FieldId
 from .groups import TriDegree, d_shift
 from .homalg import StructuredGroup, express_in_group, is_injective, mat_mul, mat_vec
@@ -103,45 +104,11 @@ def _kq_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree):
     return M
 
 
-def _L_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree):
-    """The induced map on kernel-plus-shifted-cokernel generators.
-
-    The splitting is componentwise over the ambient kq classes, so the
-    coordinates are plain 2-power shifts and reductions.
-    """
-    s_sum, s_part, s_vec = _L_degree(src, deg)
-    t_sum, t_part, t_vec = _L_degree(dst, deg)
-    M = [[0] * len(s_sum) for _ in range(len(t_sum))]
-    up = TriDegree(deg.s + 1, deg.f - 1, deg.w)
-    for part, amb_deg in (("K", deg), ("C", up)):
-        rows = {t_vec[i][0]: i for i, p in enumerate(t_part) if p == part}
-        cols = [j for j, p in enumerate(s_part) if p == part]
-        if not rows or not cols:
-            continue
-        images = _kq_images(src, dst, amb_deg)
-        amb_basis = _kq_degree(dst, amb_deg)
-        for j in cols:
-            sidx, mult = s_vec[j]
-            for amb, v in images[sidx].items():
-                i = rows.get(amb)
-                if i is None:
-                    continue
-                o = amb_basis[amb].order
-                v = v * mult % o if o else v * mult
-                if v == 0:
-                    continue
-                # a kernel class is 2^shift times its kq class, shift 0 for C
-                shift = t_vec[i][1].bit_length() - 1
-                assert v % (1 << shift) == 0, (src, dst, deg)
-                c = v >> shift
-                if t_sum[i].order:
-                    c %= t_sum[i].order
-                M[i][j] = c
-    return M
-
-
 def page1_map_matrix(src, dst, spectrum, deg):
-    return (_kq_map_matrix if spectrum == "kq" else _L_map_matrix)(src, dst, deg)
+    """The first-page comparison matrix at deg, in the bases of page1_basis."""
+    if _is_L(spectrum):
+        return _L_map(src, dst, deg, deg, partial(_kq_images, src, dst))
+    return _kq_map_matrix(src, dst, deg)
 
 
 @dataclass

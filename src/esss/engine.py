@@ -3,10 +3,11 @@
 Pages are stored per tridegree; the weight is preserved by every
 differential, so all computations slice cleanly over w.  The first page of
 L is built from the first page of kq as kernel plus shifted cokernel of
-psi^3 - 1, and its differential is the restriction of the kq differential
-to the kernel together with the induced map on the cokernel; this is a
-permanent structural feature, kept as a self-test against the direct
-slice-by-slice construction.
+psi^3 - 1, kept as a self-test against the direct slice-by-slice
+construction.  Every map on it is the one _L_map induces from a kq map
+(restriction to the kernel, induced map on the cokernel): its differential
+from the kq differential, and the comparison maps of basechange from the
+kq comparison maps.
 
 The first page is generated from closed formulas, so build_page1 pads the
 requested window by one differential's reach and the second page is exact
@@ -147,7 +148,7 @@ def _L_degree(field: FieldId, deg: TriDegree):
         summands.append(CyclicSummand(gcd(d, cs.order), Generator.of(mono), deg))
         parts.append("C")
         vectors.append((i, 1))
-    # vectors are sparse: (ambient kq index, multiplier)
+    # kernel classes first; vectors are sparse: (ambient kq index, multiplier)
     return tuple(summands), tuple(parts), tuple(vectors)
 
 
@@ -156,61 +157,50 @@ def _d1_kq(field: FieldId, deg: TriDegree):
     return d1_matrix(field, _kq_degree(field, deg), _kq_degree(field, deg + d_shift(1)))
 
 
-@lru_cache(maxsize=None)
-def _d1_L(field: FieldId, deg: TriDegree):
-    """The page-1 differential of L at deg, in the K/C generator bases.
+def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_col):
+    """The map a kq map induces on L's first page, from (src, deg) to (dst, tgt).
 
-    The kernel block is the restriction of the kq differential, the
-    cokernel block the induced map; with a diagonal psi^3 - 1 both reduce
-    to componentwise 2-power shifts.
+    kq_col(d) gives, per kq class of src at d, its image under the kq map
+    as {index among the kq classes of dst at d + (tgt - deg): coefficient}.
+    Kernel classes read the map at deg, cokernel classes one stem up; with
+    a diagonal psi^3 - 1 both are componentwise 2-power shifts, and a
+    kernel class must land in the kernel.
     """
-    tgt_deg = deg + d_shift(1)
-    s_sum, s_part, s_vec = _L_degree(field, deg)
-    t_sum, t_part, t_vec = _L_degree(field, tgt_deg)
-    M = [[0] * len(s_sum) for _ in range(len(t_sum))]
+    s_sum, s_part, s_vec = _L_degree(src, deg)
+    t_sum, t_part, t_vec = _L_degree(dst, tgt)
+    M = [[0] * len(s_sum) for _ in t_sum]
     if not s_sum or not t_sum:
         return M
-    kq_tgt = _kq_degree(field, tgt_deg)
-    dk = _d1_kq(field, deg)
-    t_orders = [cs.order for cs in kq_tgt]
-    k_rows = {}
-    for i, p in enumerate(t_part):
-        if p == "K":
-            amb, mult = t_vec[i]
-            k_rows[amb] = (i, mult.bit_length() - 1)
-    if k_rows:
-        for j, (p, vec) in enumerate(zip(s_part, s_vec)):
-            if p != "K":
-                continue
-            src, mult = vec
-            for amb in range(len(kq_tgt)):
-                v = dk[amb][src] * mult
-                if t_orders[amb]:
-                    v %= t_orders[amb]
-                if v == 0:
-                    continue
-                row = k_rows.get(amb)
-                assert row is not None and v % (1 << row[1]) == 0, \
-                    "kq differential left the kernel"
-                i, shift = row
-                c = v >> shift
-                if t_sum[i].order:
-                    c %= t_sum[i].order
-                M[i][j] = c
-    up = TriDegree(deg.s + 1, deg.f - 1, deg.w)
-    c_rows = {t_vec[i][0]: i for i, p in enumerate(t_part) if p == "C"}
-    if c_rows and any(p == "C" for p in s_part):
-        dk_up = _d1_kq(field, up)
-        for j, (p, vec) in enumerate(zip(s_part, s_vec)):
-            if p != "C":
-                continue
-            src = vec[0]
-            for amb, i in c_rows.items():
-                v = dk_up[amb][src]
-                if t_sum[i].order:
-                    v %= t_sum[i].order
-                M[i][j] = v
+    sk, tk = s_part.count("K"), t_part.count("K")
+    for s_deg, t_deg, cols, t_idx in (
+            (deg, tgt, range(sk), range(tk)),
+            (TriDegree(deg.s + 1, deg.f - 1, deg.w), TriDegree(tgt.s + 1, tgt.f - 1, tgt.w),
+             range(sk, len(s_sum)), range(tk, len(t_sum)))):
+        if not cols or not _kq_degree(dst, t_deg):
+            continue
+        # a kernel class is m times its kq class (m = 1 for C) and m divides the
+        # kq order, so v / m modulo the class's own order is the exact coordinate
+        rows = {t_vec[i][0]: (i, t_vec[i][1]) for i in t_idx}
+        images = kq_col(s_deg)
+        for j in cols:
+            idx, mult = s_vec[j]
+            for amb, v in images[idx].items():
+                i, m = rows.get(amb, (None, 1))
+                v *= mult
+                assert i is not None and v % m == 0, \
+                    f"kq map left the kernel: {src.text()} {deg} -> {dst.text()} {tgt}"
+                o = t_sum[i].order
+                M[i][j] = v // m % o if o else v // m
     return M
+
+
+@lru_cache(maxsize=None)
+def _d1_L(field: FieldId, deg: TriDegree):
+    """The page-1 differential of L at deg, in the K/C generator bases."""
+    def kq_col(d):
+        dk = _d1_kq(field, d)
+        return [{i: x for i, x in enumerate(col) if x} for col in zip(*dk)]
+    return _L_map(field, field, deg, deg + d_shift(1), kq_col)
 
 
 def _is_L(spectrum: str) -> bool:

@@ -33,15 +33,6 @@ class TriDegree(NamedTuple):
     def __add__(self, other: "TriDegree") -> "TriDegree":
         return TriDegree(self.s + other.s, self.f + other.f, self.w + other.w)
 
-    def shifted(self, s=0, f=0, w=0) -> "TriDegree":
-        return TriDegree(self.s + s, self.f + f, self.w + w)
-
-    @property
-    def slice_index(self) -> int:
-        if (self.s + self.f) % 2:
-            raise ValueError(f"{self} has odd s+f; no slice index")
-        return (self.s + self.f) // 2
-
 
 def d_shift(r: int) -> TriDegree:
     """Tridegree shift of the page-r differential: slices jump by r."""

@@ -213,18 +213,26 @@ def is_injective(A, src_orders, tgt_orders):
     return True
 
 
-def check_complex(a_rows, b_rows, tgt_orders):
-    """Raise ValueError (not a complex) where B A is nonzero modulo the
-    target orders; a_rows and b_rows are the rows of A and B as dicts."""
-    for t, (row, o) in enumerate(zip(b_rows, tgt_orders)):
-        ba = {}
+def composite_failure(a_rows, b_rows, tgt_orders):
+    """The least (target, source) generator pair where B A is nonzero
+    modulo the target orders, or None; a_rows and b_rows are the rows of A
+    and B as dicts."""
+    ba = {}
+    for t, row in enumerate(b_rows):
         for k, b in row.items():
             for j, a in a_rows[k].items():
-                ba[j] = ba.get(j, 0) + a * b
-        bad = [j for j, x in ba.items() if (x % o if o else x)]
-        if bad:
-            raise ValueError(f"not a complex: composite nonzero at target {t}, "
-                             f"source generator {min(bad)}")
+                ba[t, j] = ba.get((t, j), 0) + a * b
+    bad = [(t, j) for (t, j), x in ba.items() if (x % tgt_orders[t] if tgt_orders[t] else x)]
+    return min(bad) if bad else None
+
+
+def check_complex(a_rows, b_rows, tgt_orders):
+    """Raise ValueError (not a complex) where B A is nonzero modulo the
+    target orders."""
+    bad = composite_failure(a_rows, b_rows, tgt_orders)
+    if bad:
+        raise ValueError(f"not a complex: composite nonzero at target {bad[0]}, "
+                         f"source generator {bad[1]}")
 
 
 def homology_group(A, src_orders, B, mid_orders, tgt_orders):

@@ -55,15 +55,8 @@ NU_INFINITY = _Infinity()
 def nu2(n: int) -> int:
     """Largest e with 2^e | n, for n >= 1."""
     if n < 1:
-        raise ValueError(f"nu2 requires n >= 1, got {n}; use nu2_or_infinity for n = 0")
+        raise ValueError(f"nu2 requires n >= 1, got {n}")
     return (n & -n).bit_length() - 1
-
-
-def nu2_or_infinity(n: int):
-    """nu2 extended by nu2(0) = NU_INFINITY."""
-    if n == 0:
-        return NU_INFINITY
-    return nu2(abs(n))
 
 
 def vmin(a, b):
@@ -93,17 +86,13 @@ def _is_odd_prime_power(q: int) -> bool:
 
 @dataclass(frozen=True)
 class OddPrimePower:
-    """An odd prime power q >= 3; carries its residue class mod 4."""
+    """An odd prime power q >= 3."""
 
     q: int
 
     def __post_init__(self):
         if not _is_odd_prime_power(self.q):
             raise ValueError(f"{self.q} is not an odd prime power >= 3")
-
-    @property
-    def residue(self) -> int:
-        return self.q % 4
 
 
 def s_q(q: "OddPrimePower | int", i: int) -> int:

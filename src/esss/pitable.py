@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Page
+from .engine import Page, PageWindow, run
 from .fields import FieldId
 from .groups import Generator, Monomial, TriDegree
 from .numthy import NU_INFINITY
@@ -165,8 +165,6 @@ def _column(einf: Page, s: int, w: int):
 def compute_pi_group(field: FieldId, spectrum: str, s: int, w: int,
                      rule_file: str | None = None) -> PiTable:
     """Run the engine on an automatically chosen window covering (s, w)."""
-    from .engine import PageWindow, run
-
     fb = f_bound(field, s)
     window = PageWindow(s - 2, s + 2, 0, fb + 3, w, w)
     res = run(field, spectrum, window, rule_file=rule_file)
@@ -180,8 +178,6 @@ def bernoulli_witness_order(field: FieldId, k: int) -> int:
     window is tall enough to carry the gluing partner of the top slice
     cell, whose filtration is 3.
     """
-    from .engine import PageWindow, run
-
     s, w = 4 * k - 1, 2 * k
     window = PageWindow(s - 2, s + 2, 0, 8, w, w)
     res = run(field, "L", window)

@@ -14,6 +14,7 @@ from .coefficients import coeff_classes
 from .engine import PageWindow, page1_basis, page1_d1, run
 from .fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from .groups import TriDegree, d_shift
+from .homalg import composite_failure
 from .numthy import NU_INFINITY, bernoulli_denom_two_part, nu2
 from .oracles import les_oracle, mass_hz2n_oracle
 from .pitable import assemble_pi, bernoulli_witness_order
@@ -50,15 +51,15 @@ def dd_failures(field, spectrum: str, degrees):
 
     Returns the number of composites checked (sources with a nonzero d1)
     and the source degrees whose composite is nonzero.  Each d1 is read
-    once per call as a sparse (row, col, value) list.
+    once per call as rows of dicts.
     """
     sparse = {}
 
-    def entries(deg):
+    def rows(deg):
         hit = sparse.get(deg)
         if hit is None:
-            hit = sparse[deg] = [(i, j, v) for i, row in enumerate(page1_d1(field, spectrum, deg))
-                                 for j, v in enumerate(row) if v]
+            hit = sparse[deg] = [{j: v for j, v in enumerate(row) if v}
+                                 for row in page1_d1(field, spectrum, deg)]
         return hit
 
     step = d_shift(1)
@@ -66,23 +67,13 @@ def dd_failures(field, spectrum: str, degrees):
     for deg in degrees:
         if not page1_basis(field, spectrum, deg):
             continue
-        first = entries(deg)
-        if not first:
+        first = rows(deg)
+        if not any(first):
             continue
         mid = deg + step
-        cols = {}
-        for i, j, v in first:
-            cols.setdefault(i, []).append((j, v))
-        acc = {}
-        for t, i, v2 in entries(mid):
-            for j, v1 in cols.get(i, ()):
-                acc[(t, j)] = acc.get((t, j), 0) + v2 * v1
         end = page1_basis(field, spectrum, mid + step)
-        for (t, j), v in acc.items():
-            o = end[t].order
-            if (v % o) if o else v:
-                failures.append(deg)
-                break
+        if composite_failure(first, rows(mid), [cs.order for cs in end]):
+            failures.append(deg)
         checked += 1
     return checked, failures
 

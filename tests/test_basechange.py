@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from esss import basechange
 from esss.basechange import _commutes_with_d1, _unit_image, compare_e1, page1_map_matrix
-from esss.engine import PageWindow, page1_basis, run
+from esss.engine import PageWindow, _d1_L, _kq_degree, _L_degree, page1_basis, run
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import TriDegree, d_shift, isomorphic_orders
 from esss.homalg import StructuredGroup, express_in_group
-from esss.verify import hasse_reports as verify_hasse_reports, slice_degrees
+from esss.verify import HASSE_DSTS, HASSE_SRC, hasse_reports as verify_hasse_reports, slice_degrees
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,37 @@ def test_hasse_reports_are_pinned(hasse_reports):
             h.update(repr((sorted(rep.injective.items()),
                            sorted(rep.commutes.items()))).encode())
     assert h.hexdigest() == "845c16469ae9c4735c8c9b86f2e3bcdff7d648832f865e4c78cfc85891d33640"
+
+
+def test_L_maps_are_pinned():
+    """The d1 of L and the first-page comparison matrices of kq and L are
+    exactly the ones computed when each had its own loop over the kernel
+    and cokernel classes."""
+    degrees = list(PageWindow(-2, 8, 0, 8, -3, 4).pad(1, 3).degrees())
+    closure = [(field, ALG_CLOSED) for field in (Fq(3), Fq(5), Qq(3), REALS)]
+    h = hashlib.sha256()
+    for field in (ALG_CLOSED, Fq(3), Fq(9), Qq(3), Q2, REALS, HASSE_SRC):
+        for deg in degrees:
+            h.update(repr(_d1_L(field, deg)).encode())
+    for src, dst in [(HASSE_SRC, dst) for dst in HASSE_DSTS] + closure:
+        for spectrum in ("kq", "L"):
+            for deg in degrees:
+                h.update(repr(page1_map_matrix(src, dst, spectrum, deg)).encode())
+    assert h.hexdigest() == "c702f9a60e24bd87618d377ef2b21cb6cbbe693b8187c42edf44cf6dd8bb11f6"
+
+
+def test_L_map_keeps_kernel_classes_in_the_kernel(monkeypatch):
+    """A kq map that sends a kernel class onto a class with no kernel
+    summand (the free Z{[3] v1^2}, on which psi^3 - 1 is 8) is refused."""
+    src, dst, deg = Q((2, 3)), Qq(3), TriDegree(3, 1, 1)
+    _, parts, vectors = _L_degree(dst, deg)
+    assert _kq_degree(dst, deg)[0].order == 0
+    assert 0 not in [vec[0] for p, vec in zip(parts, vectors) if p == "K"]
+    assert page1_map_matrix(src, dst, "L", deg) == [[1]]
+    monkeypatch.setattr(basechange, "_kq_images",
+                        lambda s, t, d: [{0: 1} for _ in _kq_degree(s, d)])
+    with pytest.raises(AssertionError, match="left the kernel"):
+        page1_map_matrix(src, dst, "L", deg)
 
 
 def _solver_cases():

@@ -4,6 +4,7 @@ import pytest
 
 import esss.engine as engine
 import reference
+from esss.basechange import page1_map_matrix
 from esss.coefficients import coeff_classes
 from esss.engine import (PageWindow, WindowError, build_page1, degree_vanishing,
                          page1_basis, page1_d1, run, turn_page)
@@ -161,6 +162,8 @@ def test_unknown_spectrum_is_rejected():
     for page1 in (page1_basis, page1_d1):
         with pytest.raises(ValueError, match="unknown spectrum"):
             page1(Fq(5), "knot", TriDegree(4, 0, 2))
+    with pytest.raises(ValueError, match="unknown spectrum"):
+        page1_map_matrix(Fq(5), ALG_CLOSED, "knot", TriDegree(4, 0, 2))
 
 
 def test_unknown_spectrum_is_rejected_on_an_empty_window():

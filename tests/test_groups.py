@@ -55,8 +55,6 @@ def test_tridegree_order_and_repr():
                             TriDegree(0, 2, 1), TriDegree(1, 0, 0)]
     assert repr(TriDegree(3, -1, 2)) == "TriDegree(s=3, f=-1, w=2)"
     assert TriDegree(1, 2, 3) + TriDegree(0, 1, -1) == TriDegree(1, 3, 2)
-    assert TriDegree(1, 2, 3).shifted(f=1) == TriDegree(1, 3, 3)
-    assert TriDegree(4, 2, 1).slice_index == 3
 
 
 def test_generator_of_term_order():

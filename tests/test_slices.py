@@ -1,6 +1,6 @@
 from esss.engine import _L_degree
 from esss.fields import ALG_CLOSED, Q2, Fq, Qq
-from esss.groups import Monomial
+from esss.groups import Monomial, TriDegree
 from esss.numthy import NU_INFINITY, nu2, s_q, vmin
 from esss.slices import e1_kq_basis, psi3_entries, slices_kq
 from reference import slices_L
@@ -64,7 +64,7 @@ def kc_classes(field, mono):
     summands, parts, _ = _L_degree(field, deg)
     ker = [cs for cs, p in zip(summands, parts)
            if p == "K" and cs.gen.lead.with_coeff2(0) == mono]
-    summands, parts, _ = _L_degree(field, deg.shifted(s=-1, f=1))
+    summands, parts, _ = _L_degree(field, TriDegree(deg.s - 1, deg.f + 1, deg.w))
     cok = [cs for cs, p in zip(summands, parts)
            if p == "C" and cs.gen.lead == mono._replace(iota=1)]
     return ker, cok
