@@ -15,10 +15,6 @@ injectivity without a cokernel or generator vectors, and
 from __future__ import annotations
 
 
-def identity(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul(A, B):
     """The product A B, read from the nonzero entries only."""
     rows = len(A)

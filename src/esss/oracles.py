@@ -3,10 +3,12 @@
 mass_hz2n_oracle runs the mod-2-tower spectral sequence: the starting term
 is the mod-2 coefficient module tensored with a truncated h0-polynomial
 algebra and the differentials are the finite per-class rule table below.
-The whole tower is a complex of modules over F2[h0], a discrete valuation
-ring, so the abutment is literally the homology of that complex; it is
-computed exactly in dvrlin and the invariant factors x^v come back as
-cyclic groups of order 2^v.
+The whole tower is a complex of modules over F2[[h0]] whose abutment is
+the homology of that complex.  Each of its maps sends a class to at most
+one class, times h0^page, and no class is hit twice, so the complex is a
+sum of chains of cyclic modules and its homology depends only on the
+valuations of the entries; homalg computes it over Z_(2) with h0 read as
+2, and each invariant factor 2^v is the h0-tower of height v.
 
 les_oracle computes the same modules for algebraically closed fields and
 the reals from the multiplication-by-2^n long exact sequence instead.
@@ -18,50 +20,48 @@ the support); the oracle runs each block and assembles the results.
 from __future__ import annotations
 
 from .coefficients import coeff_hz, mod2_stem_units, _units_weight, _summand
-from .dvrlin import dvr_homology, val
 from .fields import FieldId, Fq
 from .groups import CyclicSummand, Generator, Monomial
+from .homalg import homology_group
 from .numthy import NU_INFINITY, nu2, s_q
-
-_PRECISION = 64
 
 
 def _adams_rule(field: FieldId, units, tau):
-    """The differential a mod-2 class supports: (page, target unit words).
+    """The differential a mod-2 class supports: (page, target unit word).
 
-    Targets sit one stem and one tau power down; at most one rule applies
-    to any class, which keeps the rule table an honest complex.
+    The target sits one stem and one tau power down; at most one rule
+    applies to any class, and it has one target.
     """
     kind = field.kind
     if kind == "c":
         return None
     if kind == "fq":
         if units == () and tau >= 1:
-            return s_q(field.q, tau - 1), [((field.x_symbol, 1),)]
+            return s_q(field.q, tau - 1), ((field.x_symbol, 1),)
         return None
     if kind == "qq":
         x = field.x_symbol
         if units == () and tau >= 1:
-            return s_q(field.q, tau - 1), [((x, 1),)]
+            return s_q(field.q, tau - 1), ((x, 1),)
         if units == (("pi", 1),) and tau >= 1:
-            return s_q(field.q, tau - 1), [tuple(sorted(((x, 1), ("pi", 1))))]
+            return s_q(field.q, tau - 1), tuple(sorted(((x, 1), ("pi", 1))))
         return None
     if kind == "q2":
         if units == ():
             if tau % 2 == 1:
-                return 1, [(("rho", 1),)]
+                return 1, (("rho", 1),)
             if tau >= 2:
-                return 3 + nu2(tau // 2), [(("pi", 1),)]
+                return 3 + nu2(tau // 2), (("pi", 1),)
             return None
         if units == (("u", 1),) and tau >= 2 and tau % 2 == 0:
-            return 3 + nu2(tau // 2), [(("rho", 2),)]
+            return 3 + nu2(tau // 2), (("rho", 2),)
         if units == (("rho", 1),) and tau % 2 == 1:
-            return 1, [(("rho", 2),)]
+            return 1, (("rho", 2),)
         return None
     if kind == "r":
         if tau % 2 == 1:
             e = units[0][1] if units else 0
-            return 1, [(("rho", e + 1),)]
+            return 1, (("rho", e + 1),)
         return None
     raise AssertionError(f"no direct rule table for {kind}")
 
@@ -76,24 +76,33 @@ def _stem_classes(field, w, s):
 
 
 def _rule_matrix(field, src_classes, tgt_classes):
+    """The rule table from src_classes to tgt_classes, entry 2^page.
+
+    Each column holds at most one entry, as each rule has one target; the
+    assertion keeps each row to at most one as well.
+    """
     index = {c: i for i, c in enumerate(tgt_classes)}
     M = [[0] * len(src_classes) for _ in range(len(tgt_classes))]
     for j, (units, tau) in enumerate(src_classes):
         rule = _adams_rule(field, units, tau)
         if rule is None:
             continue
-        page, targets = rule
-        for t in targets:
-            key = (t, tau - 1)
-            if key in index:
-                M[index[key]][j] = 1 << page
+        page, target = rule
+        i = index.get((target, tau - 1))
+        if i is not None:
+            assert not any(M[i]), f"two rules hit {target} tau^{tau - 1} over {field}"
+            M[i][j] = 1 << page
     return M
 
 
 def _mass_block(field: FieldId, n, s: int, w: int):
-    """One bidegree of the tower homology for a single field block."""
-    infinite = n is NU_INFINITY
-    order_val = None if infinite else n
+    """One bidegree of the tower homology for a single field block.
+
+    Both rule matrices are partial monomial permutations (_rule_matrix),
+    which is why reading the tower over Z_(2) with h0 = 2 is exact (module
+    docstring); each generator is named by its classes of least 2-valuation.
+    """
+    o = 0 if n is NU_INFINITY else 1 << n
     up = _stem_classes(field, w, s + 1)
     mid = _stem_classes(field, w, s)
     down = _stem_classes(field, w, s - 1)
@@ -101,23 +110,16 @@ def _mass_block(field: FieldId, n, s: int, w: int):
         return []
     A = _rule_matrix(field, up, mid)
     B = _rule_matrix(field, mid, down)
-    vals, gens = dvr_homology(
-        A, B,
-        [order_val] * len(mid), len(up), [order_val] * len(down),
-        _PRECISION,
-    )
+    group = homology_group(A, [o] * len(up), B, [o] * len(mid), [o] * len(down))
     out = []
-    for v, gvec in zip(vals, gens):
-        lead = min(val(c) for c in gvec if c)
+    for order, gvec in zip(group.orders, group.gens):
+        lead = min(nu2(abs(c)) for c in gvec if c)
         monos = []
         for k, c in enumerate(gvec):
-            if c and val(c) == lead:
+            if c and nu2(abs(c)) == lead:
                 units, tau = mid[k]
                 monos.append(Monomial(coeff2=lead, tau=tau, units=units))
         gen = Generator.of(*monos)
-        order = 0 if v is None else (1 << v)
-        if order == 1:
-            continue
         out.append(CyclicSummand(order, gen, gen.degree()))
     return out
 

@@ -4,9 +4,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from esss.groups import Monomial
-from esss.homalg import StructuredGroup, identity, mat_mul
+from esss.homalg import StructuredGroup, mat_mul
 from esss.numthy import NU_INFINITY, a_q, nu2
 from esss.slices import SliceSummand, slices_kq
+
+
+def identity(n: int):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 # The dense elimination that esss.homalg._eliminate and homology_group

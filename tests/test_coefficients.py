@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from esss import verify
+from esss import oracles, verify
 from esss.coefficients import coeff_classes, coeff_hz, coeff_hz2
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import isomorphic_orders
@@ -129,7 +129,8 @@ def test_classes_and_oracle_outputs_are_pinned():
     """Closed-form and tower-oracle classes, names and order included, over
     the checked fields, n = 1..4 and infinity, stems -4..0, weights -12..0.
     The cross-checks above compare orders only; generator names feed the d1
-    rules and the goldens, and the oracle's come from dvr_presentation."""
+    rules and the goldens, and the oracle's come from the homology
+    generators of homalg.homology_group."""
     h = hashlib.sha256()
     for field in verify.TEN_FIELDS:
         for n in MODULI:
@@ -138,3 +139,17 @@ def test_classes_and_oracle_outputs_are_pinned():
                     h.update(repr(coeff_classes(field, n, s, w)).encode())
                     h.update(repr(mass_hz2n_oracle(field, n, s, w)).encode())
     assert h.hexdigest() == "f56e9158eab4a23f2685d3c16d7607de1b4f40af335c27478c55e047eced2a79"
+
+
+def test_mass_oracle_rejects_two_rules_with_one_target(monkeypatch):
+    """The tower homology is read over Z_(2) only for rule tables that hit
+    each class at most once; here u, pi and rho tau^2 over Q2 all hit
+    rho^2 tau, so the oracle must refuse."""
+    def rule(field, units, tau):
+        if len(units) == 1 and units[0][1] == 1 and tau >= 1:
+            return 1, (("rho", 2),)
+        return None
+
+    monkeypatch.setattr(oracles, "_adams_rule", rule)
+    with pytest.raises(AssertionError, match="two rules hit"):
+        mass_hz2n_oracle(Q2, 1, -1, -3)

@@ -6,8 +6,8 @@ import esss.engine as engine
 import reference
 from esss.basechange import page1_map_matrix
 from esss.coefficients import coeff_classes
-from esss.engine import (PageWindow, WindowError, build_page1, degree_vanishing,
-                         page1_basis, page1_d1, run, turn_page)
+from esss.engine import (PageWindow, WindowError, build_page1, page1_basis, page1_d1,
+                         run, turn_page)
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import CyclicSummand, TriDegree, d_shift, isomorphic_orders
 from esss.verify import HASSE_DSTS, HASSE_SRC

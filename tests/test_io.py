@@ -10,7 +10,7 @@ from esss.engine import PageWindow, run
 from esss.fields import ALG_CLOSED, Q2, Fq
 from esss.pitable import assemble_pi
 from esss.serialize import (SCHEMA, document_json, page_document, page_markdown,
-                            parse_document, pi_document, pi_markdown)
+                            parse_document, pi_markdown)
 
 
 def _run_cli(*args):

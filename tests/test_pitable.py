@@ -2,9 +2,8 @@
 import pytest
 
 from esss.engine import PageWindow, run
-from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Qq
-from esss.groups import isomorphic_orders
-from esss.numthy import NU_INFINITY, nu2, s_q, vmin
+from esss.fields import ALG_CLOSED, Q2, REALS, Fq
+from esss.numthy import nu2, s_q, vmin
 from esss.pitable import assemble_pi, compute_pi_group
 
 

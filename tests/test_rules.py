@@ -1,6 +1,6 @@
 import pytest
 
-from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
+from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q
 from esss.groups import Monomial, d_shift
 from esss.rules import (d1_components, higher_ruleset, parse_rule_file,
                         RuleFileError)
