@@ -16,21 +16,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .fields import FieldId, Fq, mod2_unit_basis
-from .groups import CyclicSummand, Generator, Monomial
+from .fields import FieldId, Fq
+from .groups import CyclicSummand, Generator, Monomial, unit_word_degree
 from .numthy import NU_INFINITY, s_q, vmin
 
 
 def _summand(order, units, tau, coeff2=0):
     mono = Monomial(coeff2=coeff2, tau=tau, units=tuple(sorted(units)))
     return CyclicSummand(order, Generator.of(mono), mono.degree())
-
-
-def _units_weight(units) -> int:
-    w = 0
-    for sym, exp in units:
-        w -= 2 * exp if sym.startswith("a_") else exp
-    return w
 
 
 def mod2_stem_units(field: FieldId, s: int):
@@ -70,16 +63,19 @@ def mod2_stem_units(field: FieldId, s: int):
     raise AssertionError(kind)
 
 
-def coeff_hz2(field: FieldId, s: int, w: int):
-    """pi_{s,w}(HZ/2): monomial enumeration modulo the field's relations."""
+def mod2_classes(field: FieldId, s: int, w: int):
+    """The basis of pi_{s,w}(HZ/2) as (units, tau exponent) pairs."""
     out = []
     for units in mod2_stem_units(field, s):
-        if units == () and s != 0:
-            continue
-        j = _units_weight(units) - w
-        if j >= 0:
-            out.append(_summand(2, units, j))
+        tau = unit_word_degree(units)[2] - w
+        if tau >= 0:
+            out.append((units, tau))
     return out
+
+
+def coeff_hz2(field: FieldId, s: int, w: int):
+    """pi_{s,w}(HZ/2): monomial enumeration modulo the field's relations."""
+    return [_summand(2, units, tau) for units, tau in mod2_classes(field, s, w)]
 
 
 def coeff_hz(field: FieldId, s: int, w: int):
@@ -268,14 +264,13 @@ def reduce_integral_units(field: FieldId, units):
     Returns None when the reduction is zero; over Q the pi classes reduce
     to [2] classes and the [p]-decorated torsion reduces to a_p.
     """
-    if field.kind != "q":
-        return units if mod2_unit_basis(field)(units) else None
-    if units == (("pi", 1),):
-        return (("[2]", 1),)
-    syms = dict(units)
-    for p in field.odd_support():
-        if f"[{p}]" in syms:
-            if len(units) == 1:
-                return units
-            return ((f"a_{p}", 1),)
-    return units if mod2_unit_basis(field)(units) else None
+    if field.kind == "q":
+        if units == (("pi", 1),):
+            return (("[2]", 1),)
+        syms = dict(units)
+        for p in field.odd_support():
+            if f"[{p}]" in syms:
+                if len(units) == 1:
+                    return units
+                return ((f"a_{p}", 1),)
+    return units if units in mod2_stem_units(field, unit_word_degree(units)[0]) else None

@@ -298,7 +298,7 @@ def turn_page(page: Page, higher_rules=()) -> Page:
 
 
 def _attach_higher_diff(page: Page, higher_rules):
-    """Differential matrices on a page r >= 2 from explicit rule templates."""
+    """Differential matrices on a page r >= 2 from explicit rules."""
     shift = d_shift(page.r)
     applicable = [rule for rule in higher_rules if rule.page == page.r]
     for deg, dd in page.data.items():

@@ -114,52 +114,6 @@ def parse_field(name: str, q: int | None = None, support=None) -> FieldId:
     raise ValueError(f"unknown field {name!r}")
 
 
-def _units(*pairs) -> tuple:
-    return tuple(sorted((s, e) for s, e in pairs if e))
-
-
-def mod2_unit_basis(field: FieldId):
-    """The unit-symbol part of a pi_**(HZ/2) basis (tau powers excluded).
-
-    For R and Q the rho-power part is infinite; callers bound the exponent
-    by the stem they are filling, so this returns a callable check instead
-    for those fields.  Returned as a predicate: units-tuple -> bool.
-    """
-    kind = field.kind
-
-    def pred(units):
-        if kind == "c":
-            return units == ()
-        if kind == "fq":
-            return units in ((), ((field.x_symbol, 1),))
-        if kind == "qq":
-            x = field.x_symbol
-            return units in ((), ((x, 1),), (("pi", 1),), _units((x, 1), ("pi", 1)))
-        if kind == "q2":
-            return units in ((), (("u", 1),), (("pi", 1),), (("rho", 1),), (("rho", 2),))
-        if kind == "r":
-            return all(s == "rho" for s, _ in units) and len(units) <= 1
-        if kind == "q":
-            if units == ():
-                return True
-            if len(units) != 1:
-                return False
-            (sym, exp) = units[0]
-            if sym == "rho":
-                return True
-            if exp != 1:
-                return False
-            if sym == "[2]":
-                return True
-            for p in field.odd_support():
-                if sym in (f"[{p}]", f"a_{p}"):
-                    return True
-            return False
-        raise AssertionError(kind)
-
-    return pred
-
-
 def rho_times(field: FieldId, units: tuple):
     """units * rho in pi_**(HZ/2) as an F2 list of basis unit-tuples."""
     kind = field.kind
@@ -176,7 +130,7 @@ def rho_times(field: FieldId, units: tuple):
         if units == ():
             return [(("rho", 1),)]
         if units == (("pi", 1),):
-            return [_units(("pi", 1), ("rho", 1))]
+            return [(("pi", 1), ("rho", 1))]
         return []
     if kind == "q2":
         # Z/2[tau,pi,u,rho]/(rho^3, u^2, pi^2, rho u, rho pi, rho^2 + u pi)

@@ -25,6 +25,17 @@ def _unit_degree(sym: str, exp: int):
     raise ValueError(f"unknown unit symbol {sym!r}")
 
 
+def unit_word_degree(units):
+    """The (s, f, w) of a unit word, the sum of its symbols' degrees."""
+    s = f = w = 0
+    for sym, exp in units:
+        ds, df, dw = _unit_degree(sym, exp)
+        s += ds
+        f += df
+        w += dw
+    return s, f, w
+
+
 class TriDegree(NamedTuple):
     s: int
     f: int
@@ -64,15 +75,10 @@ class Monomial(_MonomialFields):
         return tuple.__new__(cls, (coeff2, iota, h1, v1, tau, units))
 
     def degree(self) -> TriDegree:
-        s = self.h1 + 2 * self.v1 - self.iota
-        f = self.h1 + self.iota
-        w = self.h1 + self.v1 - self.tau
-        for sym, exp in self.units:
-            ds, df, dw = _unit_degree(sym, exp)
-            s += ds
-            f += df
-            w += dw
-        return TriDegree(s, f, w)
+        s, f, w = unit_word_degree(self.units)
+        return TriDegree(s + self.h1 + 2 * self.v1 - self.iota,
+                         f + self.h1 + self.iota,
+                         w + self.h1 + self.v1 - self.tau)
 
     @property
     def slice_index(self) -> int:
@@ -85,9 +91,9 @@ class Monomial(_MonomialFields):
     def sort_key(self):
         return (self.iota, self.units, self.v1, self.h1, self.tau, self.coeff2)
 
-    def text(self, with_coeff=True) -> str:
+    def text(self) -> str:
         parts = []
-        if with_coeff and self.coeff2:
+        if self.coeff2:
             parts.append(str(1 << self.coeff2))
         if self.iota:
             parts.append("iota")

@@ -19,7 +19,7 @@ the support); the oracle runs each block and assembles the results.
 """
 from __future__ import annotations
 
-from .coefficients import coeff_hz, mod2_stem_units, _units_weight, _summand
+from .coefficients import coeff_hz, mod2_classes, _decorated, _summand
 from .fields import FieldId, Fq
 from .groups import CyclicSummand, Generator, Monomial
 from .homalg import homology_group
@@ -66,15 +66,6 @@ def _adams_rule(field: FieldId, units, tau):
     raise AssertionError(f"no direct rule table for {kind}")
 
 
-def _stem_classes(field, w, s):
-    out = []
-    for units in mod2_stem_units(field, s):
-        j = _units_weight(units) - w
-        if j >= 0:
-            out.append((units, j))
-    return out
-
-
 def _rule_matrix(field, src_classes, tgt_classes):
     """The rule table from src_classes to tgt_classes, entry 2^page.
 
@@ -103,9 +94,9 @@ def _mass_block(field: FieldId, n, s: int, w: int):
     docstring); each generator is named by its classes of least 2-valuation.
     """
     o = 0 if n is NU_INFINITY else 1 << n
-    up = _stem_classes(field, w, s + 1)
-    mid = _stem_classes(field, w, s)
-    down = _stem_classes(field, w, s - 1)
+    up = mod2_classes(field, s + 1, w)
+    mid = mod2_classes(field, s, w)
+    down = mod2_classes(field, s - 1, w)
     if not mid:
         return []
     A = _rule_matrix(field, up, mid)
@@ -133,10 +124,7 @@ def mass_hz2n_oracle(field: FieldId, n, s: int, w: int):
                 out.append(cs)
         out.extend(_mass_block(FieldId("r"), n, s, w))
         for p in field.odd_support():
-            for cs in _mass_block(Fq(p), n, s + 1, w + 1):
-                mono = cs.gen.lead
-                units = tuple(sorted(mono.units + ((f"[{p}]", 1),)))
-                out.append(_summand(cs.order, units, mono.tau, coeff2=mono.coeff2))
+            out.extend(_decorated(_mass_block(Fq(p), n, s + 1, w + 1), ((f"[{p}]", 1),)))
         return out
     return _mass_block(field, n, s, w)
 

@@ -133,7 +133,7 @@ def assemble_pi(einf: Page, s_range, w_range) -> PiTable:
             raise ValueError(
                 f"window filtration top {einf.window.f_max} cannot certify stem {s}")
         for w in range(w_range[0], w_range[1] + 1):
-            column = _column(einf, s, w)
+            column = _column(einf, s, w, f_bound(field, s))
             if not column:
                 continue
             glued = _apply_extensions(column, rules)
@@ -151,9 +151,9 @@ def assemble_pi(einf: Page, s_range, w_range) -> PiTable:
     return PiTable(field, einf.spectrum, entries, status)
 
 
-def _column(einf: Page, s: int, w: int):
+def _column(einf: Page, s: int, w: int, f_top: int):
     out = []
-    for f in range(max(einf.window.f_min, 0), f_bound(einf.field, s) + 1):
+    for f in range(max(einf.window.f_min, 0), f_top + 1):
         if (s + f) % 2:
             continue
         for cs in einf.summands(TriDegree(s, f, w)):
@@ -181,15 +181,7 @@ def bernoulli_witness_order(field: FieldId, k: int) -> int:
     s, w = 4 * k - 1, 2 * k
     window = PageWindow(s - 2, s + 2, 0, 8, w, w)
     res = run(field, "L", window)
-    einf = res.einf
-    column = []
-    for f in range(0, 6):
-        if (s + f) % 2:
-            continue
-        for cs in einf.summands(TriDegree(s, f, w)):
-            h = NU_INFINITY if cs.order == 0 else cs.order.bit_length() - 1
-            column.append(PiEntry(cs.order, cs.gen, h, f))
-    glued = _apply_extensions(column, extension_rules(field, "L"))
+    glued = _apply_extensions(_column(res.einf, s, w, 5), extension_rules(field, "L"))
     best = 0
     for pe in glued:
         if pe.order and pe.gen.is_single() and pe.gen.lead.iota:

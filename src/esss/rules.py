@@ -21,10 +21,13 @@ a separate rule table: it is the restriction of this one to the kernel of
 psi^3 - 1 plus the map induced on the cokernel (iota classes).
 
 Higher differentials are never invented: each supported pair either ships
-an empty set with a citation certificate or loads rule templates from a
+an empty set with a citation certificate or loads literal rules from a
 user-supplied file in the line format
 
-    d{r}: <source-template> [if <condition>] -> <coefficient> <target-template> # <provenance>
+    d{r}: <source> -> <coefficient> <target> # <provenance>
+
+where source and target are single monomials.  A line with an `if`
+condition is rejected, not applied unconditionally.
 """
 from __future__ import annotations
 
@@ -33,9 +36,6 @@ from dataclasses import dataclass
 from .coefficients import reduce_integral_units
 from .fields import FieldId, rho_power_times
 from .groups import Monomial
-
-_RHO2_FIELDS = ("q2", "r", "q")
-_RHO4_FIELDS = ("r", "q")
 
 
 def _sq2_coefficient(j: int, k: int) -> int:
@@ -63,10 +63,10 @@ def d1_components(field: FieldId, mono: Monomial):
     out = []
     if k % 2 == 1:
         out.append(Monomial(h1=a + 3, v1=e - 2, tau=j + 1, units=units))
-    if field.kind in _RHO2_FIELDS and j >= 1 and _sq2_coefficient(j, k):
+    if j >= 1 and _sq2_coefficient(j, k):
         for u2 in rho_power_times(field, units, 2):
             out.append(Monomial(h1=a + 1, v1=e, tau=j - 1, units=u2))
-    if field.kind in _RHO4_FIELDS and j >= 3 and j % 4 == 3 and a >= 1:
+    if j >= 3 and j % 4 == 3 and a >= 1:
         for u4 in rho_power_times(field, units, 4):
             out.append(Monomial(h1=a - 1, v1=e + 2, tau=j - 3, units=u4))
     return out
@@ -112,7 +112,7 @@ class HigherRule:
 
 @dataclass(frozen=True)
 class HigherRuleset:
-    """Either a certified-empty set or file-loaded templates."""
+    """Either a certified-empty set or file-loaded rules."""
 
     rules: tuple
     certificate: str | None  # citation when the set is certified empty
@@ -154,14 +154,14 @@ class RuleFileError(ValueError):
     pass
 
 
-def _parse_template(text: str, lineno: int) -> Monomial:
+def _parse_monomial(text: str, lineno: int) -> Monomial:
     coeff2 = 0
     kwargs = {"h1": 0, "v1": 0, "tau": 0, "iota": 0}
     units = []
     for token in text.split():
         if token.isdigit():
             n = int(token)
-            if n & (n - 1):
+            if n == 0 or n & (n - 1):
                 raise RuleFileError(f"line {lineno}: coefficient {n} is not a power of 2")
             coeff2 = n.bit_length() - 1
             continue
@@ -181,7 +181,7 @@ def _parse_template(text: str, lineno: int) -> Monomial:
 
 
 def parse_rule_file(path: str):
-    """Line format: d{r}: <source> [if <cond>] -> <coeff> <target> # <provenance>."""
+    """Line format: d{r}: <source> -> <coeff> <target> # <provenance>."""
     rules = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -204,10 +204,8 @@ def parse_rule_file(path: str):
             src, arrow, tgt = rest.partition("->")
             if not arrow:
                 raise RuleFileError(f"line {lineno}: missing ->")
-            src = src.strip()
-            if " if " in f" {src} ":
-                src, _, _cond = src.partition(" if ")
-                src = src.strip()
+            if "if" in body.split():
+                raise RuleFileError(f"line {lineno}: conditions ('if') are not supported")
             tgt_tokens = tgt.strip().split()
             coeff = 1
             if tgt_tokens and tgt_tokens[0].isdigit():
@@ -215,8 +213,8 @@ def parse_rule_file(path: str):
                 tgt_tokens = tgt_tokens[1:]
             rules.append(HigherRule(
                 page=page,
-                source=_parse_template(src, lineno),
-                target=_parse_template(" ".join(tgt_tokens), lineno),
+                source=_parse_monomial(src, lineno),
+                target=_parse_monomial(" ".join(tgt_tokens), lineno),
                 coefficient=coeff,
                 provenance=provenance,
             ))

@@ -24,10 +24,6 @@ class SliceSummand:
     modulus: object  # exponent n >= 1, or NU_INFINITY for HZ
     cell: Monomial
 
-    def text(self) -> str:
-        mod = "Z" if self.modulus is NU_INFINITY else f"Z/{1 << self.modulus}"
-        return f"Sigma^({self.stem},{self.weight}) H{mod}"
-
 
 @lru_cache(maxsize=None)
 def slices_kq(c: int):

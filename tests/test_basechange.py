@@ -5,7 +5,7 @@ import pytest
 
 from esss import basechange
 from esss.basechange import _commutes_with_d1, _unit_image, compare_e1, page1_map_matrix
-from esss.engine import PageWindow, _d1_L, _kq_degree, _L_degree, page1_basis, run
+from esss.engine import PageWindow, _d1_L, _kq_degree, _L_degree, page1_basis, page1_d1, run
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import TriDegree, d_shift, isomorphic_orders
 from esss.homalg import StructuredGroup, express_in_group
@@ -89,6 +89,18 @@ def test_L_maps_are_pinned():
             for deg in degrees:
                 h.update(repr(page1_map_matrix(src, dst, spectrum, deg)).encode())
     assert h.hexdigest() == "c702f9a60e24bd87618d377ef2b21cb6cbbe693b8187c42edf44cf6dd8bb11f6"
+
+
+def test_kq_d1_is_pinned():
+    """The d1 of kq, every rho component and integral reduction included, is
+    exactly the one computed when a per-field table gated the rho powers and
+    the mod-2 basis had its own predicate."""
+    degrees = list(PageWindow(-2, 8, 0, 8, -3, 4).pad(1, 3).degrees())
+    h = hashlib.sha256()
+    for field in (ALG_CLOSED, Fq(3), Fq(9), Qq(3), Q2, REALS, HASSE_SRC):
+        for deg in degrees:
+            h.update(repr(page1_d1(field, "kq", deg)).encode())
+    assert h.hexdigest() == "89395af85214161dc91f88b482f32666ce41e00f85c078733ccea0385f50fd8a"
 
 
 def test_L_map_keeps_kernel_classes_in_the_kernel(monkeypatch):

@@ -93,14 +93,18 @@ def test_rule_file_parsing(tmp_path):
     path.write_text(
         "# external data\n"
         "d2: iota v1^2 tau^3 -> 1 rho h1^2 tau  # worked out elsewhere\n"
-        "d3: h1 tau^4 if tau = 0 mod 4 -> 2 rho^2 h1^4  # with a condition\n"
+        "d3: h1 tau^4 -> 2 rho^2 h1^4  # with a coefficient\n"
     )
     rules = parse_rule_file(str(path))
     assert len(rules) == 2
     assert rules[0].page == 2 and rules[0].source.iota == 1
     assert rules[1].coefficient == 2
-    assert rules[1].provenance == "with a condition"
+    assert rules[1].provenance == "with a coefficient"
     bad = tmp_path / "bad.rules"
+    bad.write_text("# header\n\n"
+                   "d3: h1 tau^4 if tau = 0 mod 4 -> 2 rho^2 h1^4  # with a condition\n")
+    with pytest.raises(RuleFileError, match="line 3: conditions"):
+        parse_rule_file(str(bad))
     bad.write_text("d2: x -> y\n")
     with pytest.raises(RuleFileError, match="provenance"):
         parse_rule_file(str(bad))
@@ -116,4 +120,7 @@ def test_rule_file_bad_exponent_names_the_line(tmp_path):
         parse_rule_file(str(bad))
     bad.write_text("d2: 3 iota v1^2 tau -> 1 rho h1^2  # not a 2-power\n")
     with pytest.raises(RuleFileError, match="line 1: coefficient 3"):
+        parse_rule_file(str(bad))
+    bad.write_text("d2: 0 h1 tau^2 -> 1 h1^3 tau  # zero is not a 2-power\n")
+    with pytest.raises(RuleFileError, match="line 1: coefficient 0"):
         parse_rule_file(str(bad))
