@@ -103,6 +103,20 @@ def test_kq_d1_is_pinned():
     assert h.hexdigest() == "89395af85214161dc91f88b482f32666ce41e00f85c078733ccea0385f50fd8a"
 
 
+def test_d1_over_more_fields_is_pinned():
+    """The first pages of kq and L, bases and d1, over a q-adic field with
+    q = 1 (4), one with q = 3 (4) and a rational support with primes above
+    7: fields and the spectrum L that the kq d1 pin leaves out."""
+    degrees = list(PageWindow(-2, 8, 0, 8, -3, 4).pad(1, 3).degrees())
+    h = hashlib.sha256()
+    for field in (Qq(5), Qq(7), Q((2, 11, 13))):
+        for spectrum in ("kq", "L"):
+            for deg in degrees:
+                h.update(repr((page1_basis(field, spectrum, deg),
+                               page1_d1(field, spectrum, deg))).encode())
+    assert h.hexdigest() == "29e15eef7d87c4f5e8eae2d51df46089a1cbb555e344c73817c43e19f5025fc3"
+
+
 def test_L_map_keeps_kernel_classes_in_the_kernel(monkeypatch):
     """A kq map that sends a kernel class onto a class with no kernel
     summand (the free Z{[3] v1^2}, on which psi^3 - 1 is 8) is refused."""
