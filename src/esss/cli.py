@@ -115,6 +115,8 @@ def cmd_pi(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.kmax < 1:
+        return _fail(f"--kmax must be at least 1, got {args.kmax}")
     from . import verify  # the checks pull in base change, which no other command needs
 
     suites = {

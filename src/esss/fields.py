@@ -1,22 +1,30 @@
-"""Base field identifiers and their mod-2 coefficient symbol algebra.
+"""Base field identifiers and their presentations of pi_**(HZ/2).
 
 Supported bases: algebraically closed fields, finite fields F_q (q an odd
-prime power), q-adic rationals for odd q, the 2-adic rationals, the reals,
-and the rationals with a finite prime support set (2 always included).
-FieldId is an immutable tuple record, so hashing, equality and
+prime power), q-adic rationals for odd primes q, the 2-adic rationals, the
+reals, and the rationals with a finite prime support set (2 always
+included).  FieldId is an immutable tuple record, so hashing, equality and
 construction run in C.  Caveat: it equals the plain tuple of its fields,
 FieldId("c") == ("c", None, None), so no dict or set may mix FieldId keys
 with plain-tuple keys.
 
-The only products the differential rules ever need are multiplication by a
-power of rho inside pi_**(HZ/2); rho_times implements that as an F2-linear
-combination of basis units, with all field relations applied.
+A field enters the mod-2 algebra only through its presentation: the basis
+unit words of pi_**(HZ/2) per stem, multiplication by rho (each product
+of a basis word with rho is one basis word or zero), the mod-2 reduction
+of the integral unit words that are not themselves basis words, and the
+symbol alphabet.  Every other module reads the record, not the kind.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .numthy import OddPrimePower
+
+
+def _is_odd_prime(p) -> bool:
+    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, int(p ** 0.5) + 1, 2))
 
 
 class _FieldIdFields(NamedTuple):
@@ -31,33 +39,30 @@ class FieldId(_FieldIdFields):
     def __new__(cls, kind, q=None, support=None):
         if kind not in ("c", "fq", "qq", "q2", "r", "q"):
             raise ValueError(f"unknown field kind {kind!r}")
+        if (q is None) == (kind in ("fq", "qq")):
+            raise ValueError(f"q is {'required' if q is None else 'meaningless'} for {kind}")
+        if support is not None and kind != "q":
+            raise ValueError(f"a support set is meaningless for {kind}")
         if kind == "fq":
             OddPrimePower(q)  # validates
-        elif kind == "qq":
-            OddPrimePower(q)
+        elif kind == "qq" and not _is_odd_prime(q):
             # completions are taken at primes, not prime powers
-            for d in range(3, q, 2):
-                if q % d == 0:
-                    raise ValueError(f"Q_q requires an odd prime, got {q}")
+            raise ValueError(f"Q_q requires an odd prime, got {q}")
         elif kind == "q":
             if not support:
                 raise ValueError("Q needs a nonempty prime support set")
             support = tuple(sorted(set(support)))
             if 2 not in support:
                 raise ValueError("the support set over Q must contain 2")
-        elif support is not None or q is not None:
-            raise ValueError("q/support only make sense for fq, qq, q")
+            for p in support:
+                if p != 2 and not _is_odd_prime(p):
+                    raise ValueError(f"the support set over Q takes primes, not {p}")
         return tuple.__new__(cls, (kind, q, support))
-
-    @property
-    def residue(self) -> int:
-        assert self.kind in ("fq", "qq")
-        return self.q % 4
 
     @property
     def x_symbol(self) -> str:
         """The Milnor unit class of F_q / Q_q: u for q = 1 (4), rho otherwise."""
-        return "u" if self.residue == 1 else "rho"
+        return "u" if self.q % 4 == 1 else "rho"
 
     def odd_support(self):
         return tuple(p for p in self.support if p != 2)
@@ -94,84 +99,79 @@ def Q(support) -> FieldId:
 
 
 def parse_field(name: str, q: int | None = None, support=None) -> FieldId:
-    key = name.lower()
-    if key in ("c", "fbar", "closed"):
-        return ALG_CLOSED
-    if key == "fq":
-        if q is None:
-            raise ValueError("--q is required for finite fields")
-        return Fq(q)
-    if key == "qq":
-        if q is None:
-            raise ValueError("--q is required for q-adic fields")
-        return Qq(q)
-    if key == "q2":
-        return Q2
-    if key == "r":
-        return REALS
-    if key == "q":
-        return Q(support or (2, 3, 5, 7))
-    raise ValueError(f"unknown field {name!r}")
+    """A field from its CLI name; q and support go to FieldId, which rejects
+    them on the kinds that take none."""
+    kind = {"fbar": "c", "closed": "c"}.get(name.lower(), name.lower())
+    if kind == "q" and support is None:
+        support = (2, 3, 5, 7)
+    return FieldId(kind, q=q, support=support)
 
 
-def rho_times(field: FieldId, units: tuple):
-    """units * rho in pi_**(HZ/2) as an F2 list of basis unit-tuples."""
+class Presentation(NamedTuple):
+    """pi_**(HZ/2) of one field; shared through presentation()'s cache."""
+
+    stems: MappingProxyType  # stem -> basis unit words, in generator order
+    rho_tower: bool  # rho^e is a basis word of every stem -e < 0 (R and Q)
+    rho: MappingProxyType  # word -> word * rho, for the words off the tower
+    reduction: MappingProxyType  # integral word -> its mod-2 basis word
+    alphabet: frozenset  # every unit symbol a class name may carry
+
+
+@lru_cache(maxsize=64)
+def presentation(field: FieldId) -> Presentation:
     kind = field.kind
-    if kind in ("c",):
-        return []
-    if kind == "fq":
-        if field.residue == 1:
-            return []
-        return [(("rho", 1),)] if units == () else []
-    if kind == "qq":
-        if field.residue == 1:
-            return []
-        # Z/2[tau, pi, rho]/(rho^2, rho pi + pi^2): basis 1, rho, pi, pi rho
-        if units == ():
-            return [(("rho", 1),)]
-        if units == (("pi", 1),):
-            return [(("pi", 1), ("rho", 1))]
-        return []
-    if kind == "q2":
-        # Z/2[tau,pi,u,rho]/(rho^3, u^2, pi^2, rho u, rho pi, rho^2 + u pi)
-        if units == ():
-            return [(("rho", 1),)]
-        if units == (("rho", 1),):
-            return [(("rho", 2),)]
-        return []
-    if kind == "r":
-        e = units[0][1] if units else 0
-        return [(("rho", e + 1),)]
-    if kind == "q":
-        # the symbol a_p is normalized to restrict to rho^2 at the dyadic
-        # place and to zero over the reals (Hilbert reciprocity fixes the
-        # second nonzero component; this choice keeps the reductions of the
-        # integral [p]-block Bockstein-closed)
-        if units == ():
-            return [(("rho", 1),)]
-        (sym, exp) = units[0]
-        if sym == "rho":
-            return [(("rho", exp + 1),)]
-        if sym == "[2]":
-            return []
-        if sym.startswith("["):
-            p = int(sym[1:-1])
-            return [((f"a_{p}", 1),)] if p % 4 == 3 else []
-        if sym.startswith("a_"):
-            return []
-        return []
-    raise AssertionError(kind)
+    pi, rho = (("pi", 1),), (("rho", 1),)
+    stems = {0: [()]}
+    rho_map, reduction = {}, {}
+    if kind in ("fq", "qq"):
+        x = ((field.x_symbol, 1),)
+        stems[-1] = [x]
+        if x == rho:
+            rho_map[()] = rho
+        if kind == "qq":
+            # Z/2[tau, pi, x]/(x^2, pi^2 + x pi); the basis of stem -1 is x, pi
+            stems[-1].append(pi)
+            stems[-2] = [tuple(sorted(x + pi))]
+            if x == rho:
+                rho_map[pi] = stems[-2][0]
+    elif kind == "q2":
+        # Z/2[tau, pi, u, rho]/(rho^3, u^2, pi^2, rho u, rho pi, rho^2 + u pi)
+        stems[-1] = [pi, rho, (("u", 1),)]
+        stems[-2] = [(("rho", 2),)]
+        rho_map = {(): rho, rho: stems[-2][0]}
+    elif kind == "q":
+        # a_p is normalized to restrict to rho^2 at the dyadic place and to
+        # zero over the reals (Hilbert reciprocity fixes the second nonzero
+        # component); this keeps the reductions of the integral [p]-block
+        # Bockstein-closed, and [p] rho = a_p exactly when p = 3 (4)
+        stems[-1], stems[-2] = [(("[2]", 1),)], []
+        reduction[pi] = (("[2]", 1),)
+        for p in field.odd_support():
+            word, a_p = ((f"[{p}]", 1),), ((f"a_{p}", 1),)
+            stems[-1].append(word)
+            stems[-2].append(a_p)
+            reduction[word] = word
+            reduction[tuple(sorted(word + ((Fq(p).x_symbol, 1),)))] = a_p
+            if p % 4 == 3:
+                rho_map[word] = a_p
+    tower = kind in ("r", "q")
+    if tower:  # its first two words; the flag states the rest
+        for s in (-1, -2):
+            stems[s] = sorted(stems.get(s, []) + [(("rho", -s),)])
+    alphabet = {sym for words in stems.values() for word in words for sym, _ in word}
+    alphabet.update(sym for word in reduction for sym, _ in word)
+    return Presentation(MappingProxyType({s: tuple(w) for s, w in stems.items()}),
+                        tower, MappingProxyType(rho_map),
+                        MappingProxyType(reduction), frozenset(alphabet))
 
 
 def rho_power_times(field: FieldId, units: tuple, e: int):
-    """units * rho^e as an F2 list of basis unit-tuples (duplicates cancel)."""
-    current = {units: 1}
+    """units * rho^e for a basis word: [the basis word it equals], or [] for 0."""
+    pres = presentation(field)
+    if e and pres.rho_tower and (not units or units[0][0] == "rho"):
+        return [(("rho", e + (units[0][1] if units else 0)),)]
     for _ in range(e):
-        nxt = {}
-        for u in current:
-            for v in rho_times(field, u):
-                nxt[v] = nxt.get(v, 0) ^ 1
-        current = {u: 1 for u, c in nxt.items() if c}
-        if not current:
+        units = pres.rho.get(units)
+        if units is None:
             return []
-    return sorted(current)
+    return [units]

@@ -19,7 +19,7 @@ the support); the oracle runs each block and assembles the results.
 """
 from __future__ import annotations
 
-from .coefficients import coeff_hz, mod2_classes, _decorated, _summand
+from .coefficients import coeff_classes, mod2_classes, _decorated, _summand
 from .fields import FieldId, Fq
 from .groups import CyclicSummand, Generator, Monomial
 from .homalg import homology_group
@@ -139,9 +139,9 @@ def les_oracle(field: FieldId, n, s: int, w: int):
     if field.kind not in ("c", "r"):
         raise ValueError(f"les_oracle supports algebraically closed fields and R, not {field}")
     if n is NU_INFINITY:
-        return list(coeff_hz(field, s, w))
+        return list(coeff_classes(field, n, s, w))
     out = []
-    for cs in coeff_hz(field, s, w):
+    for cs in coeff_classes(field, NU_INFINITY, s, w):
         mono = cs.gen.lead
         if cs.order == 0:
             out.append(_summand(1 << n, mono.units, mono.tau))
@@ -149,7 +149,7 @@ def les_oracle(field: FieldId, n, s: int, w: int):
             e = cs.order.bit_length() - 1
             out.append(_summand(1 << min(e, n), mono.units, mono.tau,
                                 coeff2=max(e - n, 0)))
-    for cs in coeff_hz(field, s - 1, w):
+    for cs in coeff_classes(field, NU_INFINITY, s - 1, w):
         if cs.order == 0:
             continue
         e = cs.order.bit_length() - 1

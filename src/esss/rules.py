@@ -14,9 +14,10 @@ most three components, uniform across the supported bases:
     the integral cell.
 
 The last two components multiply the coefficient word by the stated rho
-power, so every relation of the base field is applied on the way; over
-finite fields and the odd q-adics they vanish identically and only the
-tau-shift family remains.  The differential on the fiber spectrum L is not
+power through the field's presentation (fields.presentation), so every
+relation of the base field is applied on the way and no kind is tested
+here; over finite fields and the odd q-adics they vanish identically and
+only the tau-shift family remains.  The differential on the fiber spectrum L is not
 a separate rule table: it is the restriction of this one to the kernel of
 psi^3 - 1 plus the map induced on the cokernel (iota classes).
 
@@ -26,16 +27,18 @@ user-supplied file in the line format
 
     d{r}: <source> -> <coefficient> <target> # <provenance>
 
-where source and target are single monomials.  A line with an `if`
-condition is rejected, not applied unconditionally.
+where source and target are single monomials over the field's symbol
+alphabet and the target sits at source + d_shift(r).  A line that breaks
+either, or carries an `if` condition, is rejected, not loaded to match
+nothing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .coefficients import reduce_integral_units
-from .fields import FieldId, rho_power_times
-from .groups import Monomial
+from .fields import FieldId, presentation, rho_power_times
+from .groups import Monomial, d_shift
 
 
 def _sq2_coefficient(j: int, k: int) -> int:
@@ -143,7 +146,7 @@ def higher_ruleset(field: FieldId, spectrum: str, rule_file: str | None = None):
     """
     key = (field.kind, spectrum)
     if rule_file is not None:
-        rules = parse_rule_file(rule_file)
+        rules = parse_rule_file(field, rule_file)
         return HigherRuleset(tuple(rules), None)
     if key in _CITED_COLLAPSE:
         return HigherRuleset((), _CITED_COLLAPSE[key])
@@ -154,7 +157,7 @@ class RuleFileError(ValueError):
     pass
 
 
-def _parse_monomial(text: str, lineno: int) -> Monomial:
+def _parse_monomial(text: str, lineno: int, alphabet) -> Monomial:
     coeff2 = 0
     kwargs = {"h1": 0, "v1": 0, "tau": 0, "iota": 0}
     units = []
@@ -175,13 +178,16 @@ def _parse_monomial(text: str, lineno: int) -> Monomial:
             raise RuleFileError(f"line {lineno}: bad exponent in {token!r}") from None
         if sym in ("h1", "v1", "tau"):
             kwargs[sym] = exp
-        else:
+        elif sym in alphabet:
             units.append((sym, exp))
+        else:
+            raise RuleFileError(f"line {lineno}: unknown symbol {sym!r}")
     return Monomial(coeff2=coeff2, units=tuple(sorted(units)), **kwargs)
 
 
-def parse_rule_file(path: str):
+def parse_rule_file(field: FieldId, path: str):
     """Line format: d{r}: <source> -> <coeff> <target> # <provenance>."""
+    alphabet = presentation(field).alphabet
     rules = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -211,11 +217,9 @@ def parse_rule_file(path: str):
             if tgt_tokens and tgt_tokens[0].isdigit():
                 coeff = int(tgt_tokens[0])
                 tgt_tokens = tgt_tokens[1:]
-            rules.append(HigherRule(
-                page=page,
-                source=_parse_monomial(src, lineno),
-                target=_parse_monomial(" ".join(tgt_tokens), lineno),
-                coefficient=coeff,
-                provenance=provenance,
-            ))
+            source = _parse_monomial(src, lineno, alphabet)
+            target = _parse_monomial(" ".join(tgt_tokens), lineno, alphabet)
+            if target.degree() != source.degree() + d_shift(page):
+                raise RuleFileError(f"line {lineno}: the target is not at source + d_shift({page})")
+            rules.append(HigherRule(page, source, target, coeff, provenance))
     return rules

@@ -283,3 +283,162 @@ def bernoulli_denom_two_part_vsc(k: int) -> int:
         raise ValueError("k must be >= 1")
     assert von_staudt_clausen_denom(k) % 2 == 0
     return 1 << (1 + nu2(4 * k))
+
+
+# Multiplication by rho from local symbols.  K^M_n(F)/2 = pi_{-n,-n}(HZ/2)
+# is detected degree by degree by F2-valued invariants: square classes in
+# degree 1, Hilbert symbols at the places in degree 2 (over Q, Tate's
+# embedding of K2(Q)/2 into the sum over the places), and the real place
+# alone in degree 3 and above.  Each symbol of the presentations is read as
+# a number: rho as -1, [2] as 2, [p] as p, pi as the uniformizer and u as a
+# nonsquare unit; a_p over Q is the K2 class that is nonzero at p and at 2
+# only.  F_q and the local fields have no K2 invariants beyond their own
+# place, and none at all in degree 3.
+
+def _legendre_bit(a: int, p: int) -> int:
+    """1 when the unit a is a nonsquare modulo the odd prime p."""
+    return 0 if pow(a % p, (p - 1) // 2, p) == 1 else 1
+
+
+def _split(a: int, p: int):
+    """(v_p(a), a / p^v_p(a))."""
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v, a
+
+
+def hilbert_symbol_bit(a: int, b: int, place: int) -> int:
+    """1 when the Hilbert symbol (a, b)_v is -1; place 0 is the real one.
+
+    Serre, A Course in Arithmetic, III.1, Theorems 1 and 2.
+    """
+    if place == 0:
+        return int(a < 0 and b < 0)
+    alpha, u = _split(a, place)
+    beta, v = _split(b, place)
+    if place == 2:
+        def eps(x):
+            return (x - 1) // 2 % 2
+
+        def omega(x):
+            return (x * x - 1) // 8 % 2
+        return (eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)) % 2
+    return (alpha * beta * ((place - 1) // 2) + beta * _legendre_bit(u, place)
+            + alpha * _legendre_bit(v, place)) % 2
+
+
+def _square_class(field, a):
+    """The degree-1 invariants of the number a; None is a nonsquare of F_q."""
+    if field.kind == "c":
+        return ()
+    if field.kind == "fq":
+        p = next(d for d in range(3, field.q + 1, 2) if field.q % d == 0)
+        return (1,) if a is None else (0 if pow(a % p, (field.q - 1) // 2, p) == 1 else 1,)
+    if field.kind == "r":
+        return (int(a < 0),)
+    if field.kind == "qq":
+        v, unit = _split(a, field.q)
+        return (v % 2, _legendre_bit(unit, field.q))
+    if field.kind == "q2":
+        v, unit = _split(a, 2)
+        return (v % 2, (unit - 1) // 2 % 2, (unit * unit - 1) // 8 % 2)
+    return (int(a < 0),) + tuple(_split(a, p)[0] % 2 for p in field.support)
+
+
+def _k2_places(field):
+    if field.kind == "q":
+        return (0,) + field.support
+    return {"c": (), "fq": (), "r": (0,), "qq": (field.q,), "q2": (2,)}[field.kind]
+
+
+def _symbol_bases(field, depth: int):
+    """{n: [(word, invariants)]} for K_n / 2, n = 0..depth, and the numbers
+    of the degree-1 words."""
+    kind = field.kind
+    if kind in ("fq", "qq"):
+        minus_one_square = _square_class(field, -1) == (0,) * len(_square_class(field, -1))
+        if kind == "qq" and not minus_one_square:
+            x = ("rho", -1)
+        elif kind == "qq":
+            x = ("u", next(g for g in range(2, field.q) if _legendre_bit(g, field.q)))
+        else:
+            x = ("u", None) if minus_one_square else ("rho", -1)
+        numbers = [x] + ([("pi", field.q)] if kind == "qq" else [])
+    elif kind == "q":
+        numbers = [("rho", -1)] + [(f"[{p}]", p) for p in field.support]
+    else:
+        numbers = {"c": [], "r": [("rho", -1)], "q2": [("pi", 2), ("rho", -1), ("u", 5)]}[kind]
+    places = _k2_places(field)
+    bases = {0: [((), (1,))],
+             1: [(((sym, 1),), _square_class(field, a)) for sym, a in numbers]}
+    number = {((sym, 1),): a for sym, a in numbers}
+    k2 = []
+    if kind == "qq":
+        (xs, xa), (ps, pa) = numbers
+        k2.append((tuple(sorted(((xs, 1), (ps, 1)))),
+                   tuple(hilbert_symbol_bit(xa, pa, v) for v in places)))
+    elif places:
+        k2.append(((("rho", 2),), tuple(hilbert_symbol_bit(-1, -1, v) for v in places)))
+    if kind == "q":
+        for p in field.odd_support():
+            k2.append((((f"a_{p}", 1),), tuple(int(v in (2, p)) for v in places)))
+    bases[2] = k2
+    for n in range(3, depth + 1):
+        bases[n] = [((("rho", n),), (1,))] if kind in ("r", "q") else []
+    return bases, number
+
+
+def _in_basis(vector, basis):
+    """The words whose invariants sum to vector over F2 (a unique subset)."""
+    hits = []
+    for mask in range(1 << len(basis)):
+        total = [0] * len(vector)
+        for i, (_, inv) in enumerate(basis):
+            if mask >> i & 1:
+                total = [(a + b) % 2 for a, b in zip(total, inv)]
+        if total == list(vector):
+            hits.append(sorted(word for i, (word, _) in enumerate(basis) if mask >> i & 1))
+    assert len(hits) == 1, f"{vector} is not uniquely in the span of {basis}"
+    return hits[0]
+
+
+def hilbert_rho_products(field, depth: int = 12):
+    """{stem: {basis word: rho times it, as a sorted list of basis words}}
+    for stems 0 down to -depth, computed from symbols alone."""
+    bases, number = _symbol_bases(field, depth + 1)
+    out = {}
+    for n in range(depth + 1):
+        products = {}
+        for word, inv in bases[n]:
+            if n == 0:
+                vector = _square_class(field, -1)
+            elif n == 1:
+                vector = tuple(hilbert_symbol_bit(-1, number[word], v) for v in _k2_places(field))
+            else:
+                # degree 3 and above lives at the real place only
+                vector = inv[:1] if field.kind in ("r", "q") else ()
+            products[word] = _in_basis(vector, bases[n + 1])
+        out[-n] = products
+    return out
+
+
+def rho_table_mismatches(field, depth: int = 12):
+    """Where the field's presentation disagrees with hilbert_rho_products:
+    a stem basis, a product, or a rho entry on a word of no basis."""
+    from esss.coefficients import mod2_stem_units
+    from esss.fields import presentation, rho_power_times
+
+    table = hilbert_rho_products(field, depth)
+    out = []
+    for stem, products in table.items():
+        if sorted(mod2_stem_units(field, stem)) != sorted(products):
+            out.append(("basis", stem, sorted(products)))
+        for word, want in products.items():
+            got = rho_power_times(field, word, 1)
+            if got != want:
+                out.append((word, want, got))
+    words = {word for products in table.values() for word in products}
+    out.extend(("entry", word) for word in presentation(field).rho if word not in words)
+    return out

@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from esss import oracles, verify
-from esss.coefficients import coeff_classes, coeff_hz, coeff_hz2
+from esss.coefficients import coeff_classes, coeff_hz2
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import isomorphic_orders
 from esss.numthy import NU_INFINITY
@@ -12,6 +12,11 @@ from esss.oracles import les_oracle, mass_hz2n_oracle
 
 TEN_FIELDS = [ALG_CLOSED, Fq(3), Fq(5), Fq(7), Fq(13), Qq(3), Qq(5), Q2, REALS,
               Q((2, 3, 5, 7))]
+
+
+def coeff_hz(field, s, w):
+    """pi_{s,w}(HZ), 2-locally: free summands have order 0."""
+    return coeff_classes(field, NU_INFINITY, s, w)
 
 
 def orders(classes):

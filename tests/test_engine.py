@@ -181,14 +181,18 @@ def test_empty_rule_file_refuses_certification(tmp_path):
 
 
 def test_loaded_rule_is_applied(tmp_path):
-    # a synthetic second differential on the closed-field L page: the free
-    # iota tower maps nowhere real, so invent one targeting a live class
+    # a synthetic second differential on the real L page, from the free
+    # tau^4 onto the order-2 class two slices up: E3 loses the target and
+    # keeps 2 tau^4
     path = tmp_path / "toy.rules"
-    path.write_text("d2: iota h1^2 tau -> 1 iota h1^2 tau  # self loop, must not match\n")
-    res = run(ALG_CLOSED, "L", PageWindow(-2, 6, 0, 10, -4, 3), rule_file=str(path),
+    path.write_text("d2: tau^4 -> 1 iota rho^2 h1^2 tau^4  # synthetic\n")
+    res = run(REALS, "L", PageWindow(-2, 6, 0, 10, -4, 3), rule_file=str(path),
               want_einf=False)
-    # rules are loaded but the degree shift never matches a self loop
-    assert res.status in ("Einf", "E3 only", "E2 only") or res.einf is not None
+    src, tgt = TriDegree(0, 0, -4), TriDegree(-1, 5, -4)
+    assert res.pages[1].data[src].diff == [[1]]
+    assert [p.r for p in res.pages] == [1, 2, 3]
+    assert res.pages[2].summands(tgt) == []
+    assert [cs.text() for cs in res.pages[2].summands(src)] == ["Z{2 tau^4}"]
 
 
 def test_page_orders_divide_previous():

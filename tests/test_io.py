@@ -148,10 +148,31 @@ def test_cli_bad_rule_file_is_one_line_error(capsys, tmp_path):
                "--s=0..4", "--f=0..6", "--w=-2..1"]
     assert "/nonexistent" in _one_line_error(capsys, compute + ["--rules", "/nonexistent"])
     bad = tmp_path / "bad.rules"
-    bad.write_text("# header\nd2: h1 tau -> 1 rho h1^2  # worked out elsewhere\nd2 h1 -> h1\n")
+    bad.write_text("# header\nd2: h1 tau -> 1 rho^3 h1^3  # worked out elsewhere\nd2 h1 -> h1\n")
     assert "line 3" in _one_line_error(capsys, compute + ["--rules", str(bad)])
+    # rules that could never fire: unknown symbols, a target off d_shift(2)
+    bad.write_text("d2: foo h1 -> 1 bar h1^3  # unknown symbols\n")
+    assert "line 1: unknown symbol 'foo'" in _one_line_error(capsys, compute + ["--rules", str(bad)])
+    bad.write_text("# header\nd2: h1 tau^2 -> 1 h1^9 tau^7  # misplaced target\n")
+    assert "line 2: the target" in _one_line_error(capsys, compute + ["--rules", str(bad)])
     pi = ["pi", "--field", "c", "--spectrum", "L", "--stem", "3", "--weight", "2"]
     assert "/nonexistent" in _one_line_error(capsys, pi + ["--rules", "/nonexistent"])
+
+
+def test_cli_field_flags_that_do_not_fit_are_one_line_errors(capsys):
+    """A support entry that is no prime, and a --q or --support on a field
+    that takes none, are refused, not computed with or dropped."""
+    page1 = ["--spectrum", "kq", "--page", "1", "--s=0..2", "--f=0..2", "--w=0..1"]
+    for field in (["q", "--support", "2,9"], ["q", "--support", "2,-3"],
+                  ["r", "--q", "5"], ["fq", "--q", "3", "--support", "2,5"]):
+        _one_line_error(capsys, ["compute", "--field", *field, *page1])
+    assert "meaningless for r" in _one_line_error(
+        capsys, ["pi", "--field", "r", "--q", "5", "--spectrum", "L", "--stem", "3", "--weight", "2"])
+
+
+def test_cli_check_rejects_an_empty_bernoulli_range(capsys):
+    for kmax in ("0", "-3"):
+        assert "--kmax" in _one_line_error(capsys, ["check", "--suite", "bernoulli", "--kmax", kmax])
 
 
 def test_cli_bad_output_path_is_one_line_error(capsys, tmp_path):

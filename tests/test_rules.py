@@ -92,10 +92,10 @@ def test_rule_file_parsing(tmp_path):
     path = tmp_path / "higher.rules"
     path.write_text(
         "# external data\n"
-        "d2: iota v1^2 tau^3 -> 1 rho h1^2 tau  # worked out elsewhere\n"
-        "d3: h1 tau^4 -> 2 rho^2 h1^4  # with a coefficient\n"
+        "d2: iota v1^2 tau^3 -> 1 rho^2 h1^4 tau^3  # worked out elsewhere\n"
+        "d3: h1 tau^4 -> 2 rho^4 h1^4 tau^3  # with a coefficient\n"
     )
-    rules = parse_rule_file(str(path))
+    rules = parse_rule_file(REALS, str(path))
     assert len(rules) == 2
     assert rules[0].page == 2 and rules[0].source.iota == 1
     assert rules[1].coefficient == 2
@@ -104,23 +104,40 @@ def test_rule_file_parsing(tmp_path):
     bad.write_text("# header\n\n"
                    "d3: h1 tau^4 if tau = 0 mod 4 -> 2 rho^2 h1^4  # with a condition\n")
     with pytest.raises(RuleFileError, match="line 3: conditions"):
-        parse_rule_file(str(bad))
+        parse_rule_file(REALS, str(bad))
     bad.write_text("d2: x -> y\n")
     with pytest.raises(RuleFileError, match="provenance"):
-        parse_rule_file(str(bad))
+        parse_rule_file(REALS, str(bad))
     bad.write_text("d1: h1 -> h1 # too early\n")
     with pytest.raises(RuleFileError, match="external rules start"):
-        parse_rule_file(str(bad))
+        parse_rule_file(REALS, str(bad))
 
 
 def test_rule_file_bad_exponent_names_the_line(tmp_path):
     bad = tmp_path / "bad.rules"
     bad.write_text("# header\nd2: iota v1^x tau -> 1 rho h1^2  # a typo\n")
     with pytest.raises(RuleFileError, match=r"line 2: bad exponent in 'v1\^x'"):
-        parse_rule_file(str(bad))
+        parse_rule_file(REALS, str(bad))
     bad.write_text("d2: 3 iota v1^2 tau -> 1 rho h1^2  # not a 2-power\n")
     with pytest.raises(RuleFileError, match="line 1: coefficient 3"):
-        parse_rule_file(str(bad))
+        parse_rule_file(REALS, str(bad))
     bad.write_text("d2: 0 h1 tau^2 -> 1 h1^3 tau  # zero is not a 2-power\n")
     with pytest.raises(RuleFileError, match="line 1: coefficient 0"):
-        parse_rule_file(str(bad))
+        parse_rule_file(REALS, str(bad))
+
+
+def test_rule_file_rejects_rules_that_can_never_fire(tmp_path):
+    """Symbols outside the field's alphabet and targets off source +
+    d_shift(r) would load and match nothing; both name their line."""
+    bad = tmp_path / "bad.rules"
+    bad.write_text("# header\nd2: foo h1 -> 1 bar h1^3  # unknown symbols\n")
+    with pytest.raises(RuleFileError, match="line 2: unknown symbol 'foo'"):
+        parse_rule_file(REALS, str(bad))
+    bad.write_text("d2: h1 tau^2 -> 1 h1^9 tau^7  # misplaced target\n")
+    with pytest.raises(RuleFileError, match=r"line 1: the target is not at source \+ d_shift\(2\)"):
+        parse_rule_file(REALS, str(bad))
+    # the alphabet is the field's: [3] is a symbol over Q(2,3), not over R
+    bad.write_text("d2: [3] h1 tau -> 1 a_3 rho^2 h1^3  # from the 3-adic block\n")
+    with pytest.raises(RuleFileError, match="line 1: unknown symbol '\\[3\\]'"):
+        parse_rule_file(REALS, str(bad))
+    assert len(parse_rule_file(Q((2, 3)), str(bad))) == 1
