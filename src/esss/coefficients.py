@@ -5,9 +5,12 @@ tridegrees is the one a class acquires once it is placed on a slice cell,
 which is what Monomial.degree computes.  The modulus n of HZ/2^n is the
 exponent, n = NU_INFINITY meaning integral coefficients.
 
-Over the rationals the modules are assembled from three blocks: a real
-block (rho classes), a 2-adic block (the pi-flavored classes, reduced to
-[2] mod 2), and one finite-field block per odd prime of the support set.
+The mod-2 module (n = 1) and the reduction of integral unit words are read
+from the field's presentation (fields.presentation).  Every other modulus,
+HZ included, goes through one builder per field kind.  Over the rationals
+the modules are assembled from three blocks: a real block (rho classes), a
+2-adic block (the pi-flavored classes, reduced to [2] mod 2), and one
+finite-field block per odd prime of the support set.
 Over the reals the mod-2^n module contains, besides the reductions of the
 integral classes, one order-2 class for each 2-torsion integral class one
 stem up; both oracles force these and the n = 1 case pins them.

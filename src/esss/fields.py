@@ -12,7 +12,8 @@ A field enters the mod-2 algebra only through its presentation: the basis
 unit words of pi_**(HZ/2) per stem, multiplication by rho (each product
 of a basis word with rho is one basis word or zero), the mod-2 reduction
 of the integral unit words that are not themselves basis words, and the
-symbol alphabet.  Every other module reads the record, not the kind.
+symbol alphabet.  The coefficients, the d1 rules and the rule-file parser
+read this record; none of them tests the kind for the mod-2 algebra.
 """
 from __future__ import annotations
 

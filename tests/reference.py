@@ -358,14 +358,15 @@ def _symbol_bases(field, depth: int):
     of the degree-1 words."""
     kind = field.kind
     if kind in ("fq", "qq"):
-        minus_one_square = _square_class(field, -1) == (0,) * len(_square_class(field, -1))
-        if kind == "qq" and not minus_one_square:
-            x = ("rho", -1)
-        elif kind == "qq":
-            x = ("u", next(g for g in range(2, field.q) if _legendre_bit(g, field.q)))
+        # the unit class is rho when -1 is a nonsquare, else a nonsquare u
+        if any(_square_class(field, -1)):
+            numbers = [("rho", -1)]
+        elif kind == "fq":
+            numbers = [("u", None)]
         else:
-            x = ("u", None) if minus_one_square else ("rho", -1)
-        numbers = [x] + ([("pi", field.q)] if kind == "qq" else [])
+            numbers = [("u", next(g for g in range(2, field.q) if _legendre_bit(g, field.q)))]
+        if kind == "qq":
+            numbers.append(("pi", field.q))
     elif kind == "q":
         numbers = [("rho", -1)] + [(f"[{p}]", p) for p in field.support]
     else:
