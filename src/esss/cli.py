@@ -38,7 +38,8 @@ def _join_negative_ranges(argv):
 
 def _field_from_args(args):
     return parse_field(args.field, q=args.q,
-                       support=tuple(int(p) for p in args.support.split(",")) if args.support else None)
+                       support=None if args.support is None
+                       else tuple(int(p) for p in args.support.split(",")))
 
 
 def _add_field_flags(sub):

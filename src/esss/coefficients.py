@@ -7,7 +7,7 @@ exponent, n = NU_INFINITY meaning integral coefficients.
 
 The mod-2 module (n = 1) and the reduction of integral unit words are read
 from the field's presentation (fields.presentation).  Every other modulus,
-HZ included, goes through one builder per field kind.  Over the rationals
+HZ included, goes through one closed form per field kind.  Over the rationals
 the modules are assembled from three blocks: a real block (rho classes), a
 2-adic block (the pi-flavored classes, reduced to [2] mod 2), and one
 finite-field block per odd prime of the support set.
@@ -138,7 +138,7 @@ def _q(field, n, s, w):
     return out
 
 
-_BUILDERS = {"c": _c, "fq": _fq, "qq": _qq, "q2": _q2, "r": _r, "q": _q}
+_BY_KIND = {"c": _c, "fq": _fq, "qq": _qq, "q2": _q2, "r": _r, "q": _q}
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +153,7 @@ def _coeff_classes(field: FieldId, n, s: int, w: int):
     if n == 1:
         # the canonical monomial basis, so generator names feed the rules
         return coeff_hz2(field, s, w)
-    return _BUILDERS[field.kind](field, n, s, w)
+    return _BY_KIND[field.kind](field, n, s, w)
 
 
 def reduce_integral_units(field: FieldId, units):

@@ -17,9 +17,10 @@ The last two components multiply the coefficient word by the stated rho
 power through the field's presentation (fields.presentation), so every
 relation of the base field is applied on the way and no kind is tested
 here; over finite fields and the odd q-adics they vanish identically and
-only the tau-shift family remains.  The differential on the fiber spectrum L is not
-a separate rule table: it is the restriction of this one to the kernel of
-psi^3 - 1 plus the map induced on the cokernel (iota classes).
+only the tau-shift family remains.  The differential on the fiber
+spectrum L is not a separate rule table: it is the restriction of this
+one to the kernel of psi^3 - 1 plus the map induced on the cokernel
+(iota classes).
 
 Higher differentials are never invented: each supported pair either ships
 an empty set with a citation certificate or loads literal rules from a

@@ -164,7 +164,7 @@ def test_cli_field_flags_that_do_not_fit_are_one_line_errors(capsys):
     that takes none, are refused, not computed with or dropped."""
     page1 = ["--spectrum", "kq", "--page", "1", "--s=0..2", "--f=0..2", "--w=0..1"]
     for field in (["q", "--support", "2,9"], ["q", "--support", "2,-3"],
-                  ["r", "--q", "5"], ["fq", "--q", "3", "--support", "2,5"]):
+                  ["q", "--support", ""], ["r", "--q", "5"], ["fq", "--q", "3", "--support", "2,5"]):
         _one_line_error(capsys, ["compute", "--field", *field, *page1])
     assert "meaningless for r" in _one_line_error(
         capsys, ["pi", "--field", "r", "--q", "5", "--spectrum", "L", "--stem", "3", "--weight", "2"])
