@@ -12,74 +12,66 @@ The maps commute with psi^3 - 1 (they preserve integral cells and the
 multiplier depends only on the slice), so on the L pages they are the maps
 engine._L_map induces on the kernel and cokernel parts.
 
-Comparison matrices are built from per-column images of the kq basis, and
-compare_e2 solves each (degree, target) against one factorisation.
+Every first-page map is read from one table, _kq_images, keyed by (source
+field, target field, tridegree): per source kq generator, the sparse column
+((target kq index, coefficient), ...) of its image, held as exact tuples of
+ints, which the collector stops tracking after one full pass.  Like
+engine._kq_degree the table lives as long as the process (cache_clear
+empties it), since callers pass one degree at a time and each map is asked
+for at its degree, one d1 up by the commutation check of the degree below,
+and again by compare_e2.  L maps go through engine._L_map, the commutation
+check and compare_e2 apply the sparse columns directly, and
+page1_map_matrix hands out a fresh dense copy.  compare_e2 solves each
+(degree, target) against one factorisation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
-from .engine import Page, _is_L, _kq_degree, _L_map, page1_basis, page1_d1
+from .engine import Page, _dense, _is_L, _kq_degree, _L_map, page1_basis, page1_d1
 from .fields import FieldId
 from .groups import TriDegree, d_shift
-from .homalg import StructuredGroup, express_in_group, is_injective, mat_mul, mat_vec
+from .homalg import StructuredGroup, express_in_group, is_injective
 
 
 def _unit_image(src: FieldId, dst: FieldId, units):
     """Image of a unit word as an F2 list of target unit words, or []."""
     pair = (src.kind, dst.kind)
-    if pair in (("fq", "c"), ("qq", "c"), ("r", "c")):
-        return [()] if units == () else []
+    if pair not in (("fq", "c"), ("qq", "c"), ("r", "c"), ("q", "r"), ("q", "q2"), ("q", "qq")):
+        raise ValueError(f"unsupported base change {src.text()} -> {dst.text()}")
+    if units == ():
+        return [()]
+    syms = dict(units)
     if pair == ("q", "r"):
-        if units == ():
-            return [()]
-        if len(units) != 1:
-            return []
-        (sym, exp) = units[0]
-        if sym == "rho":
-            return [(("rho", exp),)]
-        return []
+        return [units] if set(syms) == {"rho"} else []
     if pair == ("q", "q2"):
-        if units == ():
-            return [()]
-        syms = dict(units)
         if set(syms) == {"rho"}:
-            e = syms["rho"]
-            return [(("rho", e),)] if e <= 2 else []
+            return [units] if syms["rho"] <= 2 else []
         if set(syms) in ({"pi"}, {"[2]"}):
             return [(("pi", 1),)]
         if len(syms) == 1:
             (sym,) = syms
             if sym.startswith("[") and sym != "[2]":
-                p = int(sym[1:-1])
                 return {1: [], 3: [(("rho", 1),), (("u", 1),)],
-                        5: [(("u", 1),)], 7: [(("rho", 1),)]}[p % 8]
+                        5: [(("u", 1),)], 7: [(("rho", 1),)]}[int(sym[1:-1]) % 8]
             if sym.startswith("a_"):
                 return [(("rho", 2),)]
-        return []
     if pair == ("q", "qq"):
         p = dst.q
-        x = dst.x_symbol
-        if units == ():
-            return [()]
-        syms = dict(units)
         if set(syms) == {"rho"}:
-            if p % 4 == 3 and syms["rho"] == 1:
-                return [(("rho", 1),)]
-            return []
+            return [units] if p % 4 == 3 and syms["rho"] == 1 else []
         if set(syms) == {f"[{p}]"}:
             return [(("pi", 1),)]
-        if set(syms) == {f"a_{p}"}:
-            return [tuple(sorted(((x, 1), ("pi", 1))))]
-        if set(syms) in ({f"[{p}]", "u"}, {f"[{p}]", "rho"}):
-            return [tuple(sorted(((x, 1), ("pi", 1))))]
-        return []
-    raise ValueError(f"unsupported base change {src.text()} -> {dst.text()}")
+        if set(syms) in ({f"a_{p}"}, {f"[{p}]", "u"}, {f"[{p}]", "rho"}):
+            return [tuple(sorted(((dst.x_symbol, 1), ("pi", 1))))]
+    # over the closures only the empty word survives
+    return []
 
 
+@lru_cache(maxsize=None)
 def _kq_images(src: FieldId, dst: FieldId, deg: TriDegree):
-    """Per source kq column at deg, {target kq index: coefficient} of its image.
+    """Per source kq column at deg, ((target kq index, coefficient), ...) of its image.
 
     Words are matched on lead[1:], the lead monomial without its coefficient.
     """
@@ -87,28 +79,21 @@ def _kq_images(src: FieldId, dst: FieldId, deg: TriDegree):
     cols = []
     for cs in _kq_degree(src, deg):
         lead = cs.gen.lead
-        col = {}
-        for units in _unit_image(src, dst, lead.units):
-            t = index.get(lead[1:5] + (units,))
-            if t is not None:
-                col[t] = col.get(t, 0) + (1 << lead.coeff2)
-        cols.append(col)
-    return cols
+        targets = (index.get(lead[1:5] + (units,)) for units in _unit_image(src, dst, lead.units))
+        cols.append(tuple((t, 1 << lead.coeff2) for t in targets if t is not None))
+    return tuple(cols)
 
 
-def _kq_map_matrix(src: FieldId, dst: FieldId, deg: TriDegree):
-    M = [[0] * len(_kq_degree(src, deg)) for _ in _kq_degree(dst, deg)]
-    for j, col in enumerate(_kq_images(src, dst, deg)):
-        for t, c in col.items():
-            M[t][j] = c
-    return M
+def _map_columns(src, dst, spectrum, deg):
+    """The first-page comparison map at deg as sparse columns."""
+    if _is_L(spectrum):
+        return _L_map(src, dst, deg, deg, partial(_kq_images, src, dst))
+    return _kq_images(src, dst, deg)
 
 
 def page1_map_matrix(src, dst, spectrum, deg):
     """The first-page comparison matrix at deg, in the bases of page1_basis."""
-    if _is_L(spectrum):
-        return _L_map(src, dst, deg, deg, partial(_kq_images, src, dst))
-    return _kq_map_matrix(src, dst, deg)
+    return _dense(_map_columns(src, dst, spectrum, deg), len(page1_basis(dst, spectrum, deg)))
 
 
 @dataclass
@@ -131,23 +116,25 @@ class ComparisonReport:
 
 def compare_e1(src: FieldId, dst_list, spectrum: str, degrees) -> ComparisonReport:
     """Injectivity of the product comparison map and d1-commutation on E1."""
-    injective = {}
-    commutes = {}
-    excluded = {dst.text(): 0 for dst in dst_list}
+    injective, commutes = {}, {}
+    names = [dst.text() for dst in dst_list]
+    excluded = dict.fromkeys(names, 0)
     for deg in degrees:
         src_basis = page1_basis(src, spectrum, deg)
-        stacked = []
-        tgt_orders = []
-        for dst in dst_list:
-            M = page1_map_matrix(src, dst, spectrum, deg)
-            stacked.extend(M)
-            tgt_orders.extend(cs.order for cs in page1_basis(dst, spectrum, deg))
-            checked = [j for j, scs in enumerate(src_basis)
-                       if not (scs.gen.is_single() and _leaks(src, dst, scs.gen.lead))]
-            excluded[dst.text()] += len(src_basis) - len(checked)
-            commutes[(dst.text(), deg)] = _commutes_with_d1(
-                src, dst, spectrum, deg, checked, M,
-                page1_map_matrix(src, dst, spectrum, deg + d_shift(1)))
+        # _leaks only ever excludes a single-term source
+        leads = [scs.gen.lead if scs.gen.is_single() else None for scs in src_basis]
+        stacked, tgt_orders = [], []
+        for dst, name in zip(dst_list, names):
+            here = _map_columns(src, dst, spectrum, deg)
+            tgt_basis = page1_basis(dst, spectrum, deg)
+            stacked.extend(_dense(here, len(tgt_basis)))
+            tgt_orders.extend(cs.order for cs in tgt_basis)
+            checked = [j for j, lead in enumerate(leads)
+                       if lead is None or not _leaks(src, dst, lead)]
+            excluded[name] += len(src_basis) - len(checked)
+            commutes[(name, deg)] = _commutes_with_d1(
+                src, dst, spectrum, deg, checked, here,
+                _map_columns(src, dst, spectrum, deg + d_shift(1)))
         injective[deg] = is_injective(stacked, [cs.order for cs in src_basis], tgt_orders)
     return ComparisonReport(src, spectrum, 1, injective, commutes, excluded)
 
@@ -171,21 +158,27 @@ def _leaks(src: FieldId, dst: FieldId, mono) -> bool:
     return False
 
 
-def _commutes_with_d1(src, dst, spectrum, deg, checked, M_here, M_tgt) -> bool:
-    """M_tgt d1 = d1 M_here modulo the target orders, on the checked sources.
+def _commutes_with_d1(src, dst, spectrum, deg, checked, here, up) -> bool:
+    """up d1 = d1 here modulo the target orders, on the checked sources.
 
-    M_here and M_tgt are the comparison matrices at deg and deg + d_shift(1).
+    here and up are the sparse columns of the comparison map at deg and
+    deg + d_shift(1); both sides are summed entry by entry into one
+    {(target, source): difference} table.
     """
-    tgt_basis = page1_basis(dst, spectrum, deg + d_shift(1))
-    lhs = mat_mul(M_tgt, page1_d1(src, spectrum, deg))
-    rhs = mat_mul(page1_d1(dst, spectrum, deg), M_here)
-    # a row is empty where an inner dimension is 0: the product is zero there
-    for cs, l_row, r_row in zip(tgt_basis, lhs, rhs):
-        for j in checked:
-            diff = (l_row[j] if l_row else 0) - (r_row[j] if r_row else 0)
-            if (diff % cs.order if cs.order else diff) != 0:
-                return False
-    return True
+    orders = [cs.order for cs in page1_basis(dst, spectrum, deg + d_shift(1))]
+    diff = {}
+    for k, row in enumerate(page1_d1(src, spectrum, deg)):
+        for i, x in up[k]:
+            for j in checked:
+                if row[j]:
+                    diff[i, j] = diff.get((i, j), 0) + x * row[j]
+    d_dst = page1_d1(dst, spectrum, deg)
+    for j in checked:
+        for t, x in here[j]:
+            for i, row in enumerate(d_dst):
+                if row[t]:
+                    diff[i, j] = diff.get((i, j), 0) - row[t] * x
+    return not any(v % orders[i] if orders[i] else v for (i, _), v in diff.items())
 
 
 def compare_e2(src: FieldId, dst_list, spectrum: str,
@@ -200,10 +193,9 @@ def compare_e2(src: FieldId, dst_list, spectrum: str,
         if dd is None or not dd.summands:
             injective[deg] = True
             continue
-        stacked = []
-        tgt_orders_all = []
+        stacked, tgt_orders_all = [], []
         for dst, dpage in zip(dst_list, dst_pages):
-            M = page1_map_matrix(src, dst, spectrum, deg)
+            cols = _map_columns(src, dst, spectrum, deg)
             tdd = dpage.data.get(deg)
             group = StructuredGroup([cs.order for cs in tdd.summands] if tdd else [],
                                     tdd.history if tdd else ())
@@ -211,10 +203,15 @@ def compare_e2(src: FieldId, dst_list, spectrum: str,
             dmat = page1_d1(dst, spectrum, TriDegree(deg.s + 1, deg.f - 3, deg.w))
             b_cols = [list(col) for col in zip(*dmat)]
             amb_orders = [cs.order for cs in page1_basis(dst, spectrum, deg)]
-            imgs = [mat_vec(M, hist) for hist in dd.history]
-            cols = express_in_group(group, amb_orders, imgs, modulo_cols=b_cols)
-            assert None not in cols, (src.text(), dst.text(), deg)
-            stacked.extend(map(list, zip(*cols)))
+            imgs = [[0] * len(amb_orders) for _ in dd.history]
+            for img, hist in zip(imgs, dd.history):
+                for col, h in zip(cols, hist):
+                    if h:
+                        for t, c in col:
+                            img[t] += c * h
+            coords = express_in_group(group, amb_orders, imgs, modulo_cols=b_cols)
+            assert None not in coords, (src.text(), dst.text(), deg)
+            stacked.extend(map(list, zip(*coords)))
             tgt_orders_all.extend(group.orders)
         injective[deg] = is_injective(stacked, [cs.order for cs in dd.summands], tgt_orders_all)
     return ComparisonReport(src, spectrum, 2, injective, {}, {})

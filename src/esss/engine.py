@@ -161,36 +161,47 @@ def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_col):
     """The map a kq map induces on L's first page, from (src, deg) to (dst, tgt).
 
     kq_col(d) gives, per kq class of src at d, its image under the kq map
-    as {index among the kq classes of dst at d + (tgt - deg): coefficient}.
-    Kernel classes read the map at deg, cokernel classes one stem up; with
-    a diagonal psi^3 - 1 both are componentwise 2-power shifts, and a
-    kernel class must land in the kernel.
+    as ((index among the kq classes of dst at d + (tgt - deg), coefficient),
+    ...).  The result has that form too: per L class of src at deg, its
+    entries over the L classes of dst at tgt.  Kernel classes read
+    the map at deg, cokernel classes one stem up; with a diagonal psi^3 - 1
+    both are componentwise 2-power shifts, and a kernel class must land in
+    the kernel.
     """
     s_sum, s_part, s_vec = _L_degree(src, deg)
     t_sum, t_part, t_vec = _L_degree(dst, tgt)
-    M = [[0] * len(s_sum) for _ in t_sum]
+    cols = [[] for _ in s_sum]
     if not s_sum or not t_sum:
-        return M
+        return cols
     sk, tk = s_part.count("K"), t_part.count("K")
-    for s_deg, t_deg, cols, t_idx in (
+    for s_deg, t_deg, js, t_idx in (
             (deg, tgt, range(sk), range(tk)),
             (TriDegree(deg.s + 1, deg.f - 1, deg.w), TriDegree(tgt.s + 1, tgt.f - 1, tgt.w),
              range(sk, len(s_sum)), range(tk, len(t_sum)))):
-        if not cols or not _kq_degree(dst, t_deg):
+        if not js or not _kq_degree(dst, t_deg):
             continue
         # a kernel class is m times its kq class (m = 1 for C) and m divides the
         # kq order, so v / m modulo the class's own order is the exact coordinate
         rows = {t_vec[i][0]: (i, t_vec[i][1]) for i in t_idx}
         images = kq_col(s_deg)
-        for j in cols:
+        for j in js:
             idx, mult = s_vec[j]
-            for amb, v in images[idx].items():
+            for amb, v in images[idx]:
                 i, m = rows.get(amb, (None, 1))
                 v *= mult
                 assert i is not None and v % m == 0, \
                     f"kq map left the kernel: {src.text()} {deg} -> {dst.text()} {tgt}"
                 o = t_sum[i].order
-                M[i][j] = v // m % o if o else v // m
+                cols[j].append((i, v // m % o if o else v // m))
+    return cols
+
+
+def _dense(cols, n_rows):
+    """The matrix with n_rows rows whose columns are the sparse columns cols."""
+    M = [[0] * len(cols) for _ in range(n_rows)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            M[i][j] = x
     return M
 
 
@@ -198,9 +209,9 @@ def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_col):
 def _d1_L(field: FieldId, deg: TriDegree):
     """The page-1 differential of L at deg, in the K/C generator bases."""
     def kq_col(d):
-        dk = _d1_kq(field, d)
-        return [{i: x for i, x in enumerate(col) if x} for col in zip(*dk)]
-    return _L_map(field, field, deg, deg + d_shift(1), kq_col)
+        return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*_d1_kq(field, d))]
+    tgt = deg + d_shift(1)
+    return _dense(_L_map(field, field, deg, tgt, kq_col), len(_L_degree(field, tgt)[0]))
 
 
 def _is_L(spectrum: str) -> bool:

@@ -15,29 +15,6 @@ injectivity without a cokernel or generator vectors, and
 from __future__ import annotations
 
 
-def mat_mul(A, B):
-    """The product A B, read from the nonzero entries only."""
-    rows = len(A)
-    cols = len(B[0]) if B else 0
-    out = [[0] * cols for _ in range(rows)]
-    if not A or not B:
-        return out
-    n = len(B)
-    assert all(len(row) == n for row in A), "shape mismatch"
-    assert all(len(row) == cols for row in B), "shape mismatch"
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in B]
-    for row, out_row in zip(A, out):
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row:
-                    out_row[j] += x * y
-    return out
-
-
-def mat_vec(A, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in A]
-
-
 def _rows(M):
     return [{j: a for j, a in enumerate(row) if a} for row in M]
 

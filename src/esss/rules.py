@@ -28,18 +28,18 @@ user-supplied file in the line format
 
     d{r}: <source> -> <coefficient> <target> # <provenance>
 
-where source and target are single monomials over the field's symbol
-alphabet and the target sits at source + d_shift(r).  A line that breaks
-either, or carries an `if` condition, is rejected, not loaded to match
-nothing.
+where source and target are single monomials whose unit words are basis
+words of the field on their cells, and the target sits at source +
+d_shift(r).  A line that breaks either, or carries an `if` condition, is
+rejected, not loaded to match nothing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coefficients import reduce_integral_units
+from .coefficients import mod2_stem_units, reduce_integral_units
 from .fields import FieldId, presentation, rho_power_times
-from .groups import Monomial, d_shift
+from .groups import Monomial, d_shift, unit_word_degree
 
 
 def _sq2_coefficient(j: int, k: int) -> int:
@@ -158,7 +158,10 @@ class RuleFileError(ValueError):
     pass
 
 
-def _parse_monomial(text: str, lineno: int, alphabet) -> Monomial:
+def _parse_monomial(text: str, lineno: int, field: FieldId) -> Monomial:
+    """A monomial whose word is a basis word on its cell: a mod-2 word for h1 > 0;
+    for h1 = 0 a reduction table key, or a mod-2 word that no key reduces to."""
+    pres = presentation(field)
     coeff2 = 0
     kwargs = {"h1": 0, "v1": 0, "tau": 0, "iota": 0}
     units = []
@@ -179,16 +182,23 @@ def _parse_monomial(text: str, lineno: int, alphabet) -> Monomial:
             raise RuleFileError(f"line {lineno}: bad exponent in {token!r}") from None
         if sym in ("h1", "v1", "tau"):
             kwargs[sym] = exp
-        elif sym in alphabet:
+        elif sym in pres.alphabet:
             units.append((sym, exp))
         else:
             raise RuleFileError(f"line {lineno}: unknown symbol {sym!r}")
-    return Monomial(coeff2=coeff2, units=tuple(sorted(units)), **kwargs)
+    mono = Monomial(coeff2=coeff2, units=tuple(sorted(units)), **kwargs)
+    word, reduction = mono.units, pres.reduction
+    mod2 = word in mod2_stem_units(field, unit_word_degree(word)[0])
+    ok = mod2 if mono.h1 else word in reduction or (mod2 and word not in reduction.values())
+    if not ok:
+        cell = "a mod-2" if mono.h1 else "an integral"
+        raise RuleFileError(f"line {lineno}: {Monomial(units=word).text()} is no basis "
+                            f"word of {field.text()} in {cell} cell")
+    return mono
 
 
 def parse_rule_file(field: FieldId, path: str):
     """Line format: d{r}: <source> -> <coeff> <target> # <provenance>."""
-    alphabet = presentation(field).alphabet
     rules = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -218,8 +228,8 @@ def parse_rule_file(field: FieldId, path: str):
             if tgt_tokens and tgt_tokens[0].isdigit():
                 coeff = int(tgt_tokens[0])
                 tgt_tokens = tgt_tokens[1:]
-            source = _parse_monomial(src, lineno, alphabet)
-            target = _parse_monomial(" ".join(tgt_tokens), lineno, alphabet)
+            source = _parse_monomial(src, lineno, field)
+            target = _parse_monomial(" ".join(tgt_tokens), lineno, field)
             if target.degree() != source.degree() + d_shift(page):
                 raise RuleFileError(f"line {lineno}: the target is not at source + d_shift({page})")
             rules.append(HigherRule(page, source, target, coeff, provenance))

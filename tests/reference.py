@@ -4,9 +4,28 @@ from __future__ import annotations
 from functools import lru_cache
 
 from esss.groups import Monomial
-from esss.homalg import StructuredGroup, mat_mul
+from esss.homalg import StructuredGroup
 from esss.numthy import NU_INFINITY, a_q, nu2
 from esss.slices import SliceSummand, slices_kq
+
+
+def mat_mul(A, B):
+    """The product A B, read from the nonzero entries only."""
+    rows = len(A)
+    cols = len(B[0]) if B else 0
+    out = [[0] * cols for _ in range(rows)]
+    if not A or not B:
+        return out
+    n = len(B)
+    assert all(len(row) == n for row in A), "shape mismatch"
+    assert all(len(row) == cols for row in B), "shape mismatch"
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in B]
+    for row, out_row in zip(A, out):
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    out_row[j] += x * y
+    return out
 
 
 def identity(n: int):

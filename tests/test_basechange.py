@@ -1,10 +1,12 @@
+import gc
 import hashlib
 import random
 
 import pytest
 
 from esss import basechange
-from esss.basechange import _commutes_with_d1, _unit_image, compare_e1, page1_map_matrix
+from esss.basechange import (_commutes_with_d1, _kq_images, _map_columns, _unit_image,
+                             compare_e1, compare_e2, page1_map_matrix)
 from esss.engine import PageWindow, _d1_L, _kq_degree, _L_degree, page1_basis, page1_d1, run
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import TriDegree, d_shift, isomorphic_orders
@@ -37,15 +39,16 @@ def test_monomial_images():
 
 def test_commutation_check_rejects_a_wrong_matrix():
     """Every report commutes, so check that the check can fail: with the
-    comparison matrix one degree up replaced by zero it must."""
+    comparison map one degree up replaced by zero it must."""
     src = Q((2, 3))
     for dst, spectrum, deg in ((Q2, "kq", TriDegree(1, 1, -2)),
                                (REALS, "L", TriDegree(-2, 2, -3))):
         cols = list(range(len(page1_basis(src, spectrum, deg))))
-        here = page1_map_matrix(src, dst, spectrum, deg)
-        up = page1_map_matrix(src, dst, spectrum, deg + d_shift(1))
+        here = _map_columns(src, dst, spectrum, deg)
+        up = _map_columns(src, dst, spectrum, deg + d_shift(1))
+        assert any(up)
         assert _commutes_with_d1(src, dst, spectrum, deg, cols, here, up)
-        zero = [[0] * len(row) for row in up]
+        zero = [() for _ in up]
         assert not _commutes_with_d1(src, dst, spectrum, deg, cols, here, zero)
 
 
@@ -125,10 +128,89 @@ def test_L_map_keeps_kernel_classes_in_the_kernel(monkeypatch):
     assert _kq_degree(dst, deg)[0].order == 0
     assert 0 not in [vec[0] for p, vec in zip(parts, vectors) if p == "K"]
     assert page1_map_matrix(src, dst, "L", deg) == [[1]]
-    monkeypatch.setattr(basechange, "_kq_images",
-                        lambda s, t, d: [{0: 1} for _ in _kq_degree(s, d)])
+    # the cached table is warm now; the patch replaces it, not its entries
+    calls = []
+
+    def images(s, t, d):
+        calls.append(d)
+        return tuple(((0, 1),) for _ in _kq_degree(s, d))
+
+    monkeypatch.setattr(basechange, "_kq_images", images)
     with pytest.raises(AssertionError, match="left the kernel"):
         page1_map_matrix(src, dst, "L", deg)
+    assert calls
+
+
+TABLE_SRC, TABLE_DSTS = Q((2, 3)), [REALS, Q2, Qq(3)]
+TABLE_DEGREES = slice_degrees((-2, 5), (0, 5), -2)
+
+
+def _table_reports(spectrum):
+    """E1 over the whole window and per degree, then E2, for Q(2,3)."""
+    whole = compare_e1(TABLE_SRC, TABLE_DSTS, spectrum, TABLE_DEGREES)
+    single = [compare_e1(TABLE_SRC, TABLE_DSTS, spectrum, [deg]) for deg in TABLE_DEGREES]
+    win = PageWindow(-2, 5, 0, 5, -2, 2)
+    pages = [run(f, spectrum, win, want_einf=False).pages[1] for f in [TABLE_SRC] + TABLE_DSTS]
+    e2 = compare_e2(TABLE_SRC, TABLE_DSTS, spectrum, pages[0], pages[1:], sorted(pages[0].data))
+    return whole, single, e2
+
+
+def _verdicts(rep):
+    return rep.injective, rep.commutes, rep.excluded
+
+
+def test_window_report_is_the_union_of_degree_reports():
+    """The kq image table outlives a call, so a window and one call per
+    degree must read the same maps and give the same verdicts."""
+    for spectrum in ("kq", "L"):
+        whole, single, _ = _table_reports(spectrum)
+        assert len(whole.injective) == len(TABLE_DEGREES) == len(single)
+        merged = ({}, {}, dict.fromkeys(whole.excluded, 0))
+        for rep in single:
+            merged[0].update(rep.injective)
+            merged[1].update(rep.commutes)
+            for k, v in rep.excluded.items():
+                merged[2][k] += v
+        assert _verdicts(whole) == merged
+        assert whole.all_injective and whole.all_commute
+
+
+def test_cold_and_warm_table_give_the_same_reports():
+    """Reports from an empty image table equal reports read from a table
+    warmed by other spectra, targets and degrees first."""
+    _kq_images.cache_clear()
+    cold = {sp: _table_reports(sp) for sp in ("kq", "L")}
+    assert _kq_images.cache_info().currsize > 0
+    compare_e1(TABLE_SRC, [Qq(3), REALS], "L", slice_degrees((-3, 7), (0, 7), -3))
+    for spectrum in ("L", "kq"):
+        warm = _table_reports(spectrum)
+        assert [_verdicts(r) for r in (warm[0], *warm[1], warm[2])] == \
+            [_verdicts(r) for r in (cold[spectrum][0], *cold[spectrum][1], cold[spectrum][2])]
+
+
+def test_map_matrix_is_a_fresh_copy():
+    """A caller may write into the matrix it gets; the table stays intact."""
+    src, deg = Q((2, 3)), TriDegree(1, 1, -2)
+    for dst, spectrum in ((Q2, "kq"), (REALS, "L"), (Qq(3), "kq")):
+        first = page1_map_matrix(src, dst, spectrum, deg)
+        assert any(any(row) for row in first)
+        want = [list(row) for row in first]
+        for row in first:
+            row[:] = [7] * len(row)
+        assert page1_map_matrix(src, dst, spectrum, deg) == want
+
+
+def test_cached_images_are_untracked_by_the_collector():
+    """The table holds exact tuples of ints only, which a full collection
+    stops tracking: a warm table costs no later collection any work."""
+    compare_e1(TABLE_SRC, TABLE_DSTS, "L", TABLE_DEGREES)
+    gc.collect()
+    misses = _kq_images.cache_info().misses
+    values = [_kq_images(TABLE_SRC, dst, d) for dst in TABLE_DSTS for deg in TABLE_DEGREES
+              for d in (deg, deg + d_shift(1))]
+    assert _kq_images.cache_info().misses == misses
+    assert any(any(col) for col in values)
+    assert [v for v in values if gc.is_tracked(v)] == []
 
 
 def _solver_cases():

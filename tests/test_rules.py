@@ -127,8 +127,9 @@ def test_rule_file_bad_exponent_names_the_line(tmp_path):
 
 
 def test_rule_file_rejects_rules_that_can_never_fire(tmp_path):
-    """Symbols outside the field's alphabet and targets off source +
-    d_shift(r) would load and match nothing; both name their line."""
+    """Symbols outside the field's alphabet, words that are no basis word
+    and targets off source + d_shift(r) would load and match nothing; each
+    names its line."""
     bad = tmp_path / "bad.rules"
     bad.write_text("# header\nd2: foo h1 -> 1 bar h1^3  # unknown symbols\n")
     with pytest.raises(RuleFileError, match="line 2: unknown symbol 'foo'"):
@@ -140,4 +141,29 @@ def test_rule_file_rejects_rules_that_can_never_fire(tmp_path):
     bad.write_text("d2: [3] h1 tau -> 1 a_3 rho^2 h1^3  # from the 3-adic block\n")
     with pytest.raises(RuleFileError, match="line 1: unknown symbol '\\[3\\]'"):
         parse_rule_file(REALS, str(bad))
+    # over Q(2,3) both symbols exist, but a_3 rho = 0: the target is no basis word
+    with pytest.raises(RuleFileError, match="line 1: a_3 rho\\^2 is no basis word of Q\\(2,3\\)"):
+        parse_rule_file(Q((2, 3)), str(bad))
+    bad.write_text("d2: [3] h1 tau -> 1 rho^4 h1^3  # from the real block\n")
     assert len(parse_rule_file(Q((2, 3)), str(bad))) == 1
+
+
+@pytest.mark.parametrize("source, error", [
+    ("pi h1 tau", r"pi is no basis word of Q\(2,3\) in a mod-2 cell"),
+    ("[3] rho h1 tau", r"\[3\] rho is no basis word of Q\(2,3\) in a mod-2 cell"),
+    ("[2] tau", r"\[2\] is no basis word of Q\(2,3\) in an integral cell"),
+    ("a_3 v1^2 tau", r"a_3 is no basis word of Q\(2,3\) in an integral cell"),
+    # the integral words that reduce to [2] and a_3 pass the word check and
+    # meet the degree check, as do iota (cokernel) words
+    ("pi tau", "the target is not at"),
+    ("iota [3] rho v1^2", "the target is not at"),
+    ("iota [2] h1", "the target is not at"),
+])
+def test_rule_file_checks_words_per_cell(tmp_path, source, error):
+    """A mod-2 cell (h1 > 0) takes the basis words of pi_**(HZ/2); an
+    integral cell takes the words of the integral classes, which the
+    reduction table renames over Q ([2] and a_3 are mod-2 names only)."""
+    bad = tmp_path / "bad.rules"
+    bad.write_text(f"d2: {source} -> 1 h1^9  # a word check\n")
+    with pytest.raises(RuleFileError, match="line 1: " + error):
+        parse_rule_file(Q((2, 3)), str(bad))

@@ -31,6 +31,17 @@ CHECK_OUTPUT = {
         "[PASS] image-of-J torsion embeds over Q2 (k <= 16)  (2-part of denom(B_2k/4k))",
         "suite bernoulli: PASS",
     ],
+    "hasse": [
+        "[PASS] first-page product map injective for kq  (motivic local-global comparison)",
+        "[PASS] designated blocks intertwine d1 for kq  (comparison with the completions)",
+        "[PASS] second-page product map injective for kq  "
+        "(differentials are lifted from the completions)",
+        "[PASS] first-page product map injective for L  (motivic local-global comparison)",
+        "[PASS] designated blocks intertwine d1 for L  (comparison with the completions)",
+        "[PASS] second-page product map injective for L  "
+        "(differentials are lifted from the completions)",
+        "suite hasse: PASS",
+    ],
     "goldens": [
         "[PASS] collapsed page of kq over the closure, stems 0..12  (hand-checked golden file)",
         "[PASS] homotopy table of L over F5, stems -2..6  (hand-checked golden file)",
