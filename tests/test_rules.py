@@ -148,7 +148,7 @@ def test_rule_file_rejects_rules_that_can_never_fire(tmp_path):
     assert len(parse_rule_file(Q((2, 3)), str(bad))) == 1
 
 
-@pytest.mark.parametrize("source, error", [
+WORD_CASES = [
     ("pi h1 tau", r"pi is no basis word of Q\(2,3\) in a mod-2 cell"),
     ("[3] rho h1 tau", r"\[3\] rho is no basis word of Q\(2,3\) in a mod-2 cell"),
     ("[2] tau", r"\[2\] is no basis word of Q\(2,3\) in an integral cell"),
@@ -158,7 +158,10 @@ def test_rule_file_rejects_rules_that_can_never_fire(tmp_path):
     ("pi tau", "the target is not at"),
     ("iota [3] rho v1^2", "the target is not at"),
     ("iota [2] h1", "the target is not at"),
-])
+]
+
+
+@pytest.mark.parametrize("source, error", WORD_CASES, ids=[case[0] for case in WORD_CASES])
 def test_rule_file_checks_words_per_cell(tmp_path, source, error):
     """A mod-2 cell (h1 > 0) takes the basis words of pi_**(HZ/2); an
     integral cell takes the words of the integral classes, which the
