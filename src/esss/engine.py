@@ -162,11 +162,11 @@ def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_col):
 
     kq_col(d) gives, per kq class of src at d, its image under the kq map
     as ((index among the kq classes of dst at d + (tgt - deg), coefficient),
-    ...).  The result has that form too: per L class of src at deg, its
-    entries over the L classes of dst at tgt.  Kernel classes read
-    the map at deg, cokernel classes one stem up; with a diagonal psi^3 - 1
-    both are componentwise 2-power shifts, and a kernel class must land in
-    the kernel.
+    ...); the result gives, per L class of src at deg, its entries over the
+    L classes of dst at tgt in the same form.  Kernel classes read the map
+    at deg, cokernel classes one stem up; with a diagonal psi^3 - 1 both
+    are componentwise 2-power shifts, and a kernel class must land in the
+    kernel.
     """
     s_sum, s_part, s_vec = _L_degree(src, deg)
     t_sum, t_part, t_vec = _L_degree(dst, tgt)
