@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .engine import Page, _dense, _is_L, _kq_degree, _L_map, page1_basis, page1_d1
+from .engine import Page, _is_L, _kq_degree, _L_map, page1_basis, page1_d1
 from .fields import FieldId
 from .groups import TriDegree, d_shift
 from .homalg import StructuredGroup, express_in_group, is_injective
@@ -86,9 +86,21 @@ def _kq_images(src: FieldId, dst: FieldId, deg: TriDegree):
 
 def _map_columns(src, dst, spectrum, deg):
     """The first-page comparison map at deg as sparse columns."""
-    if _is_L(spectrum):
-        return _L_map(src, dst, deg, deg, partial(_kq_images, src, dst))
-    return _kq_images(src, dst, deg)
+    if not _is_L(spectrum):
+        return _kq_images(src, dst, deg)
+    cols = [[] for _ in page1_basis(src, spectrum, deg)]
+    for i, j, x in _L_map(src, dst, deg, deg, partial(_kq_images, src, dst)):
+        cols[j].append((i, x))
+    return cols
+
+
+def _dense(cols, n_rows):
+    """The matrix with n_rows rows whose columns are the sparse columns cols."""
+    M = [[0] * len(cols) for _ in range(n_rows)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            M[i][j] = x
+    return M
 
 
 def page1_map_matrix(src, dst, spectrum, deg):

@@ -162,17 +162,16 @@ def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_col):
 
     kq_col(d) gives, per kq class of src at d, its image under the kq map
     as ((index among the kq classes of dst at d + (tgt - deg), coefficient),
-    ...); the result gives, per L class of src at deg, its entries over the
-    L classes of dst at tgt in the same form.  Kernel classes read the map
-    at deg, cokernel classes one stem up; with a diagonal psi^3 - 1 both
-    are componentwise 2-power shifts, and a kernel class must land in the
-    kernel.
+    ...).  Yields the map's entries column by column, as (row, column,
+    value) over the L classes of dst at tgt and of src at deg.  Kernel
+    classes read the map at deg, cokernel classes one stem up; with a
+    diagonal psi^3 - 1 both are componentwise 2-power shifts, and a kernel
+    class must land in the kernel.
     """
     s_sum, s_part, s_vec = _L_degree(src, deg)
     t_sum, t_part, t_vec = _L_degree(dst, tgt)
-    cols = [[] for _ in s_sum]
     if not s_sum or not t_sum:
-        return cols
+        return
     sk, tk = s_part.count("K"), t_part.count("K")
     for s_deg, t_deg, js, t_idx in (
             (deg, tgt, range(sk), range(tk)),
@@ -192,17 +191,7 @@ def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_col):
                 assert i is not None and v % m == 0, \
                     f"kq map left the kernel: {src.text()} {deg} -> {dst.text()} {tgt}"
                 o = t_sum[i].order
-                cols[j].append((i, v // m % o if o else v // m))
-    return cols
-
-
-def _dense(cols, n_rows):
-    """The matrix with n_rows rows whose columns are the sparse columns cols."""
-    M = [[0] * len(cols) for _ in range(n_rows)]
-    for j, col in enumerate(cols):
-        for i, x in col:
-            M[i][j] = x
-    return M
+                yield i, j, (v // m % o if o else v // m)
 
 
 @lru_cache(maxsize=None)
@@ -211,7 +200,10 @@ def _d1_L(field: FieldId, deg: TriDegree):
     def kq_col(d):
         return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*_d1_kq(field, d))]
     tgt = deg + d_shift(1)
-    return _dense(_L_map(field, field, deg, tgt, kq_col), len(_L_degree(field, tgt)[0]))
+    M = [[0] * len(_L_degree(field, deg)[0]) for _ in _L_degree(field, tgt)[0]]
+    for i, j, x in _L_map(field, field, deg, tgt, kq_col):
+        M[i][j] = x
+    return M
 
 
 def _is_L(spectrum: str) -> bool:
