@@ -15,7 +15,8 @@ engine._L_map induces on the kernel and cokernel parts.
 Every first-page map is read from one table, _kq_images, keyed by (source
 field, target field, tridegree): per source kq generator, the sparse column
 ((target kq index, coefficient), ...) of its image, held as exact tuples of
-ints, which the collector stops tracking after one full pass.  Like
+ints.  Equal pairs and columns are shared (_shared), so the collector stops
+tracking a new entry at the first collection it survives.  Like
 engine._kq_degree the table lives as long as the process (cache_clear
 empties it), since callers pass one degree at a time and each map is asked
 for at its degree, one d1 up by the commutation check of the degree below,
@@ -26,8 +27,8 @@ page1_map_matrix hands out a fresh dense copy.  compare_e2 solves each
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .engine import Page, _is_L, _kq_degree, _L_map, page1_basis, page1_d1
 from .fields import FieldId
@@ -70,6 +71,12 @@ def _unit_image(src: FieldId, dst: FieldId, units):
 
 
 @lru_cache(maxsize=None)
+def _shared(part):
+    """The one copy of an equal pair or column that every table entry holds."""
+    return part
+
+
+@lru_cache(maxsize=None)
 def _kq_images(src: FieldId, dst: FieldId, deg: TriDegree):
     """Per source kq column at deg, ((target kq index, coefficient), ...) of its image.
 
@@ -80,7 +87,8 @@ def _kq_images(src: FieldId, dst: FieldId, deg: TriDegree):
     for cs in _kq_degree(src, deg):
         lead = cs.gen.lead
         targets = (index.get(lead[1:5] + (units,)) for units in _unit_image(src, dst, lead.units))
-        cols.append(tuple((t, 1 << lead.coeff2) for t in targets if t is not None))
+        col = tuple(_shared((t, 1 << lead.coeff2)) for t in targets if t is not None)
+        cols.append(_shared(col))
     return tuple(cols)
 
 
@@ -94,22 +102,24 @@ def _map_columns(src, dst, spectrum, deg):
     return cols
 
 
-def _dense(cols, n_rows):
-    """The matrix with n_rows rows whose columns are the sparse columns cols."""
-    M = [[0] * len(cols) for _ in range(n_rows)]
+def _row_dicts(cols, n_rows):
+    """The rows {column: nonzero entry} of the n_rows-row matrix with sparse columns cols."""
+    rows = [{} for _ in range(n_rows)]
     for j, col in enumerate(cols):
         for i, x in col:
-            M[i][j] = x
-    return M
+            if x:
+                rows[i][j] = x
+    return rows
 
 
 def page1_map_matrix(src, dst, spectrum, deg):
     """The first-page comparison matrix at deg, in the bases of page1_basis."""
-    return _dense(_map_columns(src, dst, spectrum, deg), len(page1_basis(dst, spectrum, deg)))
+    cols = _map_columns(src, dst, spectrum, deg)
+    return [[row.get(j, 0) for j in range(len(cols))]
+            for row in _row_dicts(cols, len(page1_basis(dst, spectrum, deg)))]
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     src: FieldId
     spectrum: str
     page: int
@@ -139,7 +149,7 @@ def compare_e1(src: FieldId, dst_list, spectrum: str, degrees) -> ComparisonRepo
         for dst, name in zip(dst_list, names):
             here = _map_columns(src, dst, spectrum, deg)
             tgt_basis = page1_basis(dst, spectrum, deg)
-            stacked.extend(_dense(here, len(tgt_basis)))
+            stacked.extend(_row_dicts(here, len(tgt_basis)))
             tgt_orders.extend(cs.order for cs in tgt_basis)
             checked = [j for j, lead in enumerate(leads)
                        if lead is None or not _leaks(src, dst, lead)]
@@ -223,7 +233,7 @@ def compare_e2(src: FieldId, dst_list, spectrum: str,
                             img[t] += c * h
             coords = express_in_group(group, amb_orders, imgs, modulo_cols=b_cols)
             assert None not in coords, (src.text(), dst.text(), deg)
-            stacked.extend(map(list, zip(*coords)))
+            stacked.extend({j: x for j, x in enumerate(row) if x} for row in zip(*coords))
             tgt_orders_all.extend(group.orders)
         injective[deg] = is_injective(stacked, [cs.order for cs in dd.summands], tgt_orders_all)
     return ComparisonReport(src, spectrum, 2, injective, {}, {})

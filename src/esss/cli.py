@@ -12,7 +12,7 @@ from .charts import chart_svg
 from .engine import PageWindow, WindowError, run
 from .fields import parse_field
 from .pitable import compute_pi_group
-from .rules import RuleFileError
+from .rules import RuleFileError, higher_ruleset
 from .serialize import (document_json, page_document, page_markdown,
                         pi_document, pi_markdown)
 
@@ -20,9 +20,12 @@ from .serialize import (document_json, page_document, page_markdown,
 def _parse_range(flag: str, text: str):
     lo, _, hi = text.partition("..")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise ValueError(f"{flag} expects an integer range a..b, got {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"{flag} range {text!r} is reversed: a..b needs a <= b")
+    return lo, hi
 
 
 def _join_negative_ranges(argv):
@@ -80,6 +83,7 @@ def cmd_compute(args) -> int:
     try:
         if want_page == "1":
             from .engine import build_page1
+            higher_ruleset(field, args.spectrum, args.rules)  # refuses a bad rule file
             page = build_page1(field, args.spectrum, window)
             result = None
         else:

@@ -23,9 +23,9 @@ included.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .fields import FieldId
 from .groups import CyclicSummand, Generator, Monomial, TriDegree, d_shift
@@ -35,8 +35,7 @@ from .rules import d1_matrix, higher_ruleset
 from .slices import e1_kq_basis, psi3_entries
 
 
-@dataclass(frozen=True)
-class PageWindow:
+class PageWindow(NamedTuple):
     s_min: int
     s_max: int
     f_min: int
@@ -72,17 +71,17 @@ class WindowError(ValueError):
     """A window is not closed under the differentials a caller needs."""
 
 
-@dataclass
 class DegreeData:
-    # page 1 shares the cached tuples of page1_basis: read only
-    summands: list
-    # page >= 2: expressions of the new generators over the previous page
-    history: list = dc_field(default_factory=list)
-    diff: list | None = None
+    __slots__ = ("summands", "history", "diff")
+
+    def __init__(self, summands: list, history: list | None = None, diff: list | None = None):
+        self.summands = summands  # page 1 shares the cached tuples of page1_basis: read only
+        # page >= 2: expressions of the new generators over the previous page
+        self.history = [] if history is None else history
+        self.diff = diff
 
 
-@dataclass
-class Page:
+class Page(NamedTuple):
     field: FieldId
     spectrum: str
     r: int
@@ -325,8 +324,7 @@ def _attach_higher_diff(page: Page, higher_rules):
         dd.diff = M
 
 
-@dataclass(frozen=True)
-class CollapseCertificate:
+class CollapseCertificate(NamedTuple):
     field: FieldId
     spectrum: str
     kind: str  # "degree-vanishing" | "cited"
@@ -345,8 +343,7 @@ def degree_vanishing(page: Page) -> bool:
     return True
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     pages: list
     einf: Page | None
     certificate: CollapseCertificate | None

@@ -4,9 +4,9 @@ Supported bases: algebraically closed fields, finite fields F_q (q an odd
 prime power), q-adic rationals for odd primes q, the 2-adic rationals, the
 reals, and the rationals with a finite prime support set (2 always
 included).  FieldId is an immutable tuple record, so hashing, equality and
-construction run in C.  Caveat: it equals the plain tuple of its fields,
-FieldId("c") == ("c", None, None), so no dict or set may mix FieldId keys
-with plain-tuple keys.
+construction run in C.  Caveat: like every esss record (see groups) it
+equals the plain tuple of its fields, FieldId("c") == ("c", None, None), so
+no dict or set may mix FieldId keys with plain-tuple keys.
 
 A field enters the mod-2 algebra only through its presentation: the basis
 unit words of pi_**(HZ/2) per stem, multiplication by rho (each product

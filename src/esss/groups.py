@@ -4,10 +4,10 @@ A generator name is a formal sum of monomials; almost every class is a
 single monomial, but surviving classes over the 2-adic rationals can be
 honest two-term sums, so the sum form is first-class.
 
-TriDegree, Monomial, Generator and CyclicSummand are immutable tuple
-records, so hashing, equality and construction run in C.  Caveat: a record
-equals the plain tuple of its fields, TriDegree(1, 2, 3) == (1, 2, 3), so
-no dict or set may mix record keys with plain-tuple keys.
+TriDegree, Monomial, Generator, CyclicSummand and every other esss record
+whose attributes are never reassigned are immutable tuple records, so
+hashing, equality and construction run in C.  Caveat: a record equals any
+tuple of equal values, so no dict or set may mix such keys.
 """
 from __future__ import annotations
 

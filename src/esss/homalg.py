@@ -170,16 +170,17 @@ def _lattice(b_rows, n, tgt_orders):
     return [c for c in cols if c]
 
 
-def is_injective(A, src_orders, tgt_orders):
-    """Whether the map A of cyclic sums has zero kernel, cheaply.
+def is_injective(a_rows, src_orders, tgt_orders):
+    """Whether the map A of cyclic sums, rows {column: entry}, has zero kernel, cheaply.
 
     No cokernel, relation SNF or generator: the kernel is L / (L & S), L the
     kernel lattice and S = im diag(src_orders), so it is zero exactly when
     each spanning column of L lies in S.
     """
     n = len(src_orders)
-    assert len(A) == len(tgt_orders) and all(len(row) == n for row in A), "shape mismatch"
-    for c in _lattice(_rows(A), n, tgt_orders):
+    assert len(a_rows) == len(tgt_orders) and all(j < n for r in a_rows for j in r), \
+        "shape mismatch"
+    for c in _lattice(a_rows, n, tgt_orders):
         for k, x in c.items():
             if x % src_orders[k] if src_orders[k] else x:
                 return False

@@ -6,8 +6,6 @@ by a large integer, so torsion-order arithmetic cannot silently overflow.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -84,18 +82,18 @@ def _is_odd_prime_power(q: int) -> bool:
     return q == 1
 
 
-@dataclass(frozen=True)
-class OddPrimePower:
-    """An odd prime power q >= 3."""
+class OddPrimePower(int):
+    """An odd prime power q >= 3; any other value raises ValueError."""
 
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_odd_prime_power(self.q):
-            raise ValueError(f"{self.q} is not an odd prime power >= 3")
+    def __new__(cls, q):
+        if not _is_odd_prime_power(q):
+            raise ValueError(f"{q} is not an odd prime power >= 3")
+        return super().__new__(cls, q)
 
 
-def s_q(q: "OddPrimePower | int", i: int) -> int:
+def s_q(q: int, i: int) -> int:
     """The torsion-exponent function for finite-field integral coefficients.
 
     For q = 1 mod 4 this is nu2(q-1) + nu2(i+1); for q = 3 mod 4 it is 1 on
@@ -103,10 +101,7 @@ def s_q(q: "OddPrimePower | int", i: int) -> int:
     i = -1 the value is NU_INFINITY (nu2(0) convention), which is what the
     mod-2^n coefficient formulas need at the top of a tau-tower.
     """
-    if isinstance(q, OddPrimePower):
-        q = q.q
-    elif not _is_odd_prime_power(q):
-        raise ValueError(f"{q} is not an odd prime power >= 3")
+    OddPrimePower(q)  # validates
     if i < -1:
         raise ValueError(f"s_q is defined for i >= -1, got {i}")
     if i == -1:
@@ -127,21 +122,17 @@ def a_q(c: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_even(k: int) -> Fraction:
-    """B_{2k} as an exact Fraction, via the binomial recurrence on even indices."""
+def bernoulli_even(k: int) -> Fraction:
+    """B_{2k} as an exact Fraction, k >= 0, via the binomial recurrence on even indices."""
+    from fractions import Fraction  # only the Bernoulli check needs it
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k == 0:
         return Fraction(1)
     acc = Fraction(2 * k + 1, -2)  # the B_1 = -1/2 term of the recurrence
     for j in range(k):
-        acc += comb(2 * k + 1, 2 * j) * _bernoulli_even(j)
+        acc += comb(2 * k + 1, 2 * j) * bernoulli_even(j)
     return -acc / (2 * k + 1)
-
-
-def bernoulli_even(k: int) -> Fraction:
-    """B_{2k} as an exact Fraction, k >= 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return _bernoulli_even(k)
 
 
 def bernoulli_denom_two_part(k: int) -> int:

@@ -9,7 +9,7 @@ the rationals), the entry is marked unresolved rather than guessed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import Page, PageWindow, run
 from .fields import FieldId
@@ -17,8 +17,7 @@ from .groups import Generator, Monomial, TriDegree
 from .numthy import NU_INFINITY
 
 
-@dataclass(frozen=True)
-class ExtensionRule:
+class ExtensionRule(NamedTuple):
     """lhs * multiplier = rhs, gluing the lhs layer under the rhs layer.
 
     promote: name the glued group by the lhs monomial with one factor of 2
@@ -71,13 +70,15 @@ def extension_rules(field: FieldId, spectrum: str):
     return rules
 
 
-@dataclass
 class PiEntry:
-    order: int              # 0 for Z (2-locally)
-    gen: Generator
-    h_torsion: object       # int exponent, or NU_INFINITY
-    filtration: int
-    glued: bool = False
+    __slots__ = ("order", "gen", "h_torsion", "filtration", "glued")  # glued in place
+
+    def __init__(self, order: int, gen: Generator, h_torsion, filtration: int):
+        self.order = order              # 0 for Z (2-locally)
+        self.gen = gen
+        self.h_torsion = h_torsion      # int exponent, or NU_INFINITY
+        self.filtration = filtration
+        self.glued = False
 
     @property
     def name(self) -> str:
@@ -87,8 +88,7 @@ class PiEntry:
         return ("Z" if self.order == 0 else f"Z/{self.order}") + "{" + self.name + "}"
 
 
-@dataclass
-class PiTable:
+class PiTable(NamedTuple):
     field: FieldId
     spectrum: str
     entries: dict           # (s, w) -> list[PiEntry]

@@ -35,7 +35,7 @@ rejected, not loaded to match nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coefficients import mod2_stem_units, reduce_integral_units
 from .fields import FieldId, presentation, rho_power_times
@@ -105,8 +105,7 @@ def d1_matrix(field: FieldId, src_basis, tgt_basis):
     return M
 
 
-@dataclass(frozen=True)
-class HigherRule:
+class HigherRule(NamedTuple):
     page: int
     source: Monomial
     target: Monomial
@@ -114,8 +113,7 @@ class HigherRule:
     provenance: str
 
 
-@dataclass(frozen=True)
-class HigherRuleset:
+class HigherRuleset(NamedTuple):
     """Either a certified-empty set or file-loaded rules."""
 
     rules: tuple

@@ -6,8 +6,6 @@ environment data are ever included.
 """
 from __future__ import annotations
 
-import json
-
 from .engine import Page, RunResult
 from .numthy import NU_INFINITY
 from .pitable import PiTable
@@ -67,10 +65,12 @@ def page_document(page: Page, result: RunResult | None = None, window=None) -> d
 
 
 def document_json(doc: dict) -> str:
+    import json  # only the JSON writer and reader need it
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def parse_document(text: str) -> dict:
+    import json
     doc = json.loads(text)
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")

@@ -8,8 +8,8 @@ everywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .coefficients import coeff_classes
 from .fields import FieldId
@@ -17,8 +17,7 @@ from .groups import CyclicSummand, Generator, Monomial, TriDegree
 from .numthy import NU_INFINITY, a_q
 
 
-@dataclass(frozen=True)
-class SliceSummand:
+class SliceSummand(NamedTuple):
     stem: int
     weight: int
     modulus: object  # exponent n >= 1, or NU_INFINITY for HZ

@@ -317,3 +317,23 @@ def test_block_split_equals_the_whole_matrix_snf_on_random_complexes(monkeypatch
     assert broken > 20 and 600 - len(calls) > 100 and len(calls) - broken > 100
     with pytest.raises(ValueError, match="not a complex"):
         engine._homology([[1]], [2], [[1]], [2], [2])
+
+
+def test_records_keep_their_behaviour():
+    """The value records compare and hash as tuples, PageWindow keeps its
+    own `in`, and the records that change in place still take updates."""
+    from esss.groups import Generator, Monomial
+    from esss.pitable import PiEntry, _apply_extensions, extension_rules
+
+    a, b = engine.DegreeData([]), engine.DegreeData([])
+    a.history.append((1,))
+    a.diff = [[1]]
+    assert b.history == [] and b.diff is None and a.diff == [[1]]
+    w = PageWindow(0, 4, 0, 6, -1, 1)
+    assert w == PageWindow(0, 4, 0, 6, -1, 1) and len({w, PageWindow(0, 4, 0, 6, -1, 1)}) == 1
+    assert TriDegree(2, 3, 1) in w and TriDegree(5, 3, 1) not in w and TriDegree(0, 0, 2) not in w
+    # 4 iota v1^2 glues over 2 h1^3 tau (the closed-field L relation)
+    pe = PiEntry(4, Generator.of(Monomial(coeff2=2, iota=1, v1=2)), 2, 0)
+    partner = PiEntry(2, Generator.of(Monomial(h1=3, tau=1)), 1, 3)
+    assert _apply_extensions([pe, partner], extension_rules(ALG_CLOSED, "L")) == [pe]
+    assert (pe.order, pe.gen.text(), pe.h_torsion, pe.glued) == (8, "2 iota v1^2", 3, True)

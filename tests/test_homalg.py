@@ -7,7 +7,7 @@ import pytest
 from esss.homalg import homology_group, is_injective
 import reference
 from reference import identity, kernel_cokernel, mat_mul
-from sparse_snf import integer_kernel, snf
+from sparse_snf import _rows, integer_kernel, snf
 
 
 def brute_force_map(A, src_orders, tgt_orders):
@@ -234,7 +234,7 @@ def test_is_injective_matches_kernel():
         A, src, tgt = _random_map(rng, rng.randrange(0, 5), rng.randrange(0, 5),
                                   (0.0, 0.3, 0.7)[k % 3])
         expected = not kernel_cokernel(A, src, tgt)[0].orders
-        assert is_injective(A, src, tgt) == expected, (A, src, tgt)
+        assert is_injective(_rows(A), src, tgt) == expected, (A, src, tgt)
         seen.add(expected)
     assert seen == {True, False}
 
@@ -270,28 +270,33 @@ def test_is_injective_on_block_diagonal_maps():
     for _ in range(200):
         A, src, tgt = _block_diagonal_map(rng)
         expected = not kernel_cokernel(A, src, tgt)[0].orders
-        assert is_injective(A, src, tgt) == expected, (A, src, tgt)
+        assert is_injective(_rows(A), src, tgt) == expected, (A, src, tgt)
         seen.add(expected)
     assert seen == {True, False}
 
 
 def test_is_injective_edge_cases():
     # n = 0, with and without a target
-    assert is_injective([[], []], [], [2, 0])
+    assert is_injective([{}, {}], [], [2, 0])
     assert is_injective([], [], [])
     # no target: injective only if every source summand has order 1
     assert not is_injective([], [2], [])
     assert is_injective([], [1], [])
     # the zero map
-    assert not is_injective([[0, 0]], [2, 0], [4])
+    assert not is_injective([{}], [2, 0], [4])
     # empty kernel lattice: Z --x3--> Z
-    assert is_injective([[3]], [0], [0])
+    assert is_injective([{0: 3}], [0], [0])
     # Z/2 --x2--> Z/4 and Z/4 --x2--> Z/4
-    assert is_injective([[2]], [2], [4])
-    assert not is_injective([[2]], [4], [4])
+    assert is_injective([{0: 2}], [2], [4])
+    assert not is_injective([{0: 2}], [4], [4])
     # Z --x1--> Z/2 is not injective, Z + Z/2 --> Z + Z/2 diagonal is
-    assert not is_injective([[1]], [0], [2])
-    assert is_injective([[1, 0], [0, 1]], [0, 2], [0, 2])
+    assert not is_injective([{0: 1}], [0], [2])
+    assert is_injective([{0: 1}, {1: 1}], [0, 2], [0, 2])
+    # a row per target, and no column past the sources
+    with pytest.raises(AssertionError, match="shape mismatch"):
+        is_injective([{0: 1}], [0], [0, 2])
+    with pytest.raises(AssertionError, match="shape mismatch"):
+        is_injective([{1: 1}], [0], [0])
 
 
 def test_mat_mul_matches_dense_product():

@@ -114,7 +114,7 @@ def test_cli_errors_on_bad_flags():
 
 
 def test_cli_malformed_range_is_one_line_error():
-    for bad in ("5", "a..b", "3.."):
+    for bad in ("5", "a..b", "3..", "5..2"):
         proc = _run_cli("compute", "--field", "c", "--spectrum", "kq", "--page", "1",
                         "--s", bad, "--f", "0..2", "--w", "0..1")
         assert proc.returncode == 2
@@ -122,6 +122,18 @@ def test_cli_malformed_range_is_one_line_error():
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "--s" in lines[0], proc.stderr
+
+
+def test_cli_import_leaves_out_what_few_commands_need():
+    """A cold command pays for every module `import esss.cli` loads: json and
+    fractions load where they are used, and no record needs dataclasses
+    (which brings inspect) or decimal."""
+    code = ("import sys; before = set(sys.modules); import esss.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    added = set(proc.stdout.split())
+    assert proc.returncode == 0 and "esss.cli" in added, proc.stderr
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal", "json"}, sorted(added)
 
 
 def test_cli_negative_range_with_space():
@@ -144,17 +156,30 @@ def _one_line_error(capsys, argv):
 
 
 def test_cli_bad_rule_file_is_one_line_error(capsys, tmp_path):
-    compute = ["compute", "--field", "r", "--spectrum", "L", "--page", "2",
-               "--s=0..4", "--f=0..6", "--w=-2..1"]
-    assert "/nonexistent" in _one_line_error(capsys, compute + ["--rules", "/nonexistent"])
+    def compute(page, rules=None):
+        argv = ["compute", "--field", "r", "--spectrum", "L", "--page", page,
+                "--s=0..4", "--f=0..6", "--w=-2..1"]
+        return argv + ["--rules", str(rules)] * (rules is not None)
+
     bad = tmp_path / "bad.rules"
-    bad.write_text("# header\nd2: h1 tau -> 1 rho^3 h1^3  # worked out elsewhere\nd2 h1 -> h1\n")
-    assert "line 3" in _one_line_error(capsys, compute + ["--rules", str(bad)])
-    # rules that could never fire: unknown symbols, a target off d_shift(2)
-    bad.write_text("d2: foo h1 -> 1 bar h1^3  # unknown symbols\n")
-    assert "line 1: unknown symbol 'foo'" in _one_line_error(capsys, compute + ["--rules", str(bad)])
-    bad.write_text("# header\nd2: h1 tau^2 -> 1 h1^9 tau^7  # misplaced target\n")
-    assert "line 2: the target" in _one_line_error(capsys, compute + ["--rules", str(bad)])
+    for page in ("1", "2"):
+        assert "/nonexistent" in _one_line_error(capsys, compute(page, "/nonexistent"))
+        bad.write_text("# header\nd2: h1 tau -> 1 rho^3 h1^3  # worked out elsewhere\n"
+                       "d2 h1 -> h1\n")
+        assert "line 3" in _one_line_error(capsys, compute(page, bad))
+        # rules that could never fire: unknown symbols, a target off d_shift(2)
+        bad.write_text("d2: foo h1 -> 1 bar h1^3  # unknown symbols\n")
+        assert "line 1: unknown symbol 'foo'" in _one_line_error(capsys, compute(page, bad))
+        bad.write_text("# header\nd2: h1 tau^2 -> 1 h1^9 tau^7  # misplaced target\n")
+        assert "line 2: the target" in _one_line_error(capsys, compute(page, bad))
+    # a file that loads leaves the first page as it is
+    from esss.cli import main
+    bad.write_text("# header\nd2: h1 tau -> 1 rho^3 h1^3  # worked out elsewhere\n")
+    outputs = []
+    for rules in (None, bad):
+        assert main(compute("1", rules)) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].out.startswith("{")
     pi = ["pi", "--field", "c", "--spectrum", "L", "--stem", "3", "--weight", "2"]
     assert "/nonexistent" in _one_line_error(capsys, pi + ["--rules", "/nonexistent"])
 
