@@ -22,8 +22,10 @@ empties it), since callers pass one degree at a time and each map is asked
 for at its degree, one d1 up by the commutation check of the degree below,
 and again by compare_e2.  L maps go through engine._L_map, the commutation
 check and compare_e2 apply the sparse columns directly, and
-page1_map_matrix hands out a fresh dense copy.  compare_e2 solves each
-(degree, target) against one factorisation.
+page1_map_matrix hands out a fresh dense copy.  Both comparisons decide
+injectivity with homalg.is_injective on the stacked rows of all targets;
+on second pages the classes are first-page cycles, read modulo each
+target's boundaries, so no target's second page is presented.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from typing import NamedTuple
 from .engine import Page, _is_L, _kq_degree, _L_map, page1_basis, page1_d1
 from .fields import FieldId
 from .groups import TriDegree, d_shift
-from .homalg import StructuredGroup, express_in_group, is_injective
+from .homalg import composite_failure, is_injective
 
 
 def _unit_image(src: FieldId, dst: FieldId, units):
@@ -207,7 +209,12 @@ def compare_e2(src: FieldId, dst_list, spectrum: str,
                src_page: Page, dst_pages, degrees) -> ComparisonReport:
     """Injectivity of the product comparison map on second pages.
 
-    Per target, every source class is solved against one factorisation.
+    A combination of source classes dies exactly when its first-page image
+    is a boundary in every target, so per degree one kernel-lattice test
+    reads the stacked rows [image of each class | incoming d1] of all
+    targets, the d1 columns as sources of order 1.  A target whose second
+    page is zero at the degree adds no condition.  Raises ValueError where
+    an image is not a cycle: then the map is not one of second pages.
     """
     injective = {}
     for deg in degrees:
@@ -215,25 +222,30 @@ def compare_e2(src: FieldId, dst_list, spectrum: str,
         if dd is None or not dd.summands:
             injective[deg] = True
             continue
-        stacked, tgt_orders_all = [], []
+        src_orders = [cs.order for cs in dd.summands]
+        stacked, tgt_orders = [], []
+        back = TriDegree(deg.s + 1, deg.f - 3, deg.w)  # deg - d_shift(1)
         for dst, dpage in zip(dst_list, dst_pages):
+            if deg not in dpage.data:
+                continue
             cols = _map_columns(src, dst, spectrum, deg)
-            tdd = dpage.data.get(deg)
-            group = StructuredGroup([cs.order for cs in tdd.summands] if tdd else [],
-                                    tdd.history if tdd else ())
-            # quotient by the image of d1 from deg - d_shift(1)
-            dmat = page1_d1(dst, spectrum, TriDegree(deg.s + 1, deg.f - 3, deg.w))
-            b_cols = [list(col) for col in zip(*dmat)]
-            amb_orders = [cs.order for cs in page1_basis(dst, spectrum, deg)]
-            imgs = [[0] * len(amb_orders) for _ in dd.history]
-            for img, hist in zip(imgs, dd.history):
+            images = [{} for _ in dd.history]
+            for img, hist in zip(images, dd.history):
                 for col, h in zip(cols, hist):
-                    if h:
-                        for t, c in col:
-                            img[t] += c * h
-            coords = express_in_group(group, amb_orders, imgs, modulo_cols=b_cols)
-            assert None not in coords, (src.text(), dst.text(), deg)
-            stacked.extend({j: x for j, x in enumerate(row) if x} for row in zip(*coords))
-            tgt_orders_all.extend(group.orders)
-        injective[deg] = is_injective(stacked, [cs.order for cs in dd.summands], tgt_orders_all)
+                    for t, c in col if h else ():
+                        img[t] = img.get(t, 0) + c * h
+            basis = page1_basis(dst, spectrum, deg)
+            rows = _row_dicts([img.items() for img in images], len(basis))
+            d_out = [{j: x for j, x in enumerate(r) if x} for r in page1_d1(dst, spectrum, deg)]
+            up = [cs.order for cs in page1_basis(dst, spectrum, deg + d_shift(1))]
+            if composite_failure(rows, d_out, up) is not None:
+                raise ValueError(f"{src.text()} -> {dst.text()} sends a second-page class "
+                                 f"off the cycles at {deg}")
+            # the incoming d1's columns follow the sources stacked so far
+            for row, d_row in zip(rows, page1_d1(dst, spectrum, back)):
+                row.update((j, x) for j, x in enumerate(d_row, len(src_orders)) if x)
+            src_orders += [1] * len(page1_basis(dst, spectrum, back))
+            stacked.extend(rows)
+            tgt_orders.extend(cs.order for cs in basis)
+        injective[deg] = is_injective(stacked, src_orders, tgt_orders)
     return ComparisonReport(src, spectrum, 2, injective, {}, {})

@@ -239,7 +239,7 @@ def build_page1(field: FieldId, spectrum: str, window: PageWindow) -> Page:
 
 
 def _homology(in_m, src_orders, diff, mid_orders, tgt_orders):
-    """homology_group(in_m, src_orders, diff, mid_orders, tgt_orders).
+    """homology_group of the dense maps in_m and diff, read as rows of dicts.
 
     With one summand k per block and every entry 1, the kernel at k is
     generated by c e_k, c the lcm of the orders of k's targets (0 when one
@@ -264,7 +264,7 @@ def _homology(in_m, src_orders, diff, mid_orders, tgt_orders):
         if len({order[k] for k in gens}) == len(gens):
             return StructuredGroup([order[k] for k in gens],
                                    [[c[k] * (a == k) for a in range(len(c))] for k in gens])
-    return homology_group(in_m, src_orders, diff, mid_orders, tgt_orders)
+    return homology_group(a_rows, src_orders, b_rows, mid_orders, tgt_orders)
 
 
 def turn_page(page: Page, higher_rules=()) -> Page:

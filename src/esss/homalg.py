@@ -7,16 +7,11 @@ Maps are integer matrices in the generator bases, columns indexed by source
 summands.  All computations go through Smith normal form; nothing is ever
 done modulo a proxy prime, so free-rank information is never lost.  The
 elimination runs on the nonzero entries, one dict per row, and keeps only
-the transforms its caller reads, U^-1 included, so no second SNF inverts U;
-`homology_group` works on such rows throughout, `is_injective` decides
-injectivity without a cokernel or generator vectors, and
-`express_in_group` solves a batch of vectors against one factorisation.
+the transforms its caller reads, U^-1 included, so no second SNF inverts U.
+Every entry point takes its maps as such rows, {column: nonzero entry}, and
+`is_injective` reads the kernel lattice alone, with no cokernel or generators.
 """
 from __future__ import annotations
-
-
-def _rows(M):
-    return [{j: a for j, a in enumerate(row) if a} for row in M]
 
 
 def _add_scaled(x, c, y):
@@ -108,36 +103,6 @@ def _kernel_rows(D, n):
     return VT[len(_eliminate(D, n, VT=VT)):]
 
 
-def lattice_saturation_solve(gens, targets):
-    """Express each target as an integer combination of the column vectors gens.
-
-    The matrix M with columns gens is factored once, U M V = D, and every
-    target solved against the same U, D, V.  Returns one coefficient vector
-    per target, or None for a target not in the lattice.
-    """
-    r = len(gens)
-    if r == 0:
-        return [[] if not any(t) else None for t in targets]
-    n = len(gens[0])
-    U, VT = [{i: 1} for i in range(n)], [{j: 1} for j in range(r)]
-    diag = _eliminate([{j: g[i] for j, g in enumerate(gens) if g[i]} for i in range(n)],
-                      r, U, VT=VT)
-    out = []
-    for t in targets:
-        # U t must be divisible by the diagonal, and 0 past it
-        rhs = [sum(x * t[k] for k, x in row.items()) for row in U]
-        if any(b % d for b, d in zip(rhs, diag)) or any(rhs[len(diag):]):
-            out.append(None)
-            continue
-        sol = [0] * r
-        for b, d, col in zip(rhs, diag, VT):  # V (D^-1 U t), column by column
-            if b:
-                for k, x in col.items():
-                    sol[k] += b // d * x
-        out.append(sol)
-    return out
-
-
 class StructuredGroup:
     """Cyclic decomposition with generator expressions in ambient coordinates.
 
@@ -209,13 +174,13 @@ def check_complex(a_rows, b_rows, tgt_orders):
                          f"source generator {bad[1]}")
 
 
-def homology_group(A, src_orders, B, mid_orders, tgt_orders):
-    """ker(B)/im(A) for composable maps A: S -> M, B: M -> T of cyclic sums.
+def homology_group(a_rows, src_orders, b_rows, mid_orders, tgt_orders):
+    """ker(B)/im(A) for composable maps A: S -> M, B: M -> T of cyclic sums,
+    their rows given as dicts.
 
     Raises ValueError (not a complex) if B A is nonzero modulo the target
     orders.  Generators of the result are vectors in M's coordinates.
     """
-    a_rows, b_rows = _rows(A), _rows(B)
     check_complex(a_rows, b_rows, tgt_orders)
     n = len(mid_orders)
     C = _lattice(b_rows, n, tgt_orders)
@@ -251,18 +216,3 @@ def homology_group(A, src_orders, B, mid_orders, tgt_orders):
             gens.append(vec)
     return StructuredGroup(orders, gens)
 
-
-def express_in_group(group: StructuredGroup, ambient_orders, vecs, modulo_cols=()):
-    """Coordinates of ambient vectors in a StructuredGroup's generators.
-
-    Solves vec = sum c_i gens[i] modulo the ambient orders and the extra
-    columns in modulo_cols (e.g. an image to quotient by), for every vec in
-    vecs with one factorisation; returns one coefficient list per vec,
-    reduced modulo the group's own orders, or None where there is none.
-    """
-    n = len(ambient_orders)
-    ext = list(group.gens) + list(modulo_cols)
-    ext += [[ambient_orders[i] if k == i else 0 for k in range(n)]
-            for i in range(n) if ambient_orders[i]]
-    return [None if sol is None else [c % d if d else c for c, d in zip(sol, group.orders)]
-            for sol in lattice_saturation_solve(ext, vecs)]

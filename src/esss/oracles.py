@@ -67,13 +67,13 @@ def _adams_rule(field: FieldId, units, tau):
 
 
 def _rule_matrix(field, src_classes, tgt_classes):
-    """The rule table from src_classes to tgt_classes, entry 2^page.
+    """The rule table from src_classes to tgt_classes, entry 2^page, as rows of dicts.
 
     Each column holds at most one entry, as each rule has one target; the
     assertion keeps each row to at most one as well.
     """
     index = {c: i for i, c in enumerate(tgt_classes)}
-    M = [[0] * len(src_classes) for _ in range(len(tgt_classes))]
+    M = [{} for _ in tgt_classes]
     for j, (units, tau) in enumerate(src_classes):
         rule = _adams_rule(field, units, tau)
         if rule is None:
@@ -81,7 +81,7 @@ def _rule_matrix(field, src_classes, tgt_classes):
         page, target = rule
         i = index.get((target, tau - 1))
         if i is not None:
-            assert not any(M[i]), f"two rules hit {target} tau^{tau - 1} over {field}"
+            assert not M[i], f"two rules hit {target} tau^{tau - 1} over {field}"
             M[i][j] = 1 << page
     return M
 

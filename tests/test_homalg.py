@@ -150,26 +150,26 @@ def test_kernel_generators_live_in_kernel():
 
 def test_homology_zero_maps_identity():
     # 0 -> G -> 0 returns G itself
-    H = homology_group([[0]], [2], [[0]], [4], [2])
+    H = homology_group(_rows([[0]]), [2], _rows([[0]]), [4], [2])
     assert H.orders == [4]
 
 
 def test_homology_z_times2_z():
     # Z --x2--> Z --0--> 0, homology at the middle is Z/2
-    H = homology_group([[2]], [0], [], [0], [])
+    H = homology_group(_rows([[2]]), [0], [], [0], [])
     assert H.orders == [2]
 
 
 def test_homology_kernel_of_onto_z2():
     # Z --(1)--> Z/2, homology at the source is Z{2v}
-    H = homology_group([[0] for _ in range(0)] or [[]], [], [[1]], [0], [2])
+    H = homology_group([{}], [], _rows([[1]]), [0], [2])
     assert H.orders == [0]
     assert H.gens[0][0] % 2 == 0 or abs(H.gens[0][0]) == 2
 
 
 def test_homology_not_a_complex():
     with pytest.raises(ValueError, match="not a complex"):
-        homology_group([[1]], [2], [[1]], [2], [2])
+        homology_group(_rows([[1]]), [2], _rows([[1]]), [2], [2])
 
 
 def test_homology_invariant_under_permutation():
@@ -184,11 +184,11 @@ def test_homology_invariant_under_permutation():
                 step = mid[i] // min(mid[i], src[j])
                 row.append(step * rng.randrange(0, 2))
             A.append(row)
-        H = homology_group(A, src, [[0, 0, 0]], mid, [1])
+        H = homology_group(_rows(A), src, _rows([[0, 0, 0]]), mid, [1])
         perm = [2, 0, 1]
         A2 = [A[p] for p in perm]
         mid2 = [mid[p] for p in perm]
-        H2 = homology_group(A2, src, [[0, 0, 0]], mid2, [1])
+        H2 = homology_group(_rows(A2), src, _rows([[0, 0, 0]]), mid2, [1])
         assert sorted(H.orders) == sorted(H2.orders)
 
 
@@ -363,7 +363,7 @@ def _outputs_digest():
         if A and n_src and rng.random() < 0.15:
             A[rng.randrange(n_mid)][rng.randrange(n_src)] += 1
         try:
-            H = homology_group(A, _orders(rng, n_src), B, mid, tgt)
+            H = homology_group(_rows(A), _orders(rng, n_src), _rows(B), mid, tgt)
             h.update(repr(_group(H)).encode())
         except ValueError as exc:
             h.update(repr(exc).encode())
