@@ -215,4 +215,3 @@ def homology_group(a_rows, src_orders, b_rows, mid_orders, tgt_orders):
             orders.append(d)
             gens.append(vec)
     return StructuredGroup(orders, gens)
-
