@@ -23,9 +23,10 @@ for at its degree, one d1 up by the commutation check of the degree below,
 and again by compare_e2.  L maps go through engine._L_map, the commutation
 check and compare_e2 apply the sparse columns directly, and
 page1_map_matrix hands out a fresh dense copy.  Both comparisons decide
-injectivity with homalg.is_injective on the stacked rows of all targets;
-on second pages the classes are first-page cycles, read modulo each
-target's boundaries, so no target's second page is presented.
+injectivity with homalg.is_injective on the stacked rows of all targets:
+on first pages a map of groups, decided by two ranks; on second pages
+first-page cycles read modulo each target's boundaries, decided by the
+kernel lattice, so no target's second page is presented.
 """
 from __future__ import annotations
 
@@ -210,7 +211,7 @@ def compare_e2(src: FieldId, dst_list, spectrum: str,
     """Injectivity of the product comparison map on second pages.
 
     A combination of source classes dies exactly when its first-page image
-    is a boundary in every target, so per degree one kernel-lattice test
+    is a boundary in every target, so per degree one is_injective call
     reads the stacked rows [image of each class | incoming d1] of all
     targets, the d1 columns as sources of order 1.  A target whose second
     page is zero at the degree adds no condition.  Raises ValueError where

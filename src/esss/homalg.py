@@ -3,13 +3,12 @@
 Groups are presented by an ordered list of cyclic orders: 0 means a free
 summand (Z, read 2-locally), any other value is the actual order of a finite
 cyclic summand (always a power of 2 in this engine; asserted by callers).
-Maps are integer matrices in the generator bases, columns indexed by source
-summands.  All computations go through Smith normal form; nothing is ever
-done modulo a proxy prime, so free-rank information is never lost.  The
-elimination runs on the nonzero entries, one dict per row, and keeps only
-the transforms its caller reads, U^-1 included, so no second SNF inverts U.
-Every entry point takes its maps as such rows, {column: nonzero entry}, and
-`is_injective` reads the kernel lattice alone, with no cokernel or generators.
+Maps are rows {column: nonzero entry} in the generator bases, columns
+indexed by source summands; nothing is done modulo a proxy prime.  Kernels
+and homology go through Smith normal form on the nonzero entries, which
+tracks only the transforms (U^-1 included, so no second SNF inverts U) and
+the coordinates of V that its caller reads.  `is_injective` decides a map
+of 2-groups and Z's by two ranks and any other map by its kernel lattice.
 """
 from __future__ import annotations
 
@@ -24,24 +23,22 @@ def _add_scaled(x, c, y):
             x.pop(k, None)
 
 
-def _eliminate(D, n, U=None, W=None, VT=None):
+def _eliminate(D, n, W=None, VT=None):
     """Smith normal form elimination on D: m rows, each {column: entry}, n columns.
 
     The pivot is the first entry of least absolute value in row-major
     order; rows below it and columns right of it are cleared, and a
-    remainder swaps it out and starts again.  U, W = (U^-1)^T and VT = V^T,
+    remainder swaps it out and starts again.  W = (U^-1)^T and VT = V^T,
     rows of dicts, follow every step.  Column keys never change: a column
     swap moves pos and VT.  Returns the diagonal d1 | d2 | ..., positive.
     """
     m = len(D)
     pos, perm, diag = list(range(n)), list(range(n)), []
-    left = [X for X in (D, U) if X is not None]
-    swapped = left + [W] * (W is not None)
+    swapped = [D] + [W] * (W is not None)
 
     def add_row(i, j, c):
         # r_i += c r_j, so U^-1 gets c_j -= c c_i
-        for X in left:
-            _add_scaled(X[i], c, X[j])
+        _add_scaled(D[i], c, D[j])
         if W is not None:
             _add_scaled(W[j], -c, W[i])
 
@@ -89,17 +86,17 @@ def _eliminate(D, n, U=None, W=None, VT=None):
                 if rem is None:
                     break
                 add_row(t, rem, 1)
-        if d < 0:
-            # row t of D is its pivot alone; U and U^-1 flip with it
-            for X in swapped[1:]:
-                X[t] = {k: -x for k, x in X[t].items()}
+        if d < 0 and W is not None:
+            # row t of D is its pivot alone; U^-1 flips with it
+            W[t] = {k: -x for k, x in W[t].items()}
         diag.append(abs(d))
     return diag
 
 
-def _kernel_rows(D, n):
-    """Columns of V spanning the kernel of D (rows of dicts, n columns), as dicts."""
-    VT = [{j: 1} for j in range(n)]
+def _kernel_rows(D, n, keep):
+    """Columns of V spanning the kernel of D (rows of dicts, n columns), as dicts
+    cut to their first keep coordinates: V's other rows start empty."""
+    VT = [{j: 1} if j < keep else {} for j in range(n)]
     return VT[len(_eliminate(D, n, VT=VT)):]
 
 
@@ -122,34 +119,57 @@ class StructuredGroup:
 
 
 def _lattice(b_rows, n, tgt_orders):
-    """Nonzero columns, as dicts, spanning {x in Z^n : B x in im diag(tgt)}.
+    """Nonzero columns, as dicts, spanning {x in Z^n : B x in im diag(tgt)}:
+    the integer kernel of [B | -diag(tgt)] cut to x, B given by its rows."""
+    rows = [{**row, n + t: -o} if o else dict(row)
+            for t, (row, o) in enumerate(zip(b_rows, tgt_orders))]
+    return [c for c in _kernel_rows(rows, n + len(rows), n) if c]
 
-    That is the integer kernel of [B | -diag(tgt)] cut to x; b_rows holds
-    the rows of B as dicts.
+
+def _socle_test(a_rows, src_orders, tgt_orders):
+    """is_injective of a map of groups, sources of order 0 or 2^k > 1, else None.
+
+    A map of groups has a s_j = 0 mod t_i (a = 0 if t_i = 0) at each entry a
+    of source order s_j and target order t_i.  Its kernel is torsion iff the
+    Z -> Z block has full column rank, and then, a finite 2-group, zero iff
+    the images of the (s_j / 2) e_j (entries 0 or t_i / 2) are F2-independent.
     """
-    rows = [dict(row) for row in b_rows]
-    for t, o in enumerate(tgt_orders):
-        if o:
-            rows[t][n + t] = -o
-    cols = ({k: x for k, x in col.items() if k < n} for col in _kernel_rows(rows, n + len(rows)))
-    return [c for c in cols if c]
+    if any(s == 1 or s & (s - 1) for s in src_orders):
+        return None
+    bits = [0] * len(src_orders)
+    for i, (row, t) in enumerate(zip(a_rows, tgt_orders)):
+        for j, a in row.items():
+            s = src_orders[j]
+            if s and (a * s % t if t else a):
+                return None
+            if s and t and a * (s >> 1) % t:
+                bits[j] |= 1 << i
+    pivots = {}
+    for s, v in zip(src_orders, bits):
+        if s:
+            while v & -v in pivots:
+                v ^= pivots[v & -v]
+            if not v:
+                return False
+            pivots[v & -v] = v
+    free = [dict(row) for row, t in zip(a_rows, tgt_orders) if not t]
+    return len(_eliminate(free, len(src_orders))) == src_orders.count(0)
 
 
 def is_injective(a_rows, src_orders, tgt_orders):
     """Whether the map A of cyclic sums, rows {column: entry}, has zero kernel, cheaply.
 
-    No cokernel, relation SNF or generator: the kernel is L / (L & S), L the
-    kernel lattice and S = im diag(src_orders), so it is zero exactly when
-    each spanning column of L lies in S.
+    _socle_test decides a map of groups.  Any other A (order-1 sources read
+    as relations in the target, say) has kernel L / (L & S), L the kernel
+    lattice and S = im diag(src_orders): zero iff each column of L is in S.
     """
     n = len(src_orders)
     assert len(a_rows) == len(tgt_orders) and all(j < n for r in a_rows for j in r), \
         "shape mismatch"
-    for c in _lattice(a_rows, n, tgt_orders):
-        for k, x in c.items():
-            if x % src_orders[k] if src_orders[k] else x:
-                return False
-    return True
+    decided = _socle_test(a_rows, src_orders, tgt_orders)
+    return decided if decided is not None else not any(
+        x % src_orders[k] if src_orders[k] else x
+        for c in _lattice(a_rows, n, tgt_orders) for k, x in c.items())
 
 
 def composite_failure(a_rows, b_rows, tgt_orders):
@@ -195,12 +215,11 @@ def homology_group(a_rows, src_orders, b_rows, mid_orders, tgt_orders):
     for k, o in enumerate(mid_orders):
         if o:
             rows[k][r + len(src_orders) + k] = -o
-    relations = _kernel_rows(rows, r + len(src_orders) + n)
+    relations = _kernel_rows(rows, r + len(src_orders) + n, r)
     rel = [{} for _ in C]
     for p, col in enumerate(relations):
         for i, x in col.items():
-            if i < r:
-                rel[i][p] = x
+            rel[i][p] = x
     # span(C) / relations: the generators are C U^-1, order-1 ones dropped
     W = [{i: 1} for i in range(r)]
     diag = _eliminate(rel, max(len(relations), 1), W=W)

@@ -23,12 +23,6 @@ class _Infinity:
     def __repr__(self):
         return "NU_INFINITY"
 
-    def __eq__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __hash__(self):
-        return hash("NU_INFINITY")
-
     def __lt__(self, other):
         return False
 

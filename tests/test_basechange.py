@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from esss import basechange
+from esss import basechange, homalg
 from esss.basechange import (_commutes_with_d1, _kq_images, _map_columns, _unit_image,
                              compare_e1, compare_e2, page1_map_matrix)
 from esss.engine import PageWindow, _d1_L, _kq_degree, _L_degree, page1_basis, page1_d1, run
@@ -62,6 +62,19 @@ def test_hasse_injectivity_e2(hasse_reports):
     for spectrum in ("kq", "L"):
         rep = hasse_reports[2, spectrum]
         assert rep.all_injective
+
+
+def test_first_page_maps_are_decided_by_ranks(monkeypatch):
+    """Every first-page comparison map of the hasse suite is a map of groups
+    with 2-power orders, so homalg decides it by ranks and never builds a
+    kernel lattice.  A map that stopped being one would still get the
+    right verdict from the lattice, only slowly, so this test is the check."""
+    lattice, calls = homalg._lattice, []
+    monkeypatch.setattr(homalg, "_lattice", lambda *args: calls.append(args) or lattice(*args))
+    for spectrum in ("kq", "L"):
+        rep = compare_e1(HASSE_SRC, HASSE_DSTS, spectrum, slice_degrees((-3, 9), (0, 9), -3))
+        assert len(rep.injective) == 499 and rep.all_injective
+    assert calls == []
 
 
 def test_single_target_e2_verdicts_are_pinned():

@@ -1,10 +1,11 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 
-from esss.homalg import homology_group, is_injective
+from esss.homalg import _socle_test, homology_group, is_injective
 import reference
 from reference import identity, kernel_cokernel, mat_mul
 from sparse_snf import _rows, integer_kernel, snf
@@ -239,6 +240,58 @@ def test_is_injective_matches_kernel():
     assert seen == {True, False}
 
 
+def _map_of_groups(rng):
+    """A map Z^a + sum Z/s_j -> Z^b + sum Z/t_i of 2-power orders that is a
+    map of groups (a s_j = 0 modulo t_i), its targets stacked in up to three
+    blocks, with zero rows and zero columns.  About one in five gets an
+    entry off by one, which may leave no map of groups, or a source of
+    order 1; is_injective must send those to the kernel lattice."""
+    n = rng.randrange(1, 6)
+    src = [rng.choice((0, 0, 2, 2, 4, 8, 16)) for _ in range(n)]
+    tgt, A = [], []
+    for _ in range(rng.randrange(1, 4)):
+        for _ in range(rng.randrange(0, 4)):
+            t = rng.choice((0, 1, 2, 4, 4, 8, 16))
+            row = [(t // math.gcd(t, s) if s else 1) * rng.choice((0, 1, 1, 3, -1, 2))
+                   if t or not s else 0 for s in src]
+            tgt.append(t)
+            A.append(row if rng.random() > 0.15 else [0] * n)
+    for j in range(n):
+        if rng.random() < 0.15:
+            for row in A:
+                row[j] = 0
+    if rng.random() < 0.2:
+        if A and rng.random() < 0.7:
+            A[rng.randrange(len(A))][rng.randrange(n)] += 1
+        else:
+            src[rng.randrange(n)] = 1
+    return A, src, tgt
+
+
+def test_socle_test_matches_kernel():
+    """Maps of groups are decided by ranks: the Z -> Z block's and the F2
+    rank of the order-2 elements' images.  Every answer is the kernel's,
+    any other map goes to the kernel lattice, and each way to an answer
+    is taken at least 100 times."""
+    rng = random.Random(15)
+    seen = dict.fromkeys(("injective", "rank", "F2", "fallback"), 0)
+    for _ in range(1500):
+        A, src, tgt = _map_of_groups(rng)
+        rows = _rows(A)
+        expected = not kernel_cokernel(A, src, tgt)[0].orders
+        assert is_injective(rows, src, tgt) == expected, (A, src, tgt)
+        spoiled = 1 in src or any(A[i][j] * s % t if t else A[i][j] * s
+                                  for i, t in enumerate(tgt) for j, s in enumerate(src))
+        assert (_socle_test(rows, src, tgt) is None) == spoiled, (A, src, tgt)
+        free = [j for j, s in enumerate(src) if not s]
+        block = [[row[j] for j in free] for row, t in zip(A, tgt) if not t]
+        rank = sum(1 for i, row in enumerate(reference.snf(block, False, False)[1])
+                   if i < len(row) and row[i]) if block and free else 0
+        seen["fallback" if spoiled else "injective" if expected
+             else "rank" if rank < len(free) else "F2"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def _block_diagonal_map(rng):
     """A direct sum of small random maps, with rows and columns shuffled;
     zero rows and zero columns are summands of their own."""
@@ -292,6 +345,9 @@ def test_is_injective_edge_cases():
     # Z --x1--> Z/2 is not injective, Z + Z/2 --> Z + Z/2 diagonal is
     assert not is_injective([{0: 1}], [0], [2])
     assert is_injective([{0: 1}, {1: 1}], [0, 2], [0, 2])
+    # Z/6 --x1--> Z/2 kills Z/3 though the image of 3 is nonzero: orders
+    # that are no power of 2 go to the kernel lattice
+    assert not is_injective([{0: 1}], [6], [2])
     # a row per target, and no column past the sources
     with pytest.raises(AssertionError, match="shape mismatch"):
         is_injective([{0: 1}], [0], [0, 2])
