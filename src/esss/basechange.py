@@ -20,13 +20,12 @@ tracking a new entry at the first collection it survives.  Like
 engine._kq_degree the table lives as long as the process (cache_clear
 empties it), since callers pass one degree at a time and each map is asked
 for at its degree, one d1 up by the commutation check of the degree below,
-and again by compare_e2.  L maps go through engine._L_map, the commutation
-check and compare_e2 apply the sparse columns directly, and
-page1_map_matrix hands out a fresh dense copy.  Both comparisons decide
-injectivity with homalg.is_injective on the stacked rows of all targets:
-on first pages a map of groups, decided by two ranks; on second pages
-first-page cycles read modulo each target's boundaries, decided by the
-kernel lattice, so no target's second page is presented.
+and again by compare_e2.  L maps go through engine._L_map, and the
+commutation check and compare_e2 apply the sparse columns directly.  Both
+comparisons decide injectivity with homalg.is_injective on the stacked
+rows of all targets: on first pages a map of groups, decided by two ranks;
+on second pages first-page cycles read modulo each target's boundaries,
+decided by the kernel lattice, so no target's second page is presented.
 """
 from __future__ import annotations
 
@@ -113,13 +112,6 @@ def _row_dicts(cols, n_rows):
             if x:
                 rows[i][j] = x
     return rows
-
-
-def page1_map_matrix(src, dst, spectrum, deg):
-    """The first-page comparison matrix at deg, in the bases of page1_basis."""
-    cols = _map_columns(src, dst, spectrum, deg)
-    return [[row.get(j, 0) for j in range(len(cols))]
-            for row in _row_dicts(cols, len(page1_basis(dst, spectrum, deg)))]
 
 
 class ComparisonReport(NamedTuple):

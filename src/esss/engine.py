@@ -31,7 +31,7 @@ from .fields import FieldId
 from .groups import CyclicSummand, Generator, Monomial, TriDegree, d_shift
 from .homalg import StructuredGroup, check_complex, homology_group
 from .numthy import nu2
-from .rules import d1_matrix, higher_ruleset
+from .rules import _CITED_COLLAPSE, d1_matrix, dense_rows, higher_ruleset
 from .slices import e1_kq_basis, psi3_entries
 
 
@@ -78,7 +78,7 @@ class DegreeData:
         self.summands = summands  # page 1 shares the cached tuples of page1_basis: read only
         # page >= 2: expressions of the new generators over the previous page
         self.history = [] if history is None else history
-        self.diff = diff
+        self.diff = diff  # page 1: rows of rules.dense_rows, shared across degrees: read only
 
 
 class Page(NamedTuple):
@@ -114,7 +114,7 @@ def _name_from_vector(vec, basis) -> Generator:
 
 @lru_cache(maxsize=None)
 def _kq_degree(field: FieldId, deg: TriDegree):
-    return tuple(e1_kq_basis(field, deg.s, deg.f, deg.w))
+    return tuple(e1_kq_basis(field, deg))
 
 
 @lru_cache(maxsize=None)
@@ -199,10 +199,11 @@ def _d1_L(field: FieldId, deg: TriDegree):
     def kq_col(d):
         return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*_d1_kq(field, d))]
     tgt = deg + d_shift(1)
-    M = [[0] * len(_L_degree(field, deg)[0]) for _ in _L_degree(field, tgt)[0]]
+    rows = [{} for _ in _L_degree(field, tgt)[0]]
     for i, j, x in _L_map(field, field, deg, tgt, kq_col):
-        M[i][j] = x
-    return M
+        if x:
+            rows[i][j] = x
+    return dense_rows(len(_L_degree(field, deg)[0]), rows)
 
 
 def _is_L(spectrum: str) -> bool:
@@ -355,8 +356,9 @@ def run(field: FieldId, spectrum: str, window: PageWindow,
     """Iterate pages until a collapse certificate holds or data runs out.
 
     2-adic collapse is certified by citation (criterion of the worked
-    examples); everywhere else the engine certifies by computed degree
-    vanishing first and only falls back to a citation.
+    examples); the other pairs of rules._CITED_COLLAPSE by computed degree
+    vanishing first, rule file or not.  That check sees only the window, so
+    uncited pairs ((R, kq), (R, L), (Q, L)) stop where their rules end.
     """
     hr = higher_ruleset(field, spectrum, rule_file)
     e1 = build_page1(field, spectrum, window)
@@ -367,7 +369,7 @@ def run(field: FieldId, spectrum: str, window: PageWindow,
         cert = None
         if field.kind == "q2" and hr.certificate is not None:
             cert = CollapseCertificate(field, spectrum, "cited", hr.certificate)
-        elif degree_vanishing(current):
+        elif (field.kind, spectrum) in _CITED_COLLAPSE and degree_vanishing(current):
             cert = CollapseCertificate(field, spectrum, "degree-vanishing",
                                        f"computed for pages r >= {current.r} in window")
         elif hr.certificate is not None:

@@ -6,11 +6,13 @@ honest two-term sums, so the sum form is first-class.
 
 TriDegree, Monomial, Generator, CyclicSummand and every other esss record
 whose attributes are never reassigned are immutable tuple records, so
-hashing, equality and construction run in C.  Caveat: a record equals any
-tuple of equal values, so no dict or set may mix such keys.
+hashing, equality and construction run in C; a Generator is the tuple of
+its terms.  Caveat: a record equals any tuple of equal values, so no dict
+or set may mix such keys.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 # coefficient-module unit symbols all sit in pi_{-1,-1} except 2-cell classes
@@ -114,35 +116,37 @@ class Monomial(_MonomialFields):
 ONE = Monomial()
 
 
-class Generator(NamedTuple):
-    """Formal sum of monomials naming one cyclic summand."""
+class Generator(tuple):
+    """Formal sum of monomials naming one cyclic summand: the tuple of its terms."""
 
-    terms: tuple = (ONE,)
+    __slots__ = ()
+
+    def __new__(cls, terms=(ONE,)):
+        return tuple.__new__(cls, terms)
 
     @staticmethod
     def of(*monos: Monomial) -> "Generator":
         if len(monos) == 1:
-            return Generator(monos)
-        return Generator(tuple(sorted(monos, key=Monomial.sort_key)))
+            return tuple.__new__(Generator, monos)
+        return tuple.__new__(Generator, sorted(monos, key=Monomial.sort_key))
+
+    terms = property(lambda self: self)
+    lead = property(itemgetter(0))
 
     def degree(self) -> TriDegree:
-        degs = {m.degree() for m in self.terms}
+        degs = {m.degree() for m in self}
         if len(degs) != 1:
             raise ValueError(f"inhomogeneous generator {self}")
         return degs.pop()
 
     def is_single(self) -> bool:
-        return len(self.terms) == 1
-
-    @property
-    def lead(self) -> Monomial:
-        return self.terms[0]
+        return len(self) == 1
 
     def text(self) -> str:
-        return " + ".join(m.text() for m in self.terms)
+        return " + ".join(m.text() for m in self)
 
     def sort_key(self):
-        return tuple(m.sort_key() for m in self.terms)
+        return tuple(m.sort_key() for m in self)
 
     def __repr__(self):
         return f"<{self.text()}>"
@@ -173,7 +177,3 @@ class CyclicSummand(_CyclicSummandFields):
     def __repr__(self):
         return self.text()
 
-
-def isomorphic_orders(a, b) -> bool:
-    """Same multiset of cyclic orders (the additive isomorphism test)."""
-    return sorted(a) == sorted(b)

@@ -35,6 +35,7 @@ rejected, not loaded to match nothing.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .coefficients import mod2_stem_units, reduce_integral_units
@@ -76,33 +77,37 @@ def d1_components(field: FieldId, mono: Monomial):
     return out
 
 
+@lru_cache(maxsize=None)
+def _row(width: int, entries: tuple) -> list:
+    row = [0] * width
+    for j, x in entries:
+        row[j] = x
+    return row
+
+
+def dense_rows(width: int, rows) -> list:
+    """Dense rows of the given width from dicts {column: nonzero value}, drawn from one
+    process-lifetime table so that equal rows of all d1 matrices are one read-only list."""
+    return [_row(width, tuple(row.items())) for row in rows]
+
+
 def d1_matrix(field: FieldId, src_basis, tgt_basis):
     """The first differential as an integer matrix between two tridegrees."""
-    index = {}
-    for t, cs in enumerate(tgt_basis):
-        index[cs.gen.lead] = t
-    M = [[0] * len(src_basis) for _ in range(len(tgt_basis))]
+    index = {cs.gen.lead: t for t, cs in enumerate(tgt_basis)}
+    rows = [{} for _ in tgt_basis]
     for jcol, cs in enumerate(src_basis):
-        touched = set()
         for target in d1_components(field, cs.gen.lead):
             t = index.get(target)
             if t is None:
                 # rho-fourth components name integral torsion without its
                 # 2-power prefix; match on the underlying word
                 t = index.get(target.with_coeff2(0))
-            if t is None:
-                continue
-            tgt = tgt_basis[t]
-            if tgt.order == 2:
-                M[t][jcol] ^= 1
-            else:
-                # landing on 2-torsion of a larger cyclic group
-                M[t][jcol] += tgt.order >> 1
-            touched.add(t)
-        for t in touched:
-            if tgt_basis[t].order:
-                M[t][jcol] %= tgt_basis[t].order
-    return M
+            order = tgt_basis[t].order if t is not None else 0
+            if order:  # each component adds the element of order 2 of its target
+                x = (rows[t].pop(jcol, 0) + (order >> 1)) % order
+                if x:
+                    rows[t][jcol] = x
+    return dense_rows(len(src_basis), rows)
 
 
 class HigherRule(NamedTuple):
@@ -140,8 +145,8 @@ def higher_ruleset(field: FieldId, spectrum: str, rule_file: str | None = None):
 
     For (R, L) and (Q, L) the derivation is outside this engine; a rule
     file must be supplied to go past the second page.  (R, kq) is also
-    treated as pluggable: the engine will certify collapse by inspection
-    of degrees where it can, and otherwise stops at the second page.
+    pluggable: with no citation, a window's degrees certify nothing (a
+    differential may leave the window), so it too stops at the second page.
     """
     key = (field.kind, spectrum)
     if rule_file is not None:

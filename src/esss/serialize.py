@@ -70,6 +70,7 @@ def document_json(doc: dict) -> str:
 
 
 def parse_document(text: str) -> dict:
+    """A JSON document read back, schema checked (public: perfbench/run.py reads it)."""
     import json
     doc = json.loads(text)
     if doc.get("schema") != SCHEMA:

@@ -37,20 +37,19 @@ def slices_kq(c: int):
     return tuple(out)
 
 
-def e1_kq_basis(field: FieldId, s: int, f: int, w: int):
-    """E1 classes of kq at one tridegree, as named cyclic summands."""
+def e1_kq_basis(field: FieldId, deg: TriDegree):
+    """E1 classes of kq at deg, as named cyclic summands holding the caller's deg."""
+    s, f, w = deg
     if (s + f) % 2 or s + f < 0 or f < 0:
         return []
     c = (s + f) // 2
-    deg = TriDegree(s, f, w)
     out = []
-    for cell in slices_kq(c):
-        for cs in coeff_classes(field, cell.modulus, s - cell.stem, w - c):
-            coeff = cs.gen.lead
-            mono = Monomial(coeff2=coeff.coeff2, h1=cell.cell.h1, v1=cell.cell.v1,
-                            tau=coeff.tau, units=coeff.units)
+    for stem, _, modulus, (_, _, h1, v1, _, _) in slices_kq(c):
+        for order, gen, _ in coeff_classes(field, modulus, s - stem, w - c):
+            coeff2, _, _, _, tau, units = gen.lead
+            mono = Monomial(coeff2=coeff2, h1=h1, v1=v1, tau=tau, units=units)
             assert mono.degree() == deg, (mono, deg)
-            out.append(CyclicSummand(cs.order, Generator.of(mono), deg))
+            out.append(CyclicSummand(order, Generator.of(mono), deg))
     out.sort(key=lambda cs: cs.gen.sort_key())
     return out
 

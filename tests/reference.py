@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from esss.basechange import _map_columns, _row_dicts
+from esss.engine import page1_basis
 from esss.groups import Monomial
 from esss.homalg import StructuredGroup
 from esss.numthy import NU_INFINITY, a_q, nu2
@@ -248,6 +250,18 @@ def kernel_cokernel(A, src_orders, tgt_orders):
     if not C:
         return StructuredGroup([], []), coker
     return _subquotient(C, src_orders), coker
+
+
+def isomorphic_orders(a, b) -> bool:
+    """Same multiset of cyclic orders (the additive isomorphism test)."""
+    return sorted(a) == sorted(b)
+
+
+def page1_map_matrix(src, dst, spectrum, deg):
+    """The first-page comparison matrix at deg, in the bases of page1_basis."""
+    cols = _map_columns(src, dst, spectrum, deg)
+    return [[row.get(j, 0) for j in range(len(cols))]
+            for row in _row_dicts(cols, len(page1_basis(dst, spectrum, deg)))]
 
 
 @lru_cache(maxsize=None)

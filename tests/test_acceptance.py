@@ -12,12 +12,13 @@ import pytest
 
 from esss.engine import PageWindow, WindowError, run, _L_degree
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
-from esss.groups import TriDegree, isomorphic_orders
+from esss.groups import TriDegree
 from esss.numthy import bernoulli_denom_two_part, nu2, s_q
 from esss.oracles import les_oracle, mass_hz2n_oracle
 from esss.pitable import assemble_pi, bernoulli_witness_order
 from esss.verify import (TEN_FIELDS, dd_failures, hasse_reports, oracle_mismatches,
                          slice_degrees)
+from reference import isomorphic_orders
 
 
 def _announce(num, text, t0):

@@ -6,11 +6,12 @@ import pytest
 
 from esss import basechange, homalg
 from esss.basechange import (_commutes_with_d1, _kq_images, _map_columns, _unit_image,
-                             compare_e1, compare_e2, page1_map_matrix)
+                             compare_e1, compare_e2)
 from esss.engine import PageWindow, _d1_L, _kq_degree, _L_degree, page1_basis, page1_d1, run
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
-from esss.groups import TriDegree, d_shift, isomorphic_orders
+from esss.groups import TriDegree, d_shift
 from esss.verify import HASSE_DSTS, HASSE_SRC, hasse_reports as verify_hasse_reports, slice_degrees
+from reference import isomorphic_orders, page1_map_matrix
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,9 @@ import pytest
 from esss import oracles, verify
 from esss.coefficients import coeff_classes, coeff_hz2
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
-from esss.groups import isomorphic_orders
 from esss.numthy import NU_INFINITY
 from esss.oracles import les_oracle, mass_hz2n_oracle
+from reference import isomorphic_orders
 
 TEN_FIELDS = [ALG_CLOSED, Fq(3), Fq(5), Fq(7), Fq(13), Qq(3), Qq(5), Q2, REALS,
               Q((2, 3, 5, 7))]

@@ -4,14 +4,13 @@ import pytest
 
 import esss.engine as engine
 import reference
-from esss.basechange import page1_map_matrix
 from esss.coefficients import coeff_classes
 from esss.engine import (PageWindow, WindowError, build_page1, page1_basis, page1_d1,
                          run, turn_page)
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
-from esss.groups import CyclicSummand, TriDegree, d_shift, isomorphic_orders
+from esss.groups import CyclicSummand, TriDegree, d_shift
 from esss.verify import HASSE_DSTS, HASSE_SRC
-from reference import slices_L
+from reference import isomorphic_orders, page1_map_matrix, slices_L
 
 
 WIN = PageWindow(-3, 12, 0, 14, -6, 7)
@@ -144,6 +143,21 @@ def test_e2_window_not_closed_error():
     e2 = turn_page(page)
     with pytest.raises(WindowError):
         turn_page(turn_page(e2))  # exhausts the filtration headroom
+
+
+def test_page1_d1_rows_are_shared():
+    """Equal rows of the first-page differentials are one list, so there are
+    no more row objects than row contents."""
+    by_content, ids, rows = {}, set(), 0
+    for field in (Fq(3), Q((2, 3, 5))):
+        for spectrum in ("kq", "L"):
+            for w in range(-3, 2):
+                page = build_page1(field, spectrum, PageWindow(-4, 12, 0, 14, w, w))
+                for row in (row for dd in page.data.values() for row in dd.diff):
+                    assert by_content.setdefault(tuple(row), row) is row
+                    ids.add(id(row))
+                    rows += 1
+    assert len(ids) <= len(by_content) and rows > 10 * len(by_content)
 
 
 def test_statuses_for_pluggable_pairs():

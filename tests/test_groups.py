@@ -72,6 +72,19 @@ def test_generator_of_term_order():
     assert repr(CyclicSummand(2, Generator.of(a), a.degree())) == "Z/2{h1}"
 
 
+def test_generator_is_the_tuple_of_its_terms():
+    a, b = Monomial(h1=1), Monomial(iota=1)
+    one, single, pair = Generator(), Generator.of(a), Generator.of(b, a)
+    assert one == (ONE,) and one.terms == (ONE,) and one.lead is ONE and one.text() == "1"
+    assert single == (a,) and single.terms is single and single.lead is a
+    assert pair == (a, b) and pair.terms == (a, b) and pair.lead is a and len(pair) == 2
+    assert pair.text() == "h1 + iota" and repr(pair) == "<h1 + iota>"
+    assert single.is_single() and not pair.is_single() and single.degree() == a.degree()
+    assert sorted([pair, single, one], key=Generator.sort_key) == [one, single, pair]
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        pair.degree()
+
+
 @pytest.mark.parametrize("field,spectrum", [(ALG_CLOSED, "kq"), (Q2, "L")])
 def test_page1_diff_is_dense_int_rows(field, spectrum):
     page = build_page1(field, spectrum, PageWindow(0, 6, 0, 6, -2, 2))

@@ -184,6 +184,21 @@ def test_cli_bad_rule_file_is_one_line_error(capsys, tmp_path):
     assert "/nonexistent" in _one_line_error(capsys, pi + ["--rules", "/nonexistent"])
 
 
+def test_window_degrees_certify_only_cited_pairs(capsys):
+    """Degree vanishing sees only the window, so it grants E-infinity only
+    to pairs whose collapse is cited.  Over R these windows pass it, yet
+    Z/2{rho^2 tau^4} at (-2, 2, -6) of L has its d2 target (-3, 7, -6)
+    above f = 4: the runs stop at page 2 as the wider --f 0..8 does."""
+    from esss.fields import REALS
+    for spectrum, (s, f, w) in (("L", ((-2, 4), (0, 4), (-6, 2))),
+                                ("kq", ((0, 4), (0, 4), (0, 2)))):
+        argv = ["compute", "--field", "r", "--spectrum", spectrum, "--page", "inf",
+                *(f"--{k}={a}..{b}" for k, (a, b) in zip("sfw", (s, f, w))), "--format", "md"]
+        assert "external data; supply a rule file" in _one_line_error(capsys, argv)
+        res = run(REALS, spectrum, PageWindow(*s, *f, *w), want_einf=False)
+        assert res.status == "E2 only" and res.certificate is None
+
+
 def test_cli_field_flags_that_do_not_fit_are_one_line_errors(capsys):
     """A support entry that is no prime, and a --q or --support on a field
     that takes none, are refused, not computed with or dropped."""

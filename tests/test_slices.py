@@ -38,21 +38,27 @@ def test_slices_L():
 
 
 def test_e1_kq_spot_values():
-    assert [cs.text() for cs in e1_kq_basis(ALG_CLOSED, 1, 1, 1)] == ["Z/2{h1}"]
-    assert [cs.text() for cs in e1_kq_basis(ALG_CLOSED, 4, 0, 2)] == ["Z{v1^2}"]
-    assert [cs.text() for cs in e1_kq_basis(Fq(3), 3, 1, -2)] == ["Z/16{rho v1^2 tau^3}"]
-    assert e1_kq_basis(ALG_CLOSED, 1, 2, 1) == []  # odd s+f
-    assert e1_kq_basis(ALG_CLOSED, 0, -2, 0) == []
+    assert [cs.text() for cs in e1_kq_basis(ALG_CLOSED, TriDegree(1, 1, 1))] == ["Z/2{h1}"]
+    assert [cs.text() for cs in e1_kq_basis(ALG_CLOSED, TriDegree(4, 0, 2))] == ["Z{v1^2}"]
+    assert [cs.text() for cs in e1_kq_basis(Fq(3), TriDegree(3, 1, -2))] == ["Z/16{rho v1^2 tau^3}"]
+    assert e1_kq_basis(ALG_CLOSED, TriDegree(1, 2, 1)) == []  # odd s+f
+    assert e1_kq_basis(ALG_CLOSED, TriDegree(0, -2, 0)) == []
+
+
+def test_kq_basis_holds_the_callers_degree():
+    deg = TriDegree(3, 1, -2)
+    basis = e1_kq_basis(Fq(3), deg)
+    assert basis and all(cs.degree is deg and cs.gen.terms is cs.gen for cs in basis)
 
 
 def test_psi3_entries():
-    basis = e1_kq_basis(Fq(3), 4, 0, 2)
+    basis = e1_kq_basis(Fq(3), TriDegree(4, 0, 2))
     assert psi3_entries(Fq(3), basis) == [8]
-    basis = e1_kq_basis(Fq(3), 8, 0, 4)
+    basis = e1_kq_basis(Fq(3), TriDegree(8, 0, 4))
     assert psi3_entries(Fq(3), basis) == [16]
-    basis = e1_kq_basis(Fq(3), 3, 3, 1)  # mod-2 cell classes
+    basis = e1_kq_basis(Fq(3), TriDegree(3, 3, 1))  # mod-2 cell classes
     assert psi3_entries(Fq(3), basis) == [0] * len(basis)
-    basis = e1_kq_basis(Fq(3), 0, 0, 0)  # weight-0 slice
+    basis = e1_kq_basis(Fq(3), TriDegree(0, 0, 0))  # weight-0 slice
     assert psi3_entries(Fq(3), basis) == [0]
 
 
@@ -118,4 +124,4 @@ def test_e1_window_parity_guard():
     for s in range(-2, 6):
         for f in range(0, 6):
             if (s + f) % 2:
-                assert e1_kq_basis(Qq(3), s, f, 0) == []
+                assert e1_kq_basis(Qq(3), TriDegree(s, f, 0)) == []
