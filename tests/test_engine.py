@@ -197,7 +197,7 @@ def test_empty_rule_file_refuses_certification(tmp_path):
 def test_loaded_rule_is_applied(tmp_path):
     # a synthetic second differential on the real L page, from the free
     # tau^4 onto the order-2 class two slices up: E3 loses the target and
-    # keeps 2 tau^4
+    # keeps 2 tau^4; with no citation for (R, L) the run stops at E3
     path = tmp_path / "toy.rules"
     path.write_text("d2: tau^4 -> 1 iota rho^2 h1^2 tau^4  # synthetic\n")
     res = run(REALS, "L", PageWindow(-2, 6, 0, 10, -4, 3), rule_file=str(path),
@@ -205,6 +205,7 @@ def test_loaded_rule_is_applied(tmp_path):
     src, tgt = TriDegree(0, 0, -4), TriDegree(-1, 5, -4)
     assert res.pages[1].data[src].diff == [[1]]
     assert [p.r for p in res.pages] == [1, 2, 3]
+    assert res.status == "E3 only" and res.certificate is None
     assert res.pages[2].summands(tgt) == []
     assert [cs.text() for cs in res.pages[2].summands(src)] == ["Z{2 tau^4}"]
 

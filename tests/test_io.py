@@ -7,7 +7,7 @@ import pytest
 
 from esss.charts import chart_svg
 from esss.engine import PageWindow, run
-from esss.fields import ALG_CLOSED, Q2, Fq
+from esss.fields import ALG_CLOSED, Q2, REALS, Fq
 from esss.pitable import assemble_pi
 from esss.serialize import (SCHEMA, document_json, page_document, page_markdown,
                             parse_document, pi_markdown)
@@ -189,7 +189,6 @@ def test_window_degrees_certify_only_cited_pairs(capsys):
     to pairs whose collapse is cited.  Over R these windows pass it, yet
     Z/2{rho^2 tau^4} at (-2, 2, -6) of L has its d2 target (-3, 7, -6)
     above f = 4: the runs stop at page 2 as the wider --f 0..8 does."""
-    from esss.fields import REALS
     for spectrum, (s, f, w) in (("L", ((-2, 4), (0, 4), (-6, 2))),
                                 ("kq", ((0, 4), (0, 4), (0, 2)))):
         argv = ["compute", "--field", "r", "--spectrum", spectrum, "--page", "inf",
