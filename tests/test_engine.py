@@ -194,6 +194,36 @@ def test_empty_rule_file_refuses_certification(tmp_path):
     assert res.certificate is None
 
 
+def test_run_decides_collapse_by_citation_then_degrees(tmp_path):
+    """Which certificate run grants, pair by pair: a 2-adic citation wins
+    over degree vanishing, other cited pairs try degree vanishing first, and
+    a rule file, even one with no rules, drops every citation."""
+    win = PageWindow(-2, 6, 0, 10, -3, 3)
+    fields = {"Fbar": ALG_CLOSED, "F3": Fq(3), "Q3": Qq(3), "Q2": Q2, "R": REALS,
+              "Q(2,3)": Q((2, 3))}
+    vanishing = "Einf degree-vanishing"
+    want = {
+        None: {"Fbar kq": vanishing, "Fbar L": vanishing, "F3 kq": vanishing,
+               "F3 L": vanishing, "Q3 kq": vanishing, "Q3 L": "Einf cited",
+               "Q2 kq": "Einf cited", "Q2 L": "Einf cited", "R kq": "E2 only",
+               "R L": "E2 only", "Q(2,3) kq": "Einf cited", "Q(2,3) L": "E2 only"},
+        "empty": {"Fbar kq": vanishing, "Fbar L": vanishing, "F3 kq": vanishing,
+                  "F3 L": vanishing, "Q3 kq": vanishing, "Q2 kq": vanishing},
+    }
+    path = tmp_path / "empty.rules"
+    path.write_text("# comments only\n")
+    for rule_file in (None, "empty"):
+        got = {}
+        for name, field in fields.items():
+            for spectrum in ("kq", "L"):
+                res = run(field, spectrum, win, rule_file=rule_file and str(path),
+                          want_einf=False)
+                cert = res.certificate
+                assert (res.einf is not None) == (cert is not None) == (res.status == "Einf")
+                got[f"{name} {spectrum}"] = res.status + (f" {cert.kind}" if cert else "")
+        assert got == {k: want[rule_file].get(k, "E2 only") for k in got}, rule_file
+
+
 def test_loaded_rule_is_applied(tmp_path):
     # a synthetic second differential on the real L page, from the free
     # tau^4 onto the order-2 class two slices up: E3 loses the target and
