@@ -68,11 +68,9 @@ def _glyph_svg(glyph, x, y, color, label=""):
     raise AssertionError(glyph)
 
 
-def chart_svg(page: Page, s_range=None, f_range=None) -> str:
-    s_min = page.window.s_min if s_range is None else s_range[0]
-    s_max = page.window.s_max if s_range is None else s_range[1]
-    f_min = max(page.window.f_min, 0) if f_range is None else f_range[0]
-    f_max = page.window.f_max if f_range is None else f_range[1]
+def chart_svg(page: Page, s_range, f_range) -> str:
+    s_min, s_max = s_range
+    f_min, f_max = f_range
     width = MARGIN * 2 + (s_max - s_min + 1) * CELL
     height = MARGIN * 2 + (f_max - f_min + 1) * CELL + 40
     body = []

@@ -12,7 +12,7 @@ from .charts import chart_svg
 from .engine import PageWindow, WindowError, run
 from .fields import parse_field
 from .pitable import compute_pi_group
-from .rules import RuleFileError, higher_ruleset
+from .rules import RuleFileError, parse_rule_file
 from .serialize import (document_json, page_document, page_markdown,
                         pi_document, pi_markdown)
 
@@ -83,7 +83,8 @@ def cmd_compute(args) -> int:
     try:
         if want_page == "1":
             from .engine import build_page1
-            higher_ruleset(field, args.spectrum, args.rules)  # refuses a bad rule file
+            if args.rules is not None:
+                parse_rule_file(field, args.rules)  # refuses a bad rule file
             page = build_page1(field, args.spectrum, window)
             result = None
         else:

@@ -3,11 +3,12 @@
 Pages are stored per tridegree; the weight is preserved by every
 differential, so all computations slice cleanly over w.  The first page of
 L is built from the first page of kq as kernel plus shifted cokernel of
-psi^3 - 1, kept as a self-test against the direct slice-by-slice
-construction.  Every map on it is the one _L_map induces from a kq map
-(restriction to the kernel, induced map on the cokernel): its differential
-from the kq differential, and the comparison maps of basechange from the
-kq comparison maps.
+psi^3 - 1; test_dual_construction_of_L_first_page checks it against the
+direct slice-by-slice construction of tests/reference.slices_L.  Every
+map on it is the one _L_map induces from a kq map (restriction to the
+kernel, induced map on the cokernel): its differential from the kq
+differential, and the comparison maps of basechange from the kq
+comparison maps.
 
 The first page is generated from closed formulas, so build_page1 pads the
 requested window by one differential's reach and the second page is exact
@@ -31,7 +32,7 @@ from .fields import FieldId
 from .groups import CyclicSummand, Generator, Monomial, TriDegree, d_shift
 from .homalg import StructuredGroup, check_complex, homology_group
 from .numthy import nu2
-from .rules import _CITED_COLLAPSE, d1_matrix, dense_rows, higher_ruleset
+from .rules import d1_matrix, dense_rows, parse_rule_file
 from .slices import e1_kq_basis, psi3_entries
 
 
@@ -71,14 +72,11 @@ class WindowError(ValueError):
     """A window is not closed under the differentials a caller needs."""
 
 
-class DegreeData:
-    __slots__ = ("summands", "history", "diff")
-
-    def __init__(self, summands: list, history: list | None = None, diff: list | None = None):
-        self.summands = summands  # page 1 shares the cached tuples of page1_basis: read only
-        # page >= 2: expressions of the new generators over the previous page
-        self.history = [] if history is None else history
-        self.diff = diff  # page 1: rows of rules.dense_rows, shared across degrees: read only
+class DegreeData(NamedTuple):
+    summands: list  # page 1 shares the cached tuples of page1_basis: read only
+    # page >= 2: expressions of the new generators over the previous page; page 1: ()
+    history: list
+    diff: list | None  # rows of rules.dense_rows, shared across degrees: read only
 
 
 class Page(NamedTuple):
@@ -102,12 +100,12 @@ def _name_from_vector(vec, basis) -> Generator:
         if c == 0:
             continue
         m = nu2(abs(c))
-        for t in cs.gen.terms:
+        for t in cs.gen:
             terms ^= {t.with_coeff2(t.coeff2 + m)}
     if not terms:
         for c, cs in zip(vec, basis):
             if c:
-                terms |= {t.with_coeff2(t.coeff2 + nu2(abs(c))) for t in cs.gen.terms}
+                terms |= {t.with_coeff2(t.coeff2 + nu2(abs(c))) for t in cs.gen}
     assert terms, "empty generator expression"
     return Generator.of(*terms)
 
@@ -235,7 +233,7 @@ def build_page1(field: FieldId, spectrum: str, window: PageWindow) -> Page:
     for deg in padded.degrees():
         summands = page1_basis(field, spectrum, deg)
         if summands:
-            data[deg] = DegreeData(summands, diff=page1_d1(field, spectrum, deg))
+            data[deg] = DegreeData(summands, (), page1_d1(field, spectrum, deg))
     return Page(field, spectrum, 1, padded, data)
 
 
@@ -269,13 +267,17 @@ def _homology(in_m, src_orders, diff, mid_orders, tgt_orders):
 
 
 def turn_page(page: Page, higher_rules=()) -> Page:
-    """Homology with respect to the page's differential; names carried over."""
+    """Homology with respect to the page's differential; names carried over.
+
+    The new page is built whole: first every degree's summands and history,
+    then every degree's differential from the rules of higher_rules for it.
+    """
     r = page.r
     shift = d_shift(r)
     new_window = page.window.shrink(r)
     if new_window.f_max < new_window.f_min or new_window.s_max < new_window.s_min:
         raise WindowError(f"window exhausted turning page {r}")
-    data = {}
+    summands, history = {}, {}
     for deg in new_window.degrees():
         dd = page.data.get(deg)
         if dd is None:
@@ -292,37 +294,34 @@ def turn_page(page: Page, higher_rules=()) -> Page:
         src_orders = [cs.order for cs in src.summands] if src is not None else []
         H = _homology(in_m, src_orders, dd.diff, mid_orders, tgt_orders)
         if H.orders:
-            data[deg] = DegreeData([CyclicSummand(order, _name_from_vector(vec, dd.summands), deg)
-                                    for order, vec in zip(H.orders, H.gens)],
-                                   history=[tuple(vec) for vec in H.gens])
-    new_page = Page(page.field, page.spectrum, r + 1, new_window, data)
-    _attach_higher_diff(new_page, higher_rules)
-    return new_page
+            summands[deg] = [CyclicSummand(order, _name_from_vector(vec, dd.summands), deg)
+                             for order, vec in zip(H.orders, H.gens)]
+            history[deg] = [tuple(vec) for vec in H.gens]
+    rules = [rule for rule in higher_rules if rule.page == r + 1]
+    data = {deg: DegreeData(summ, history[deg], _rule_diff(new_window, r + 1, rules, summands, deg))
+            for deg, summ in summands.items()}
+    return Page(page.field, page.spectrum, r + 1, new_window, data)
 
 
-def _attach_higher_diff(page: Page, higher_rules):
-    """Differential matrices on a page r >= 2 from explicit rules."""
-    shift = d_shift(page.r)
-    applicable = [rule for rule in higher_rules if rule.page == page.r]
-    for deg, dd in page.data.items():
-        tgt = deg + shift
-        if tgt.f > page.window.f_max or tgt.s < page.window.s_min:
-            dd.diff = None
-            continue
-        tgt_sum = page.summands(tgt)
-        M = [[0] * len(dd.summands) for _ in range(len(tgt_sum))]
-        if applicable and tgt_sum:
-            index = {cs.gen.lead.with_coeff2(0): i for i, cs in enumerate(tgt_sum)}
-            for j, cs in enumerate(dd.summands):
-                for rule in applicable:
-                    if cs.gen.lead.with_coeff2(0) != rule.source.with_coeff2(0):
-                        continue
-                    t = index.get(rule.target.with_coeff2(0))
-                    if t is not None:
-                        M[t][j] += rule.coefficient
-                        if tgt_sum[t].order:
-                            M[t][j] %= tgt_sum[t].order
-        dd.diff = M
+def _rule_diff(window: PageWindow, r: int, rules, summands: dict, deg: TriDegree):
+    """The page-r differential at deg from explicit rules, as rules.dense_rows;
+    None where its target leaves the window."""
+    tgt = deg + d_shift(r)
+    if tgt.f > window.f_max or tgt.s < window.s_min:
+        return None
+    tgt_sum = summands.get(tgt, ())
+    rows = [{} for _ in tgt_sum]
+    if rules and tgt_sum:
+        index = {cs.gen.lead.with_coeff2(0): i for i, cs in enumerate(tgt_sum)}
+        for j, cs in enumerate(summands[deg]):
+            for rule in rules:
+                if cs.gen.lead.with_coeff2(0) != rule.source.with_coeff2(0):
+                    continue
+                t = index.get(rule.target.with_coeff2(0))
+                if t is not None:
+                    order, x = tgt_sum[t].order, rows[t].get(j, 0) + rule.coefficient
+                    rows[t][j] = x % order if order else x
+    return dense_rows(len(summands[deg]), rows)
 
 
 class CollapseCertificate(NamedTuple):
@@ -330,6 +329,21 @@ class CollapseCertificate(NamedTuple):
     spectrum: str
     kind: str  # "degree-vanishing" | "cited"
     detail: str
+
+
+# one citation per pair whose collapse the source cites; certificates
+# print this wording
+_CITED_COLLAPSE = {
+    ("q2", "kq"): "no room for further differentials over the 2-adic rationals",
+    ("q2", "L"): "comparison with the eta-inverted computation over the 2-adic rationals",
+    ("c", "kq"): "collapse at the second page over algebraically closed fields",
+    ("c", "L"): "collapse at the second page over algebraically closed fields",
+    ("fq", "kq"): "collapse for degree reasons at the second page over finite fields",
+    ("fq", "L"): "no room for higher differentials over finite fields",
+    ("qq", "kq"): "the finite-field collapse carried along the pi classes",
+    ("qq", "L"): "the finite-field collapse carried along the pi classes",
+    ("q", "kq"): "no room for longer differentials over the rationals",
+}
 
 
 def degree_vanishing(page: Page) -> bool:
@@ -355,28 +369,31 @@ def run(field: FieldId, spectrum: str, window: PageWindow,
         rule_file: str | None = None, want_einf: bool = True) -> RunResult:
     """Iterate pages until a collapse certificate holds or data runs out.
 
-    2-adic collapse is certified by citation (criterion of the worked
-    examples); the other pairs of rules._CITED_COLLAPSE by computed degree
-    vanishing first, rule file or not.  That check sees only the window, so
-    uncited pairs ((R, kq), (R, L), (Q, L)) stop where their rules end.
+    Only pairs of _CITED_COLLAPSE collapse.  Over the 2-adic rationals the
+    citation decides at once; the other pairs try computed degree vanishing
+    first and fall back on their citation.  A rule file drops every
+    citation.  Degree vanishing sees only the window, so uncited pairs
+    ((R, kq), (R, L), (Q, L)) stop where their rules end.
     """
-    hr = higher_ruleset(field, spectrum, rule_file)
+    key = (field.kind, spectrum)
+    rules = () if rule_file is None else parse_rule_file(field, rule_file)
+    citation = _CITED_COLLAPSE.get(key) if rule_file is None else None
     e1 = build_page1(field, spectrum, window)
-    e2 = turn_page(e1, hr.rules)
+    e2 = turn_page(e1, rules)
     pages = [e1, e2]
     current = e2
     while True:
         cert = None
-        if field.kind == "q2" and hr.certificate is not None:
-            cert = CollapseCertificate(field, spectrum, "cited", hr.certificate)
-        elif (field.kind, spectrum) in _CITED_COLLAPSE and degree_vanishing(current):
+        if field.kind == "q2" and citation is not None:
+            cert = CollapseCertificate(field, spectrum, "cited", citation)
+        elif key in _CITED_COLLAPSE and degree_vanishing(current):
             cert = CollapseCertificate(field, spectrum, "degree-vanishing",
                                        f"computed for pages r >= {current.r} in window")
-        elif hr.certificate is not None:
-            cert = CollapseCertificate(field, spectrum, "cited", hr.certificate)
+        elif citation is not None:
+            cert = CollapseCertificate(field, spectrum, "cited", citation)
         if cert is not None:
             return RunResult(pages, current, cert, "Einf")
-        remaining = [rule for rule in hr.rules if rule.page >= current.r]
+        remaining = [rule for rule in rules if rule.page >= current.r]
         if not remaining:
             status = f"E{current.r} only"
             if want_einf:
@@ -384,6 +401,6 @@ def run(field: FieldId, spectrum: str, window: PageWindow,
                     f"higher differentials for {field.text()} {spectrum} beyond page "
                     f"{current.r} are external data; supply a rule file")
             return RunResult(pages, None, None, status)
-        nxt = turn_page(current, hr.rules)
+        nxt = turn_page(current, rules)
         pages.append(nxt)
         current = nxt

@@ -130,7 +130,6 @@ class Generator(tuple):
             return tuple.__new__(Generator, monos)
         return tuple.__new__(Generator, sorted(monos, key=Monomial.sort_key))
 
-    terms = property(lambda self: self)
     lead = property(itemgetter(0))
 
     def degree(self) -> TriDegree:

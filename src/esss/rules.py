@@ -22,16 +22,16 @@ spectrum L is not a separate rule table: it is the restriction of this
 one to the kernel of psi^3 - 1 plus the map induced on the cokernel
 (iota classes).
 
-Higher differentials are never invented: each supported pair either ships
-an empty set with a citation certificate or loads literal rules from a
-user-supplied file in the line format
+Higher differentials are never invented: this module states none, and
+which pairs collapse by citation is engine's table.  A user-supplied file
+gives literal rules in the line format
 
     d{r}: <source> -> <coefficient> <target> # <provenance>
 
 where source and target are single monomials whose unit words are basis
 words of the field on their cells, and the target sits at source +
-d_shift(r).  A line that breaks either, or carries an `if` condition, is
-rejected, not loaded to match nothing.
+d_shift(r).  A line that breaks either, carries an `if` condition or is
+not UTF-8 text is rejected, not loaded to match nothing.
 """
 from __future__ import annotations
 
@@ -118,45 +118,6 @@ class HigherRule(NamedTuple):
     provenance: str
 
 
-class HigherRuleset(NamedTuple):
-    """Either a certified-empty set or file-loaded rules."""
-
-    rules: tuple
-    certificate: str | None  # citation when the set is certified empty
-
-
-# one citation per pair whose higher differentials are certified empty;
-# certificates print this wording
-_CITED_COLLAPSE = {
-    ("q2", "kq"): "no room for further differentials over the 2-adic rationals",
-    ("q2", "L"): "comparison with the eta-inverted computation over the 2-adic rationals",
-    ("c", "kq"): "collapse at the second page over algebraically closed fields",
-    ("c", "L"): "collapse at the second page over algebraically closed fields",
-    ("fq", "kq"): "collapse for degree reasons at the second page over finite fields",
-    ("fq", "L"): "no room for higher differentials over finite fields",
-    ("qq", "kq"): "the finite-field collapse carried along the pi classes",
-    ("qq", "L"): "the finite-field collapse carried along the pi classes",
-    ("q", "kq"): "no room for longer differentials over the rationals",
-}
-
-
-def higher_ruleset(field: FieldId, spectrum: str, rule_file: str | None = None):
-    """Higher-differential data: certified empty, or loaded from a file.
-
-    For (R, L) and (Q, L) the derivation is outside this engine; a rule
-    file must be supplied to go past the second page.  (R, kq) is also
-    pluggable: with no citation, a window's degrees certify nothing (a
-    differential may leave the window), so it too stops at the second page.
-    """
-    key = (field.kind, spectrum)
-    if rule_file is not None:
-        rules = parse_rule_file(field, rule_file)
-        return HigherRuleset(tuple(rules), None)
-    if key in _CITED_COLLAPSE:
-        return HigherRuleset((), _CITED_COLLAPSE[key])
-    return HigherRuleset((), None)
-
-
 class RuleFileError(ValueError):
     pass
 
@@ -203,37 +164,41 @@ def _parse_monomial(text: str, lineno: int, field: FieldId) -> Monomial:
 def parse_rule_file(field: FieldId, path: str):
     """Line format: d{r}: <source> -> <coeff> <target> # <provenance>."""
     rules = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "#" not in line:
-                raise RuleFileError(f"line {lineno}: missing provenance comment")
-            body, _, provenance = line.partition("#")
-            provenance = provenance.strip()
-            if not provenance:
-                raise RuleFileError(f"line {lineno}: empty provenance")
-            head, _, rest = body.partition(":")
-            head = head.strip()
-            if not head.startswith("d") or not head[1:].isdigit():
-                raise RuleFileError(f"line {lineno}: bad page marker {head!r}")
-            page = int(head[1:])
-            if page < 2:
-                raise RuleFileError(f"line {lineno}: external rules start at d2")
-            src, arrow, tgt = rest.partition("->")
-            if not arrow:
-                raise RuleFileError(f"line {lineno}: missing ->")
-            if "if" in body.split():
-                raise RuleFileError(f"line {lineno}: conditions ('if') are not supported")
-            tgt_tokens = tgt.strip().split()
-            coeff = 1
-            if tgt_tokens and tgt_tokens[0].isdigit():
-                coeff = int(tgt_tokens[0])
-                tgt_tokens = tgt_tokens[1:]
-            source = _parse_monomial(src, lineno, field)
-            target = _parse_monomial(" ".join(tgt_tokens), lineno, field)
-            if target.degree() != source.degree() + d_shift(page):
-                raise RuleFileError(f"line {lineno}: the target is not at source + d_shift({page})")
-            rules.append(HigherRule(page, source, target, coeff, provenance))
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()
+    for lineno, raw in enumerate(raw_lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise RuleFileError(f"line {lineno}: not UTF-8 text") from None
+        if not line or line.startswith("#"):
+            continue
+        if "#" not in line:
+            raise RuleFileError(f"line {lineno}: missing provenance comment")
+        body, _, provenance = line.partition("#")
+        provenance = provenance.strip()
+        if not provenance:
+            raise RuleFileError(f"line {lineno}: empty provenance")
+        head, _, rest = body.partition(":")
+        head = head.strip()
+        if not head.startswith("d") or not head[1:].isdigit():
+            raise RuleFileError(f"line {lineno}: bad page marker {head!r}")
+        page = int(head[1:])
+        if page < 2:
+            raise RuleFileError(f"line {lineno}: external rules start at d2")
+        src, arrow, tgt = rest.partition("->")
+        if not arrow:
+            raise RuleFileError(f"line {lineno}: missing ->")
+        if "if" in body.split():
+            raise RuleFileError(f"line {lineno}: conditions ('if') are not supported")
+        tgt_tokens = tgt.strip().split()
+        coeff = 1
+        if tgt_tokens and tgt_tokens[0].isdigit():
+            coeff = int(tgt_tokens[0])
+            tgt_tokens = tgt_tokens[1:]
+        source = _parse_monomial(src, lineno, field)
+        target = _parse_monomial(" ".join(tgt_tokens), lineno, field)
+        if target.degree() != source.degree() + d_shift(page):
+            raise RuleFileError(f"line {lineno}: the target is not at source + d_shift({page})")
+        rules.append(HigherRule(page, source, target, coeff, provenance))
     return rules

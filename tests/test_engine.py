@@ -370,10 +370,10 @@ def test_records_keep_their_behaviour():
     from esss.groups import Generator, Monomial
     from esss.pitable import PiEntry, _apply_extensions, extension_rules
 
-    a, b = engine.DegreeData([]), engine.DegreeData([])
-    a.history.append((1,))
-    a.diff = [[1]]
-    assert b.history == [] and b.diff is None and a.diff == [[1]]
+    dd = engine.DegreeData([], [(1,)], [[1]])
+    assert dd == ([], [(1,)], [[1]]) and dd.history == [(1,)] and dd.diff == [[1]]
+    with pytest.raises(AttributeError):
+        dd.diff = None
     w = PageWindow(0, 4, 0, 6, -1, 1)
     assert w == PageWindow(0, 4, 0, 6, -1, 1) and len({w, PageWindow(0, 4, 0, 6, -1, 1)}) == 1
     assert TriDegree(2, 3, 1) in w and TriDegree(5, 3, 1) not in w and TriDegree(0, 0, 2) not in w

@@ -182,6 +182,11 @@ def test_cli_bad_rule_file_is_one_line_error(capsys, tmp_path):
     assert outputs[0] == outputs[1] and outputs[0].out.startswith("{")
     pi = ["pi", "--field", "c", "--spectrum", "L", "--stem", "3", "--weight", "2"]
     assert "/nonexistent" in _one_line_error(capsys, pi + ["--rules", "/nonexistent"])
+    # text that is not UTF-8: UTF-16 with its byte order mark ff fe, a stray byte on line 2
+    for data, where in (("# header\n".encode("utf-16"), "line 1"), (b"# header\n\xff\n", "line 2")):
+        bad.write_bytes(data)
+        for argv in (*(compute(page, bad) for page in ("1", "2", "inf")), pi + ["--rules", str(bad)]):
+            assert f"{where}: not UTF-8 text" in _one_line_error(capsys, argv)
 
 
 def test_window_degrees_certify_only_cited_pairs(capsys):

@@ -2,8 +2,7 @@ import pytest
 
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q
 from esss.groups import Monomial, d_shift
-from esss.rules import (d1_components, higher_ruleset, parse_rule_file,
-                        RuleFileError)
+from esss.rules import d1_components, parse_rule_file, RuleFileError
 
 
 def texts(monos):
@@ -77,15 +76,6 @@ def test_reals_rho_fourth_component():
     assert texts(got) == sorted(["rho^2 h1^2 tau^2", "rho^4 v1^2"])
     got = d1_components(REALS, Monomial(h1=2, tau=3))
     assert texts(got) == sorted(["rho^2 h1^3 tau^2", "rho^4 v1^2 h1"])
-
-
-def test_higher_ruleset_certificates():
-    hr = higher_ruleset(Fq(5), "L")
-    assert hr.certificate is not None and hr.rules == ()
-    hr = higher_ruleset(Q2, "L")
-    assert hr.certificate is not None and hr.rules == ()
-    hr = higher_ruleset(REALS, "L")
-    assert hr.certificate is None and hr.rules == ()
 
 
 def test_rule_file_parsing(tmp_path):
