@@ -165,40 +165,39 @@ def parse_rule_file(field: FieldId, path: str):
     """Line format: d{r}: <source> -> <coeff> <target> # <provenance>."""
     rules = []
     with open(path, "rb") as fh:
-        raw_lines = fh.read().splitlines()
-    for lineno, raw in enumerate(raw_lines, 1):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError:
-            raise RuleFileError(f"line {lineno}: not UTF-8 text") from None
-        if not line or line.startswith("#"):
-            continue
-        if "#" not in line:
-            raise RuleFileError(f"line {lineno}: missing provenance comment")
-        body, _, provenance = line.partition("#")
-        provenance = provenance.strip()
-        if not provenance:
-            raise RuleFileError(f"line {lineno}: empty provenance")
-        head, _, rest = body.partition(":")
-        head = head.strip()
-        if not head.startswith("d") or not head[1:].isdigit():
-            raise RuleFileError(f"line {lineno}: bad page marker {head!r}")
-        page = int(head[1:])
-        if page < 2:
-            raise RuleFileError(f"line {lineno}: external rules start at d2")
-        src, arrow, tgt = rest.partition("->")
-        if not arrow:
-            raise RuleFileError(f"line {lineno}: missing ->")
-        if "if" in body.split():
-            raise RuleFileError(f"line {lineno}: conditions ('if') are not supported")
-        tgt_tokens = tgt.strip().split()
-        coeff = 1
-        if tgt_tokens and tgt_tokens[0].isdigit():
-            coeff = int(tgt_tokens[0])
-            tgt_tokens = tgt_tokens[1:]
-        source = _parse_monomial(src, lineno, field)
-        target = _parse_monomial(" ".join(tgt_tokens), lineno, field)
-        if target.degree() != source.degree() + d_shift(page):
-            raise RuleFileError(f"line {lineno}: the target is not at source + d_shift({page})")
-        rules.append(HigherRule(page, source, target, coeff, provenance))
+        for lineno, raw in enumerate(fh.read().splitlines(), 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise RuleFileError(f"line {lineno}: not UTF-8 text") from None
+            if not line or line.startswith("#"):
+                continue
+            if "#" not in line:
+                raise RuleFileError(f"line {lineno}: missing provenance comment")
+            body, _, provenance = line.partition("#")
+            provenance = provenance.strip()
+            if not provenance:
+                raise RuleFileError(f"line {lineno}: empty provenance")
+            head, _, rest = body.partition(":")
+            head = head.strip()
+            if not head.startswith("d") or not head[1:].isdigit():
+                raise RuleFileError(f"line {lineno}: bad page marker {head!r}")
+            page = int(head[1:])
+            if page < 2:
+                raise RuleFileError(f"line {lineno}: external rules start at d2")
+            src, arrow, tgt = rest.partition("->")
+            if not arrow:
+                raise RuleFileError(f"line {lineno}: missing ->")
+            if "if" in body.split():
+                raise RuleFileError(f"line {lineno}: conditions ('if') are not supported")
+            tgt_tokens = tgt.strip().split()
+            coeff = 1
+            if tgt_tokens and tgt_tokens[0].isdigit():
+                coeff = int(tgt_tokens[0])
+                tgt_tokens = tgt_tokens[1:]
+            source = _parse_monomial(src, lineno, field)
+            target = _parse_monomial(" ".join(tgt_tokens), lineno, field)
+            if target.degree() != source.degree() + d_shift(page):
+                raise RuleFileError(f"line {lineno}: the target is not at source + d_shift({page})")
+            rules.append(HigherRule(page, source, target, coeff, provenance))
     return rules
