@@ -16,12 +16,12 @@ Every first-page map is read from one table, _kq_images, keyed by (source
 field, target field, tridegree): per source kq generator, the sparse column
 ((target kq index, coefficient), ...) of its image, held as exact tuples of
 ints.  Equal pairs and columns are shared (_shared), so the collector stops
-tracking a new entry at the first collection it survives.  Like
-engine._kq_degree the table lives as long as the process (cache_clear
-empties it), since callers pass one degree at a time and each map is asked
-for at its degree, one d1 up by the commutation check of the degree below,
-and again by compare_e2.  L maps go through engine._L_map, and the
-commutation check and compare_e2 apply the sparse columns directly.  Both
+tracking a new entry at the first collection it survives.  Unlike
+engine's first-page tables (eight fields) it lives as long as the process
+(cache_clear empties it), since callers pass one degree at a time and each
+map is asked for at its degree, one d1 up by the commutation check of the
+degree below, and again by compare_e2.  engine._L_map reads its entries for
+L; the commutation check and compare_e2 apply the columns directly.  Both
 comparisons decide injectivity with homalg.is_injective on the stacked
 rows of all targets: on first pages a map of groups, decided by two ranks;
 on second pages first-page cycles read modulo each target's boundaries,
@@ -29,7 +29,7 @@ decided by the kernel lattice, so no target's second page is presented.
 """
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 from .engine import Page, _is_L, _kq_degree, _L_map, page1_basis, page1_d1
@@ -98,8 +98,10 @@ def _map_columns(src, dst, spectrum, deg):
     """The first-page comparison map at deg as sparse columns."""
     if not _is_L(spectrum):
         return _kq_images(src, dst, deg)
+    def kq_entries(d):
+        return ((t, j, c) for j, col in enumerate(_kq_images(src, dst, d)) for t, c in col)
     cols = [[] for _ in page1_basis(src, spectrum, deg)]
-    for i, j, x in _L_map(src, dst, deg, deg, partial(_kq_images, src, dst)):
+    for i, j, x in _L_map(src, dst, deg, deg, kq_entries):
         cols[j].append((i, x))
     return cols
 

@@ -10,6 +10,12 @@ kernel, induced map on the cokernel): its differential from the kq
 differential, and the comparison maps of basechange from the kq
 comparison maps.
 
+First-page entries are computed once and held in one table per field, a
+tuple of four dicts keyed by degree, for at most eight fields (a ninth drops
+the oldest).  Equal degrees, summands and (index, multiplier) pairs are one
+object across fields: one intern dict per record type, as groups forbids
+mixing record and tuple keys, emptied when a table is dropped.
+
 The first page is generated from closed formulas, so build_page1 pads the
 requested window by one differential's reach and the second page is exact
 on the full request.  Further pages shrink the window: page r+1 loses one
@@ -24,7 +30,6 @@ included.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -110,12 +115,38 @@ def _name_from_vector(vec, basis) -> Generator:
     return Generator.of(*terms)
 
 
-@lru_cache(maxsize=None)
+_MAX_FIELDS = 8
+_tables = {}
+_degrees, _summands, _pairs = {}, {}, {}
+
+
+def _per_field(slot: int):
+    """Computes each (field, deg) entry once, into dict `slot` of the field's
+    table under the interned degree; past _MAX_FIELDS the oldest table goes."""
+    def cached(build):
+        def entry(field: FieldId, deg: TriDegree):
+            table = _tables.get(field)
+            if table is None:
+                if len(_tables) == _MAX_FIELDS:
+                    del _tables[next(iter(_tables))]
+                    for interned in (_degrees, _summands, _pairs):
+                        interned.clear()
+                table = _tables[field] = ({}, {}, {}, {})
+            hit = table[slot].get(deg)
+            if hit is None:
+                deg = _degrees.setdefault(deg, deg)
+                hit = table[slot][deg] = build(field, deg)
+            return hit
+        return entry
+    return cached
+
+
+@_per_field(0)
 def _kq_degree(field: FieldId, deg: TriDegree):
-    return tuple(e1_kq_basis(field, deg))
+    return tuple(_summands.setdefault(cs, cs) for cs in e1_kq_basis(field, deg))
 
 
-@lru_cache(maxsize=None)
+@_per_field(1)
 def _L_degree(field: FieldId, deg: TriDegree):
     """Kernel and shifted-cokernel classes of psi^3 - 1 at one tridegree.
 
@@ -137,33 +168,32 @@ def _L_degree(field: FieldId, deg: TriDegree):
             cs = CyclicSummand(order, Generator.of(mono), deg)
         summands.append(cs)
         parts.append("K")
-        vectors.append((i, mult))
+        vectors.append(_pairs.setdefault((i, mult), (i, mult)))
     for i, (cs, d) in enumerate(zip(kq_up, psi3_entries(field, kq_up))):
         t = cs.gen.lead
         mono = Monomial(coeff2=t.coeff2, iota=1, h1=t.h1, v1=t.v1,
                         tau=t.tau, units=t.units)
         summands.append(CyclicSummand(gcd(d, cs.order), Generator.of(mono), deg))
         parts.append("C")
-        vectors.append((i, 1))
+        vectors.append(_pairs.setdefault((i, 1), (i, 1)))
     # kernel classes first; vectors are sparse: (ambient kq index, multiplier)
-    return tuple(summands), tuple(parts), tuple(vectors)
+    return tuple(_summands.setdefault(cs, cs) for cs in summands), tuple(parts), tuple(vectors)
 
 
-@lru_cache(maxsize=None)
+@_per_field(2)
 def _d1_kq(field: FieldId, deg: TriDegree):
     return d1_matrix(field, _kq_degree(field, deg), _kq_degree(field, deg + d_shift(1)))
 
 
-def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_col):
+def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_entries):
     """The map a kq map induces on L's first page, from (src, deg) to (dst, tgt).
 
-    kq_col(d) gives, per kq class of src at d, its image under the kq map
-    as ((index among the kq classes of dst at d + (tgt - deg), coefficient),
-    ...).  Yields the map's entries column by column, as (row, column,
-    value) over the L classes of dst at tgt and of src at deg.  Kernel
-    classes read the map at deg, cokernel classes one stem up; with a
-    diagonal psi^3 - 1 both are componentwise 2-power shifts, and a kernel
-    class must land in the kernel.
+    kq_entries(d) gives the nonzero entries of the kq map from src at d to
+    dst at d + (tgt - deg), as (target kq index, source kq index, value).
+    Yields the map's entries in that order, as (row, column, value) over the
+    L classes of dst at tgt and of src at deg.  Kernel classes read the map
+    at deg, cokernel classes one stem up; with a diagonal psi^3 - 1 both are
+    componentwise 2-power shifts, and a kernel class must land in the kernel.
     """
     s_sum, s_part, s_vec = _L_degree(src, deg)
     t_sum, t_part, t_vec = _L_degree(dst, tgt)
@@ -179,26 +209,29 @@ def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_col):
         # a kernel class is m times its kq class (m = 1 for C) and m divides the
         # kq order, so v / m modulo the class's own order is the exact coordinate
         rows = {t_vec[i][0]: (i, t_vec[i][1]) for i in t_idx}
-        images = kq_col(s_deg)
-        for j in js:
-            idx, mult = s_vec[j]
-            for amb, v in images[idx]:
-                i, m = rows.get(amb, (None, 1))
-                v *= mult
-                assert i is not None and v % m == 0, \
-                    f"kq map left the kernel: {src.text()} {deg} -> {dst.text()} {tgt}"
-                o = t_sum[i].order
-                yield i, j, (v // m % o if o else v // m)
+        cols = {s_vec[j][0]: (j, s_vec[j][1]) for j in js}
+        for amb, idx, v in kq_entries(s_deg):
+            j, mult = cols.get(idx, (None, 0))
+            if j is None:  # a free kq class with no kernel class: psi^3 - 1 is injective
+                continue
+            i, m = rows.get(amb, (None, 1))
+            v *= mult
+            assert i is not None and v % m == 0, \
+                f"kq map left the kernel: {src.text()} {deg} -> {dst.text()} {tgt}"
+            o = t_sum[i].order
+            yield i, j, (v // m % o if o else v // m)
 
 
-@lru_cache(maxsize=None)
+@_per_field(3)
 def _d1_L(field: FieldId, deg: TriDegree):
-    """The page-1 differential of L at deg, in the K/C generator bases."""
-    def kq_col(d):
-        return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*_d1_kq(field, d))]
+    """The page-1 differential of L at deg, in the K/C generator bases: the
+    map _L_map induces from the entries of the kq d1 at deg and a stem up,
+    read off its rows in place."""
+    def kq_entries(d):
+        return ((a, j, x) for a, row in enumerate(_d1_kq(field, d)) for j, x in enumerate(row) if x)
     tgt = deg + d_shift(1)
     rows = [{} for _ in _L_degree(field, tgt)[0]]
-    for i, j, x in _L_map(field, field, deg, tgt, kq_col):
+    for i, j, x in _L_map(field, field, deg, tgt, kq_entries):
         if x:
             rows[i][j] = x
     return dense_rows(len(_L_degree(field, deg)[0]), rows)

@@ -130,7 +130,7 @@ def _parse_monomial(text: str, lineno: int, field: FieldId) -> Monomial:
     kwargs = {"h1": 0, "v1": 0, "tau": 0, "iota": 0}
     units = []
     for token in text.split():
-        if token.isdigit():
+        if token.isdecimal():
             n = int(token)
             if n == 0 or n & (n - 1):
                 raise RuleFileError(f"line {lineno}: coefficient {n} is not a power of 2")
@@ -180,7 +180,7 @@ def parse_rule_file(field: FieldId, path: str):
                 raise RuleFileError(f"line {lineno}: empty provenance")
             head, _, rest = body.partition(":")
             head = head.strip()
-            if not head.startswith("d") or not head[1:].isdigit():
+            if not head.startswith("d") or not head[1:].isdecimal():
                 raise RuleFileError(f"line {lineno}: bad page marker {head!r}")
             page = int(head[1:])
             if page < 2:
@@ -192,7 +192,7 @@ def parse_rule_file(field: FieldId, path: str):
                 raise RuleFileError(f"line {lineno}: conditions ('if') are not supported")
             tgt_tokens = tgt.strip().split()
             coeff = 1
-            if tgt_tokens and tgt_tokens[0].isdigit():
+            if tgt_tokens and tgt_tokens[0].isdecimal():
                 coeff = int(tgt_tokens[0])
                 tgt_tokens = tgt_tokens[1:]
             source = _parse_monomial(src, lineno, field)

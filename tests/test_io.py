@@ -172,6 +172,13 @@ def test_cli_bad_rule_file_is_one_line_error(capsys, tmp_path):
         assert "line 1: unknown symbol 'foo'" in _one_line_error(capsys, compute(page, bad))
         bad.write_text("# header\nd2: h1 tau^2 -> 1 h1^9 tau^7  # misplaced target\n")
         assert "line 2: the target" in _one_line_error(capsys, compute(page, bad))
+    # a superscript digit passes str.isdigit but not int(): a bad page marker
+    # or a coefficient that is no number, never a traceback
+    for text, why in (("d²: tau^4 -> 1 iota rho^2 h1^2 tau^4 # x\n", "bad page marker 'd²'"),
+                      ("d2: tau^4 -> ² iota rho^2 h1^2 tau^4 # x\n", "unknown symbol '²'")):
+        bad.write_text(text, encoding="utf-8")
+        for page in ("1", "2", "inf"):
+            assert f"line 1: {why}" in _one_line_error(capsys, compute(page, bad))
     # a file that loads leaves the first page as it is
     from esss.cli import main
     bad.write_text("# header\nd2: h1 tau -> 1 rho^3 h1^3  # worked out elsewhere\n")
