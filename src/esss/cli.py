@@ -105,11 +105,12 @@ def cmd_compute(args) -> int:
 
 def cmd_pi(args) -> int:
     try:
-        table = compute_pi_group(_field_from_args(args), args.spectrum, args.stem,
-                                 args.weight, rule_file=args.rules)
-    except (ValueError, OSError) as exc:
-        # a bad field, window or rule file (WindowError and RuleFileError
-        # are ValueErrors), or a rule file that cannot be read
+        field = _field_from_args(args)
+    except ValueError as exc:
+        return _fail(exc)
+    try:
+        table = compute_pi_group(field, args.spectrum, args.stem, args.weight, rule_file=args.rules)
+    except (WindowError, RuleFileError, OSError) as exc:  # OSError: an unreadable rule file
         return _fail(exc)
     if args.format == "md":
         text = pi_markdown(table)

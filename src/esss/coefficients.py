@@ -14,6 +14,9 @@ finite-field block per odd prime of the support set.
 Over the reals the mod-2^n module contains, besides the reductions of the
 integral classes, one order-2 class for each 2-torsion integral class one
 stem up; both oracles force these and the n = 1 case pins them.
+
+pi_{s,w}(HZ/2^n) vanishes off the band coefficient_stems: w <= s <= 0, and s no
+lower than the presentation's lowest stem except over R and Q (rho towers).
 """
 from __future__ import annotations
 
@@ -35,6 +38,12 @@ def mod2_stem_units(field: FieldId, s: int):
     if s in pres.stems:
         return pres.stems[s]
     return ((("rho", -s),),) if pres.rho_tower and s < 0 else ()
+
+
+def coefficient_stems(field: FieldId, w: int):
+    """The stems s at which pi_{s,w}(HZ/2^n) can be nonzero, for every n."""
+    pres = presentation(field)
+    return range(w if pres.rho_tower else max(w, min(pres.stems)), 1)
 
 
 def mod2_classes(field: FieldId, s: int, w: int):

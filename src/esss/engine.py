@@ -14,7 +14,7 @@ First-page entries are computed once and held in one table per field, a
 tuple of four dicts keyed by degree, for at most eight fields (a ninth drops
 the oldest).  Equal degrees, summands and (index, multiplier) pairs are one
 object across fields: one intern dict per record type, as groups forbids
-mixing record and tuple keys, emptied when a table is dropped.
+mixing record and tuple keys, refilled from the kept tables on a drop.
 
 The first page is generated from closed formulas, so build_page1 pads the
 requested window by one differential's reach and the second page is exact
@@ -120,6 +120,17 @@ _tables = {}
 _degrees, _summands, _pairs = {}, {}, {}
 
 
+def _intern_kept():
+    """Refill the intern dicts with the values the kept tables hold."""
+    for interned in (_degrees, _summands, _pairs):
+        interned.clear()
+    for table in _tables.values():
+        _degrees.update((deg, deg) for entries in table for deg in entries)
+        for summands in (*table[0].values(), *(entry[0] for entry in table[1].values())):
+            _summands.update((cs, cs) for cs in summands)
+        _pairs.update((pair, pair) for entry in table[1].values() for pair in entry[2])
+
+
 def _per_field(slot: int):
     """Computes each (field, deg) entry once, into dict `slot` of the field's
     table under the interned degree; past _MAX_FIELDS the oldest table goes."""
@@ -129,8 +140,7 @@ def _per_field(slot: int):
             if table is None:
                 if len(_tables) == _MAX_FIELDS:
                     del _tables[next(iter(_tables))]
-                    for interned in (_degrees, _summands, _pairs):
-                        interned.clear()
+                    _intern_kept()
                 table = _tables[field] = ({}, {}, {}, {})
             hit = table[slot].get(deg)
             if hit is None:
@@ -260,13 +270,14 @@ def page1_d1(field: FieldId, spectrum: str, deg: TriDegree):
 
 def build_page1(field: FieldId, spectrum: str, window: PageWindow) -> Page:
     """The first page on a padded window, with its differential attached."""
-    _is_L(spectrum)
+    is_L = _is_L(spectrum)
+    d1 = _d1_L if is_L else _d1_kq
     padded = window.pad(1, 3)
     data = {}
     for deg in padded.degrees():
-        summands = page1_basis(field, spectrum, deg)
+        summands = _L_degree(field, deg)[0] if is_L else _kq_degree(field, deg)
         if summands:
-            data[deg] = DegreeData(summands, (), page1_d1(field, spectrum, deg))
+            data[deg] = DegreeData(summands, (), d1(field, deg))
     return Page(field, spectrum, 1, padded, data)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .engine import Page, PageWindow, run
+from .engine import Page, PageWindow, WindowError, run
 from .fields import FieldId
 from .groups import Generator, Monomial, TriDegree
 from .numthy import NU_INFINITY
@@ -115,7 +115,7 @@ _F_SLACK = {"c": 3, "fq": 5, "qq": 7, "q2": 7}
 
 def f_bound(field: FieldId, s: int) -> int:
     if field.kind not in _F_SLACK:
-        raise ValueError(
+        raise WindowError(
             f"pi assembly over {field.text()} has unbounded filtration columns")
     return s + _F_SLACK[field.kind]
 

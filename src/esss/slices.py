@@ -1,40 +1,17 @@
-"""Slice decomposition of kq, slice coefficients, and psi^3 - 1.
+"""E1 of kq from its slice cells, and psi^3 - 1.
 
-A slice cell is recorded by its suspension stem, its weight (equal to the
-slice index), its modulus exponent (1, a_q(c) or infinity), and the cell
-monomial.  The weight of every cell in the c-th slice is c, as forced by
-the polynomial form of the slice ring; the engine follows that convention
-everywhere.
+The c-th slice of kq has a cell h1^(c-e) v1^e for each even 0 <= e <= c, in
+stem c + e and weight c (the weight of a cell is its slice index, as the
+polynomial slice ring forces), with coefficients HZ if e = c, else HZ/2.  No
+slice table is kept: a degree visits only the cells whose coefficient group
+coefficients.coefficient_stems leaves room for, a few per degree.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import NamedTuple
-
-from .coefficients import coeff_classes
+from .coefficients import coeff_classes, coefficient_stems
 from .fields import FieldId
 from .groups import CyclicSummand, Generator, Monomial, TriDegree
 from .numthy import NU_INFINITY, a_q
-
-
-class SliceSummand(NamedTuple):
-    stem: int
-    weight: int
-    modulus: object  # exponent n >= 1, or NU_INFINITY for HZ
-    cell: Monomial
-
-
-@lru_cache(maxsize=None)
-def slices_kq(c: int):
-    """Cells of the c-th slice of kq; negative slices are empty."""
-    if c < 0:
-        return ()
-    out = []
-    for e in range(0, c + 1, 2):
-        a = c - e
-        cell = Monomial(h1=a, v1=e)
-        out.append(SliceSummand(a + 2 * e, c, NU_INFINITY if a == 0 else 1, cell))
-    return tuple(out)
 
 
 def e1_kq_basis(field: FieldId, deg: TriDegree):
@@ -43,11 +20,16 @@ def e1_kq_basis(field: FieldId, deg: TriDegree):
     if (s + f) % 2 or s + f < 0 or f < 0:
         return []
     c = (s + f) // 2
+    # the cell v1^e reads its coefficients in stem s - c - e, which must lie
+    # in the band; e runs from lo >= 0, so an upper end below it visits none
+    stems = coefficient_stems(field, w - c)
+    lo = max(0, s - c - (stems.stop - 1))
     out = []
-    for stem, _, modulus, (_, _, h1, v1, _, _) in slices_kq(c):
-        for order, gen, _ in coeff_classes(field, modulus, s - stem, w - c):
+    for e in range(lo + lo % 2, min(c, s - c - stems.start) + 1, 2):
+        h1 = c - e
+        for order, gen, _ in coeff_classes(field, 1 if h1 else NU_INFINITY, s - c - e, w - c):
             coeff2, _, _, _, tau, units = gen.lead
-            mono = Monomial(coeff2=coeff2, h1=h1, v1=v1, tau=tau, units=units)
+            mono = Monomial(coeff2=coeff2, h1=h1, v1=e, tau=tau, units=units)
             assert mono.degree() == deg, (mono, deg)
             out.append(CyclicSummand(order, Generator.of(mono), deg))
     out.sort(key=lambda cs: cs.gen.sort_key())
@@ -63,10 +45,6 @@ def psi3_entries(field: FieldId, basis):
     """
     diag = []
     for cs in basis:
-        mono = cs.gen.lead
-        if mono.h1 == 0:
-            c = mono.slice_index
-            diag.append(0 if c == 0 else 1 << a_q(c))
-        else:
-            diag.append(0)
+        _, _, h1, v1, _, _ = cs.gen.lead
+        diag.append(1 << a_q(v1) if h1 == 0 and v1 else 0)  # v1 = c on the integral cell
     return diag

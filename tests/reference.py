@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from esss.basechange import _map_columns, _row_dicts
+from esss.coefficients import coeff_classes
 from esss.engine import page1_basis
-from esss.groups import Monomial
+from esss.groups import CyclicSummand, Generator, Monomial
 from esss.homalg import StructuredGroup
 from esss.numthy import NU_INFINITY, a_q, nu2
-from esss.slices import SliceSummand, slices_kq
 
 
 def mat_mul(A, B):
@@ -262,6 +263,46 @@ def page1_map_matrix(src, dst, spectrum, deg):
     cols = _map_columns(src, dst, spectrum, deg)
     return [[row.get(j, 0) for j in range(len(cols))]
             for row in _row_dicts(cols, len(page1_basis(dst, spectrum, deg)))]
+
+
+class SliceSummand(NamedTuple):
+    stem: int
+    weight: int
+    modulus: object  # exponent n >= 1, or NU_INFINITY for HZ
+    cell: Monomial
+
+
+@lru_cache(maxsize=None)
+def slices_kq(c: int):
+    """Cells of the c-th slice of kq; negative slices are empty."""
+    if c < 0:
+        return ()
+    out = []
+    for e in range(0, c + 1, 2):
+        a = c - e
+        cell = Monomial(h1=a, v1=e)
+        out.append(SliceSummand(a + 2 * e, c, NU_INFINITY if a == 0 else 1, cell))
+    return tuple(out)
+
+
+def e1_kq_all_cells(field, deg):
+    """E1 of kq at deg from every cell of its slice, each cell's coefficient
+    group read whether or not it can be nonzero: esss.slices.e1_kq_basis
+    visits only the cells in the coefficients' stem band."""
+    s, f, w = deg
+    if (s + f) % 2 or s + f < 0 or f < 0:
+        return []
+    c = (s + f) // 2
+    out = []
+    for sl in slices_kq(c):
+        for order, gen, _ in coeff_classes(field, sl.modulus, s - sl.stem, w - c):
+            t = gen.lead
+            mono = Monomial(coeff2=t.coeff2, h1=sl.cell.h1, v1=sl.cell.v1, tau=t.tau,
+                            units=t.units)
+            assert mono.degree() == deg, (mono, deg)
+            out.append(CyclicSummand(order, Generator.of(mono), deg))
+    out.sort(key=lambda cs: cs.gen.sort_key())
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -236,6 +236,7 @@ def test_cli_bad_output_path_is_one_line_error(capsys, tmp_path):
 
 def test_cli_program_errors_keep_their_traceback(monkeypatch):
     import esss.cli
+    import esss.pitable
 
     def broken(*args, **kwargs):
         raise ValueError("not a complex: composite nonzero at target 0, source generator 0")
@@ -244,3 +245,7 @@ def test_cli_program_errors_keep_their_traceback(monkeypatch):
     with pytest.raises(ValueError, match="not a complex"):
         esss.cli.main(["compute", "--field", "c", "--spectrum", "kq", "--page", "2",
                        "--s=0..2", "--f=0..2", "--w=0..1"])
+    # pi reaches run through pitable
+    monkeypatch.setattr(esss.pitable, "run", broken)
+    with pytest.raises(ValueError, match="not a complex"):
+        esss.cli.main(["pi", "--field", "c", "--spectrum", "L", "--stem", "3", "--weight", "2"])

@@ -1,9 +1,16 @@
+import esss.engine as engine
+import esss.slices as slices
+from esss.coefficients import coeff_classes, coefficient_stems
 from esss.engine import _L_degree
-from esss.fields import ALG_CLOSED, Q2, Fq, Qq
+from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import Monomial, TriDegree
 from esss.numthy import NU_INFINITY, nu2, s_q, vmin
-from esss.slices import e1_kq_basis, psi3_entries, slices_kq
-from reference import slices_L
+from esss.pitable import compute_pi_group
+from esss.slices import e1_kq_basis, psi3_entries
+from reference import e1_kq_all_cells, slices_kq, slices_L
+
+THIRTEEN_FIELDS = [ALG_CLOSED, Fq(3), Fq(5), Fq(7), Fq(9), Fq(13), Qq(3), Qq(5), Qq(7), Q2,
+                   REALS, Q((2,)), Q((2, 3, 5, 7))]
 
 
 def cells(summands):
@@ -125,3 +132,51 @@ def test_e1_window_parity_guard():
         for f in range(0, 6):
             if (s + f) % 2:
                 assert e1_kq_basis(Qq(3), TriDegree(s, f, 0)) == []
+
+
+def test_groups_vanish_outside_the_coefficient_stems():
+    """pi_{s,w}(HZ/2^n) = 0 off coefficient_stems(field, w), which
+    e1_kq_basis reads to skip slice cells; where the band is not empty some
+    modulus has a class at both of its ends."""
+    groups = coeff_classes.__wrapped__  # uncached: this grid would flush the table
+    grid = range(-40, 8)
+    for field in THIRTEEN_FIELDS:
+        for w in grid:
+            band = coefficient_stems(field, w)
+            nonzero = {s for s in grid for n in (1, 2, 3, 4, NU_INFINITY)
+                       if groups(field, n, s, w)}
+            assert nonzero <= set(band), (field, w, sorted(nonzero - set(band)))
+            if band:
+                assert {band[0], band[-1]} <= nonzero, (field, w)
+
+
+def test_e1_kq_basis_equals_the_all_cells_enumeration():
+    """Visiting only the cells whose coefficients can be nonzero gives the
+    classes of every cell: on the e1_sweep window over thirteen fields, and
+    at stems 127 and 255, where a slice has up to 130 cells."""
+    degrees = [TriDegree(s, f, w) for s in range(-4, 19) for f in range(-1, 23)
+               for w in range(-8, 12)]
+    degrees += [TriDegree(s, f, w) for s in (127, 255) for f in range(0, 8)
+                for w in range(-3, (s + f) // 2 + 2)]
+    for field in THIRTEEN_FIELDS:
+        for deg in degrees:
+            assert e1_kq_basis(field, deg) == e1_kq_all_cells(field, deg), (field, deg)
+
+
+def test_pi_columns_read_few_coefficient_groups(monkeypatch):
+    """A pi window at stem 4k - 1 reads a few coefficient groups per degree,
+    not one per cell of its slice, so the count does not grow with k
+    (116,561 and 451,897 when every cell was read)."""
+    for name in ("_tables", "_degrees", "_summands", "_pairs"):
+        monkeypatch.setattr(engine, name, {})
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return coeff_classes(*args)
+
+    monkeypatch.setattr(slices, "coeff_classes", counted)
+    for field, s, w in ((Fq(3), 255, 128), (ALG_CLOSED, 511, 256)):
+        calls.clear()
+        compute_pi_group(field, "L", s, w)
+        assert len(calls) <= 2_000, (field.text(), len(calls))
