@@ -125,10 +125,12 @@ def _intern_kept():
     for interned in (_degrees, _summands, _pairs):
         interned.clear()
     for table in _tables.values():
-        _degrees.update((deg, deg) for entries in table for deg in entries)
+        for entries in table:
+            _degrees.update(zip(entries, entries))
         for summands in (*table[0].values(), *(entry[0] for entry in table[1].values())):
-            _summands.update((cs, cs) for cs in summands)
-        _pairs.update((pair, pair) for entry in table[1].values() for pair in entry[2])
+            _summands.update(zip(summands, summands))
+        for _, _, pairs in table[1].values():
+            _pairs.update(zip(pairs, pairs))
 
 
 def _per_field(slot: int):

@@ -1,10 +1,9 @@
 """E1 of kq from its slice cells, and psi^3 - 1.
 
-The c-th slice of kq has a cell h1^(c-e) v1^e for each even 0 <= e <= c, in
-stem c + e and weight c (the weight of a cell is its slice index, as the
-polynomial slice ring forces), with coefficients HZ if e = c, else HZ/2.  No
-slice table is kept: a degree visits only the cells whose coefficient group
-coefficients.coefficient_stems leaves room for, a few per degree.
+The c-th slice of kq has a cell h1^(c-e) v1^e in stem c + e for each even
+0 <= e <= c, with coefficients HZ if e = c, else HZ/2; its weight is c, as the
+polynomial slice ring forces.  No slice table is kept: a degree visits only
+the cells whose coefficient group coefficients.coefficient_stems allows.
 """
 from __future__ import annotations
 
