@@ -411,9 +411,9 @@ def test_field_tables_are_bounded():
     """A process that builds first pages over 24 fields holds the tables of
     eight: the oldest field's table goes, and the intern dicts keep only the
     values of the tables that stay, so equal summands of the kept tables stay
-    one object.  Eight fields on this window hold 26,524 entries and 10,424
-    interned values; without the bound the entries grow by about 3,300 per
-    field."""
+    one object.  Eight fields on this window hold 26,524 entries and at most
+    10,496 interned values; without the bound the entries grow by about 3,300
+    per field."""
     code = """if True:
         import esss.engine as engine
         from esss.engine import PageWindow, build_page1
