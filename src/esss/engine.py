@@ -11,10 +11,11 @@ differential, and the comparison maps of basechange from the kq
 comparison maps.
 
 First-page entries are computed once and held in one table per field, a
-tuple of four dicts keyed by degree, for at most eight fields (a ninth drops
-the oldest).  Equal degrees, summands and (index, multiplier) pairs are one
-object across fields: one intern dict per record type, as groups forbids
-mixing record and tuple keys, refilled from the kept tables on a drop.
+tuple of four dicts keyed by degree, for at most eight fields.  Equal
+degrees, summands and (index, multiplier) pairs are one object across
+fields: one intern dict per record type, as groups forbids mixing record and
+tuple keys.  A ninth field empties every table and intern dict together, so
+the interning never outlives the tables it serves.
 
 The first page is generated from closed formulas, so build_page1 pads the
 requested window by one differential's reach and the second page is exact
@@ -120,29 +121,16 @@ _tables = {}
 _degrees, _summands, _pairs = {}, {}, {}
 
 
-def _intern_kept():
-    """Refill the intern dicts with the values the kept tables hold."""
-    for interned in (_degrees, _summands, _pairs):
-        interned.clear()
-    for table in _tables.values():
-        for entries in table:
-            _degrees.update(zip(entries, entries))
-        for summands in (*table[0].values(), *(entry[0] for entry in table[1].values())):
-            _summands.update(zip(summands, summands))
-        for _, _, pairs in table[1].values():
-            _pairs.update(zip(pairs, pairs))
-
-
 def _per_field(slot: int):
     """Computes each (field, deg) entry once, into dict `slot` of the field's
-    table under the interned degree; past _MAX_FIELDS the oldest table goes."""
+    table under the interned degree; past _MAX_FIELDS every table goes."""
     def cached(build):
         def entry(field: FieldId, deg: TriDegree):
             table = _tables.get(field)
             if table is None:
                 if len(_tables) == _MAX_FIELDS:
-                    del _tables[next(iter(_tables))]
-                    _intern_kept()
+                    for held in (_tables, _degrees, _summands, _pairs):
+                        held.clear()
                 table = _tables[field] = ({}, {}, {}, {})
             hit = table[slot].get(deg)
             if hit is None:

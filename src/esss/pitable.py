@@ -166,7 +166,7 @@ def compute_pi_group(field: FieldId, spectrum: str, s: int, w: int,
                      rule_file: str | None = None) -> PiTable:
     """Run the engine on an automatically chosen window covering (s, w)."""
     fb = f_bound(field, s)
-    window = PageWindow(s - 2, s + 2, 0, fb + 3, w, w)
+    window = PageWindow(s - 2, s + 2, 0, max(fb, 0) + 3, w, w)
     res = run(field, spectrum, window, rule_file=rule_file)
     return assemble_pi(res.einf, (s, s), (w, w))
 

@@ -126,11 +126,13 @@ def _parse_monomial(text: str, lineno: int, field: FieldId) -> Monomial:
     """A monomial whose word is a basis word on its cell: a mod-2 word for h1 > 0;
     for h1 = 0 a reduction table key, or a mod-2 word that no key reduces to."""
     pres = presentation(field)
-    coeff2 = 0
+    coeff2 = None
     kwargs = {"h1": 0, "v1": 0, "tau": 0, "iota": 0}
     units = []
     for token in text.split():
         if token.isdecimal():
+            if coeff2 is not None:
+                raise RuleFileError(f"line {lineno}: more than one coefficient in {text.strip()!r}")
             n = int(token)
             if n == 0 or n & (n - 1):
                 raise RuleFileError(f"line {lineno}: coefficient {n} is not a power of 2")
@@ -139,18 +141,19 @@ def _parse_monomial(text: str, lineno: int, field: FieldId) -> Monomial:
         if token == "iota":
             kwargs["iota"] = 1
             continue
-        sym, _, exp = token.partition("^")
-        try:
-            exp = int(exp) if exp else 1
-        except ValueError:
-            raise RuleFileError(f"line {lineno}: bad exponent in {token!r}") from None
+        sym, caret, exp = token.partition("^")
+        if caret and not (exp.isascii() and exp.isdecimal()):
+            raise RuleFileError(f"line {lineno}: bad exponent in {token!r}")
+        exp = int(exp) if caret else 1
         if sym in ("h1", "v1", "tau"):
             kwargs[sym] = exp
         elif sym in pres.alphabet:
             units.append((sym, exp))
         else:
             raise RuleFileError(f"line {lineno}: unknown symbol {sym!r}")
-    mono = Monomial(coeff2=coeff2, units=tuple(sorted(units)), **kwargs)
+    if kwargs["v1"] % 2:
+        raise RuleFileError(f"line {lineno}: odd power of v1 in {text.strip()!r}")
+    mono = Monomial(coeff2=coeff2 or 0, units=tuple(sorted(units)), **kwargs)
     word, reduction = mono.units, pres.reduction
     mod2 = word in mod2_stem_units(field, unit_word_degree(word)[0])
     ok = mod2 if mono.h1 else word in reduction or (mod2 and word not in reduction.values())
@@ -195,6 +198,8 @@ def parse_rule_file(field: FieldId, path: str):
             if tgt_tokens and tgt_tokens[0].isdecimal():
                 coeff = int(tgt_tokens[0])
                 tgt_tokens = tgt_tokens[1:]
+            if coeff == 0:
+                raise RuleFileError(f"line {lineno}: target coefficient 0")
             source = _parse_monomial(src, lineno, field)
             target = _parse_monomial(" ".join(tgt_tokens), lineno, field)
             if target.degree() != source.degree() + d_shift(page):

@@ -409,33 +409,37 @@ def test_equal_first_page_values_are_one_object(monkeypatch):
 
 def test_field_tables_are_bounded():
     """A process that builds first pages over 24 fields holds the tables of
-    eight: the oldest field's table goes, and the intern dicts keep only the
-    values of the tables that stay, so equal summands of the kept tables stay
-    one object.  Eight fields on this window hold 26,524 entries and at most
-    10,496 interned values; without the bound the entries grow by about 3,300
-    per field."""
+    at most eight: a ninth field empties every table and intern dict, so the
+    interning never outlives its tables and equal summands of the held
+    tables stay one object.  Eight fields on this window hold 26,524 entries
+    and at most 10,496 interned values; without the bound the entries grow
+    by about 3,300 per field."""
     code = """if True:
         import esss.engine as engine
         from esss.engine import PageWindow, build_page1
         from esss.fields import Fq, Q
         window = PageWindow(-3, 9, 0, 10, -4, 5)
         most = (0, 0, 0, 0)
-        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-            for field in (Q((2, p)), Fq(p)):
-                for spectrum in ("kq", "L"):
-                    build_page1(field, spectrum, window)
-                held = sum(len(entries) for table in engine._tables.values() for entries in table)
-                interned = len(engine._degrees) + len(engine._summands) + len(engine._pairs)
-                summands = [cs for kq, L, _, _ in engine._tables.values()
-                            for basis in (*kq.values(), *(entry[0] for entry in L.values()))
-                            for cs in basis]
-                copies = len(set(map(id, summands))) - len(set(summands))
-                most = [max(pair) for pair in
-                        zip(most, (len(engine._tables), held, interned, copies))]
-        print(*most)
+        fields = [field for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+                  for field in (Q((2, p)), Fq(p))]
+        for n, field in enumerate(fields):
+            for spectrum in ("kq", "L"):
+                build_page1(field, spectrum, window)
+                if n == 8 and spectrum == "kq":
+                    ninth = len(engine._tables)
+            held = sum(len(entries) for table in engine._tables.values() for entries in table)
+            interned = len(engine._degrees) + len(engine._summands) + len(engine._pairs)
+            summands = [cs for kq, L, _, _ in engine._tables.values()
+                        for basis in (*kq.values(), *(entry[0] for entry in L.values()))
+                        for cs in basis]
+            copies = len(set(map(id, summands))) - len(set(summands))
+            most = [max(pair) for pair in
+                    zip(most, (len(engine._tables), held, interned, copies))]
+        print(*most, ninth)
     """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    tables, held, interned, copies = map(int, proc.stdout.split())
+    tables, held, interned, copies, ninth = map(int, proc.stdout.split())
     assert tables == 8 and held <= 30_000 and interned <= 12_000, (tables, held, interned)
     assert copies == 0, f"{copies} second copies of kept summands"
+    assert ninth == 1, f"{ninth} tables right after the ninth field's first build"

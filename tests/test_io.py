@@ -173,9 +173,11 @@ def test_cli_bad_rule_file_is_one_line_error(capsys, tmp_path):
         bad.write_text("# header\nd2: h1 tau^2 -> 1 h1^9 tau^7  # misplaced target\n")
         assert "line 2: the target" in _one_line_error(capsys, compute(page, bad))
     # a superscript digit passes str.isdigit but not int(): a bad page marker
-    # or a coefficient that is no number, never a traceback
+    # or a coefficient that is no number; an odd power of v1 names no
+    # monomial.  Each is one error line, never a traceback
     for text, why in (("d²: tau^4 -> 1 iota rho^2 h1^2 tau^4 # x\n", "bad page marker 'd²'"),
-                      ("d2: tau^4 -> ² iota rho^2 h1^2 tau^4 # x\n", "unknown symbol '²'")):
+                      ("d2: tau^4 -> ² iota rho^2 h1^2 tau^4 # x\n", "unknown symbol '²'"),
+                      ("d2: v1^3 -> 1 h1 # x\n", "odd power of v1 in 'v1^3'")):
         bad.write_text(text, encoding="utf-8")
         for page in ("1", "2", "inf"):
             assert f"line 1: {why}" in _one_line_error(capsys, compute(page, bad))

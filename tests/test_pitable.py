@@ -2,7 +2,7 @@
 import pytest
 
 from esss.engine import PageWindow, run
-from esss.fields import ALG_CLOSED, Q2, REALS, Fq
+from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Qq
 from esss.numthy import nu2, s_q, vmin
 from esss.pitable import assemble_pi, compute_pi_group
 
@@ -158,6 +158,15 @@ def test_unresolved_marker_over_q2():
     res = run(Q2, "L", PageWindow(-2, 6, 0, 11, -4, 3))
     table = assemble_pi(res.einf, (0, 4), (-3, 3))
     assert any(v.startswith("unresolved") for v in table.status.values())
+
+
+def test_pi_below_the_first_page_is_zero():
+    """No first-page class of kq or L lies below stem -2, so a stem whose
+    filtration bound is negative still gets a window, and its group is 0."""
+    for field, spectrum, s in ((ALG_CLOSED, "kq", -7), (Fq(3), "L", -9),
+                               (Q2, "kq", -11), (Qq(3), "L", -40)):
+        table = compute_pi_group(field, spectrum, s, s)
+        assert table.group_text(s, s) == "0", (field.text(), spectrum, s)
 
 
 def test_pi_assembly_rejects_unbounded_fields():

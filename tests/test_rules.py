@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q
@@ -113,6 +115,23 @@ def test_rule_file_bad_exponent_names_the_line(tmp_path):
         parse_rule_file(REALS, str(bad))
     bad.write_text("d2: 0 h1 tau^2 -> 1 h1^3 tau  # zero is not a 2-power\n")
     with pytest.raises(RuleFileError, match="line 1: coefficient 0"):
+        parse_rule_file(REALS, str(bad))
+    # each of these loaded over R and named no class
+    for line, token in (("d2: tau^-1 -> 1 h1^2 tau^-2 rho^3", "tau^-1"),
+                        ("d2: h1^-2 tau^2 -> 1 rho^3 tau", "h1^-2"),
+                        ("d2: v1^-2 tau^2 -> 1 rho^5 tau^-1", "v1^-2"),
+                        ("d3: h1 tau^1_0 -> 2 rho^4 h1^4 tau^9", "tau^1_0")):
+        bad.write_text(f"# header\n{line}  # exponents\n")
+        with pytest.raises(RuleFileError, match=rf"line 2: bad exponent in '{re.escape(token)}'"):
+            parse_rule_file(REALS, str(bad))
+    bad.write_text("d3: 2 2 h1 tau^4 -> 2 rho^4 h1^4 tau^3  # two coefficients\n")
+    with pytest.raises(RuleFileError, match="line 1: more than one coefficient in '2 2 h1 tau\\^4'"):
+        parse_rule_file(REALS, str(bad))
+    bad.write_text("d3: h1 tau^4 -> 0 rho^4 h1^4 tau^3  # a zero differential\n")
+    with pytest.raises(RuleFileError, match="line 1: target coefficient 0"):
+        parse_rule_file(REALS, str(bad))
+    bad.write_text("d2: v1^3 -> 1 h1  # v1 comes in even powers\n")
+    with pytest.raises(RuleFileError, match="line 1: odd power of v1 in 'v1\\^3'"):
         parse_rule_file(REALS, str(bad))
 
 
