@@ -124,36 +124,37 @@ class RuleFileError(ValueError):
 
 def _parse_monomial(text: str, lineno: int, field: FieldId) -> Monomial:
     """A monomial whose word is a basis word on its cell: a mod-2 word for h1 > 0;
-    for h1 = 0 a reduction table key, or a mod-2 word that no key reduces to."""
+    for h1 = 0 a reduction table key, or a mod-2 word that no key reduces to.
+    The coefficient, h1, v1, tau and iota appear at most once, exponents are
+    ASCII digits and v1's is even."""
     pres = presentation(field)
-    coeff2 = None
-    kwargs = {"h1": 0, "v1": 0, "tau": 0, "iota": 0}
+    kwargs = {}
     units = []
     for token in text.split():
         if token.isdecimal():
-            if coeff2 is not None:
-                raise RuleFileError(f"line {lineno}: more than one coefficient in {text.strip()!r}")
             n = int(token)
             if n == 0 or n & (n - 1):
                 raise RuleFileError(f"line {lineno}: coefficient {n} is not a power of 2")
-            coeff2 = n.bit_length() - 1
-            continue
-        if token == "iota":
-            kwargs["iota"] = 1
-            continue
-        sym, caret, exp = token.partition("^")
-        if caret and not (exp.isascii() and exp.isdecimal()):
-            raise RuleFileError(f"line {lineno}: bad exponent in {token!r}")
-        exp = int(exp) if caret else 1
-        if sym in ("h1", "v1", "tau"):
-            kwargs[sym] = exp
-        elif sym in pres.alphabet:
-            units.append((sym, exp))
+            sym, exp = "coeff2", n.bit_length() - 1
+        elif token == "iota":
+            sym, exp = "iota", 1
         else:
-            raise RuleFileError(f"line {lineno}: unknown symbol {sym!r}")
-    if kwargs["v1"] % 2:
+            sym, caret, exp = token.partition("^")
+            if caret and not (exp.isascii() and exp.isdecimal()):
+                raise RuleFileError(f"line {lineno}: bad exponent in {token!r}")
+            exp = int(exp) if caret else 1
+            if sym not in ("h1", "v1", "tau"):
+                if sym not in pres.alphabet:
+                    raise RuleFileError(f"line {lineno}: unknown symbol {sym!r}")
+                units.append((sym, exp))
+                continue
+        if sym in kwargs:
+            name = "coefficient" if sym == "coeff2" else sym
+            raise RuleFileError(f"line {lineno}: more than one {name} in {text.strip()!r}")
+        kwargs[sym] = exp
+    if kwargs.get("v1", 0) % 2:
         raise RuleFileError(f"line {lineno}: odd power of v1 in {text.strip()!r}")
-    mono = Monomial(coeff2=coeff2 or 0, units=tuple(sorted(units)), **kwargs)
+    mono = Monomial(units=tuple(sorted(units)), **kwargs)
     word, reduction = mono.units, pres.reduction
     mod2 = word in mod2_stem_units(field, unit_word_degree(word)[0])
     ok = mod2 if mono.h1 else word in reduction or (mod2 and word not in reduction.values())

@@ -124,9 +124,13 @@ def test_rule_file_bad_exponent_names_the_line(tmp_path):
         bad.write_text(f"# header\n{line}  # exponents\n")
         with pytest.raises(RuleFileError, match=rf"line 2: bad exponent in '{re.escape(token)}'"):
             parse_rule_file(REALS, str(bad))
-    bad.write_text("d3: 2 2 h1 tau^4 -> 2 rho^4 h1^4 tau^3  # two coefficients\n")
-    with pytest.raises(RuleFileError, match="line 1: more than one coefficient in '2 2 h1 tau\\^4'"):
-        parse_rule_file(REALS, str(bad))
+    # a second coefficient, h1, v1, tau or iota overwrote the first
+    for source, name in (("2 2 h1 tau^4", "coefficient"), ("h1 tau^2 tau^4", "tau"),
+                         ("h1 h1 tau^4", "h1"), ("iota iota h1 tau^4", "iota")):
+        bad.write_text(f"d3: {source} -> 2 rho^4 h1^4 tau^3  # repeated\n")
+        with pytest.raises(RuleFileError,
+                           match=rf"line 1: more than one {name} in '{re.escape(source)}'"):
+            parse_rule_file(REALS, str(bad))
     bad.write_text("d3: h1 tau^4 -> 0 rho^4 h1^4 tau^3  # a zero differential\n")
     with pytest.raises(RuleFileError, match="line 1: target coefficient 0"):
         parse_rule_file(REALS, str(bad))
