@@ -6,6 +6,7 @@ flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .charts import chart_svg
@@ -58,11 +59,11 @@ def _fail(exc) -> int:
 
 
 def _emit(text: str, out: str | None) -> int:
-    """Write text to the --output path, or stdout; exit code 2 if the path fails."""
-    if not out:
-        sys.stdout.write(text)
-        return 0
+    """Write text to the --output path, or stdout; exit code 2 if either fails."""
     try:
+        if not out:
+            sys.stdout.write(text)
+            return 0
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
@@ -135,10 +136,8 @@ def cmd_check(args) -> int:
     }
     lines = []
     ok = suites[args.suite](lines)
-    for line in lines:
-        print(line)
-    print("suite", args.suite + ":", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    lines.append(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
+    return _emit("".join(line + "\n" for line in lines), None) or (0 if ok else 1)
 
 
 def main(argv=None) -> int:
@@ -177,5 +176,18 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def console_main():
+    """The `esss` command: main(), then os._exit, so that the OS takes back the
+    heap whole instead of the interpreter freeing it object by object.  An
+    exception or SystemExit out of main() takes the normal exit."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # a failed write that _emit reported is not reported again
+        code = code or _fail(exc)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -73,6 +73,9 @@ class PageWindow(NamedTuple):
         return PageWindow(self.s_min + 1, self.s_max - 1, self.f_min,
                           self.f_max - (2 * r + 1), self.w_min, self.w_max)
 
+    def empty(self):
+        return self.f_max < self.f_min or self.s_max < self.s_min
+
 
 class WindowError(ValueError):
     """A window is not closed under the differentials a caller needs."""
@@ -309,7 +312,7 @@ def turn_page(page: Page, higher_rules=()) -> Page:
     r = page.r
     shift = d_shift(r)
     new_window = page.window.shrink(r)
-    if new_window.f_max < new_window.f_min or new_window.s_max < new_window.s_min:
+    if new_window.empty():
         raise WindowError(f"window exhausted turning page {r}")
     summands, history = {}, {}
     for deg in new_window.degrees():
@@ -407,7 +410,8 @@ def run(field: FieldId, spectrum: str, window: PageWindow,
     citation decides at once; the other pairs try computed degree vanishing
     first and fall back on their citation.  A rule file drops every
     citation.  Degree vanishing sees only the window, so uncited pairs
-    ((R, kq), (R, L), (Q, L)) stop where their rules end.
+    ((R, kq), (R, L), (Q, L)) stop where their rules end, and with
+    want_einf=False every pair also stops at the last page its window holds.
     """
     key = (field.kind, spectrum)
     rules = () if rule_file is None else parse_rule_file(field, rule_file)
@@ -428,7 +432,7 @@ def run(field: FieldId, spectrum: str, window: PageWindow,
         if cert is not None:
             return RunResult(pages, current, cert, "Einf")
         remaining = [rule for rule in rules if rule.page >= current.r]
-        if not remaining:
+        if not remaining or not want_einf and current.window.shrink(current.r).empty():
             status = f"E{current.r} only"
             if want_einf:
                 raise WindowError(

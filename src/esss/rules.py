@@ -31,7 +31,8 @@ gives literal rules in the line format
 where source and target are single monomials whose unit words are basis
 words of the field on their cells, and the target sits at source +
 d_shift(r).  A line that breaks either, carries an `if` condition or is
-not UTF-8 text is rejected, not loaded to match nothing.
+not UTF-8 text is rejected, not loaded to match nothing.  The coefficient,
+1 if left out, is ASCII digits with an optional minus sign.
 """
 from __future__ import annotations
 
@@ -122,6 +123,12 @@ class RuleFileError(ValueError):
     pass
 
 
+def _ascii_int(token: str, lineno: int) -> int:
+    if not token.isascii():
+        raise RuleFileError(f"line {lineno}: coefficient {token!r} is not ASCII digits")
+    return int(token)
+
+
 def _parse_monomial(text: str, lineno: int, field: FieldId) -> Monomial:
     """A monomial whose word is a basis word on its cell: a mod-2 word for h1 > 0;
     for h1 = 0 a reduction table key, or a mod-2 word that no key reduces to.
@@ -132,7 +139,7 @@ def _parse_monomial(text: str, lineno: int, field: FieldId) -> Monomial:
     units = []
     for token in text.split():
         if token.isdecimal():
-            n = int(token)
+            n = _ascii_int(token, lineno)
             if n == 0 or n & (n - 1):
                 raise RuleFileError(f"line {lineno}: coefficient {n} is not a power of 2")
             sym, exp = "coeff2", n.bit_length() - 1
@@ -196,9 +203,8 @@ def parse_rule_file(field: FieldId, path: str):
                 raise RuleFileError(f"line {lineno}: conditions ('if') are not supported")
             tgt_tokens = tgt.strip().split()
             coeff = 1
-            if tgt_tokens and tgt_tokens[0].isdecimal():
-                coeff = int(tgt_tokens[0])
-                tgt_tokens = tgt_tokens[1:]
+            if tgt_tokens and tgt_tokens[0].removeprefix("-").isdecimal():
+                coeff = _ascii_int(tgt_tokens.pop(0), lineno)
             if coeff == 0:
                 raise RuleFileError(f"line {lineno}: target coefficient 0")
             source = _parse_monomial(src, lineno, field)

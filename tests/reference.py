@@ -517,3 +517,26 @@ def rho_table_mismatches(field, depth: int = 12):
     words = {word for products in table.values() for word in products}
     out.extend(("entry", word) for word in presentation(field).rho if word not in words)
     return out
+
+
+# Weight-0 homotopy of kq from Hermitian K-theory.  Friedlander
+# ("Computations of K-theories of finite fields", Topology 15, 1976) gives
+# the 2-completed Hermitian K-theory of F_q as the fiber of psi^q - 1 on
+# ko; over an algebraic closure the groups are those of ko (rigidity).
+# Orders are 2-local, 0 for Z, and written from these statements alone.
+
+_KO_ORDERS = ([0], [2], [2], [], [0], [], [], [])
+
+
+def hermitian_kq_orders(q, n: int) -> list:
+    """Sorted orders of pi_{n,0} kq over F_q, or over its closure for q=None."""
+    if n < 0:
+        return []
+    if q is None:
+        return list(_KO_ORDERS[n % 8])
+    if n == 0:
+        return [0, 2]  # GW(F_q) = Z + Z/2
+    if n % 8 in (3, 7):
+        m = q ** ((n + 1) // 2) - 1
+        return [m & -m]  # the 2-part of Z/(q^((n+1)/2) - 1)
+    return {0: [2], 1: [2, 2], 2: [2]}.get(n % 8, [])

@@ -1,7 +1,12 @@
 """Serialization round-trips, chart output, CLI behavior, determinism."""
+import importlib
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,3 +256,98 @@ def test_cli_program_errors_keep_their_traceback(monkeypatch):
     monkeypatch.setattr(esss.pitable, "run", broken)
     with pytest.raises(ValueError, match="not a complex"):
         esss.cli.main(["pi", "--field", "c", "--spectrum", "L", "--stem", "3", "--weight", "2"])
+
+
+PI_3_2 = ["pi", "--field", "c", "--spectrum", "L", "--stem", "3", "--weight", "2"]
+PI_R = ["pi", "--field", "r", "--spectrum", "kq", "--stem", "1", "--weight", "1"]
+COMPUTE_F5 = ["compute", "--field", "fq", "--q", "5", "--spectrum", "kq", "--page", "inf",
+              "--s=0..6", "--f=0..8", "--w=-3..3", "--format", "json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_cli_failed_stdout_write_is_one_line_error():
+    """stdout on a full device: the write or flush fails, and every command
+    prints one error line and exits 2, as a bad --output path does."""
+    for argv in (PI_3_2, COMPUTE_F5, ["check", "--suite", "bernoulli", "--kmax", "2"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "esss.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 2 and len(lines) == 1, (argv, proc.stderr)
+        assert lines[0].startswith("error: "), proc.stderr
+
+
+def test_cli_page_2_ignores_rules_past_the_window(capsys, tmp_path):
+    """With a d3 rule, a window that holds page 3 but not page 4 prints page
+    2 as it does without the rule file: the run stops at E3, and only its
+    status says so.  E-infinity still needs page 4."""
+    from esss.cli import main
+    rules = tmp_path / "d3.rules"
+    rules.write_text("d3: h1 tau^4 -> 1 rho^4 h1^4 tau^3  # a later page\n")
+    argv = ["compute", "--field", "r", "--spectrum", "L", "--page", "2",
+            "--s=0..4", "--f=0..6", "--w=-2..1"]
+    outputs = []
+    for extra in ([], ["--rules", str(rules)]):
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr())
+    docs = [json.loads(out) for out, err in outputs]
+    assert [doc.pop("status") for doc in docs] == ["E2 only", "E3 only"]
+    assert docs[0] == docs[1] and outputs[1].err == ""
+    res = run(REALS, "L", PageWindow(0, 4, 0, 6, -2, 1), rule_file=str(rules), want_einf=False)
+    assert res.status == "E3 only" and len(res.pages) == 3 and res.einf is None
+    argv[argv.index("2")] = "inf"
+    assert "window exhausted turning page 3" in _one_line_error(
+        capsys, argv + ["--rules", str(rules)])
+
+
+def test_console_script_is_the_fast_exit_entry(monkeypatch, capsys):
+    """pyproject.toml's `esss` script names the entry that flushes and ends
+    the process with os._exit and main()'s exit code."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    entry = re.search(r'^esss\s*=\s*"([\w.]+):(\w+)"\s*$', scripts.group(1), re.M)
+    assert entry is not None, scripts.group(1)
+    assert entry.groups() == ("esss.cli", "console_main")
+    console_main = getattr(importlib.import_module(entry[1]), entry[2])
+
+    class Exit(Exception):
+        pass
+
+    def _exit(code):
+        raise Exit(code)
+
+    monkeypatch.setattr(os, "_exit", _exit)
+    for argv, code, out in ((PI_3_2, 0, "Z/8{iota v1^2}\n"), (PI_R, 2, "")):
+        monkeypatch.setattr(sys, "argv", ["esss", *argv])
+        with pytest.raises(Exit) as exc:
+            console_main()
+        assert exc.value.args == (code,)
+        assert capsys.readouterr().out == out
+    # a buffered stdout that fails at the last flush: one error line, exit 2
+    class Full(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    monkeypatch.setattr(sys, "argv", ["esss", *PI_3_2])
+    with pytest.raises(Exit) as exc:
+        console_main()
+    assert exc.value.args == (2,)
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    # argparse's own exit (a bad flag, --help) stays a SystemExit
+    monkeypatch.setattr(sys, "argv", ["esss", *PI_3_2, "--bogus"])
+    with pytest.raises(SystemExit):
+        console_main()
+
+
+def test_module_command_matches_main(capsys):
+    """`python -m esss.cli` prints what an in-process main(argv) prints, with
+    its exit code."""
+    from esss.cli import main
+    for argv, code in ((PI_3_2, 0), (COMPUTE_F5, 0),
+                       (PI_R, 2),
+                       (COMPUTE_F5[:-5] + ["--s=5..2"] + COMPUTE_F5[-4:], 2)):
+        proc = _run_cli(*argv)
+        assert main(argv) == code == proc.returncode, proc.stderr
+        out, err = capsys.readouterr()
+        assert (proc.stdout, proc.stderr) == (out, err)

@@ -5,6 +5,7 @@ from esss.engine import PageWindow, run
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Qq
 from esss.numthy import nu2, s_q, vmin
 from esss.pitable import assemble_pi, compute_pi_group
+from reference import hermitian_kq_orders
 
 
 def closed_field_rows(s_range, w_range):
@@ -167,6 +168,17 @@ def test_pi_below_the_first_page_is_zero():
                                (Q2, "kq", -11), (Qq(3), "L", -40)):
         table = compute_pi_group(field, spectrum, s, s)
         assert table.group_text(s, s) == "0", (field.text(), spectrum, s)
+
+
+def test_weight_zero_kq_matches_hermitian_k_theory():
+    """pi_{n,0} kq over F_q and its closure against Friedlander's closed
+    form in tests/reference.py, which shares no code with esss: orders of
+    stems 0..63, over the odd prime powers up to 25 of both residues mod 4."""
+    for q in (None, 3, 5, 7, 9, 11, 13, 17, 25):
+        field = ALG_CLOSED if q is None else Fq(q)
+        for n in range(64):
+            got = compute_pi_group(field, "kq", n, 0).orders(n, 0)
+            assert got == hermitian_kq_orders(q, n), (field.text(), n, got)
 
 
 def test_pi_assembly_rejects_unbounded_fields():

@@ -139,6 +139,31 @@ def test_rule_file_bad_exponent_names_the_line(tmp_path):
         parse_rule_file(REALS, str(bad))
 
 
+def test_rule_file_coefficients_are_signed_ascii_integers(tmp_path):
+    """A target coefficient may carry a minus sign; a coefficient in either
+    position is ASCII digits (an Arabic-Indic 3 is decimal to str.isdecimal
+    and int, and loaded as 3)."""
+    path = tmp_path / "signed.rules"
+    for coeff in ("-1", "-2", "3"):
+        path.write_text(f"d3: h1 tau^4 -> {coeff} rho^4 h1^4 tau^3  # sign\n")
+        (rule,) = parse_rule_file(REALS, str(path))
+        assert rule.coefficient == int(coeff) and rule.target.text() == "rho^4 h1^4 tau^3"
+    for line, why in (("d3: h1 tau^4 -> -0 rho^4 h1^4 tau^3", "target coefficient 0"),
+                      ("d3: h1 tau^4 -> \u0663 rho^4 h1^4 tau^3",
+                       "coefficient '\u0663' is not ASCII digits"),
+                      ("d3: h1 tau^4 -> -\u0663 rho^4 h1^4 tau^3",
+                       "coefficient '-\u0663' is not ASCII digits"),
+                      ("d3: \u0662 h1 tau^4 -> 1 rho^4 h1^4 tau^3",
+                       "coefficient '\u0662' is not ASCII digits"),
+                      ("d3: h1 tau^4 -> 1 \u0662 rho^4 h1^4 tau^3",
+                       "coefficient '\u0662' is not ASCII digits"),
+                      ("d3: h1 tau^4 -> --1 rho^4 h1^4 tau^3", "unknown symbol '--1'"),
+                      ("d3: -2 h1 tau^4 -> 1 rho^4 h1^4 tau^3", "unknown symbol '-2'")):
+        path.write_text(f"# header\n{line}  # coefficients\n", encoding="utf-8")
+        with pytest.raises(RuleFileError, match=f"line 2: {re.escape(why)}"):
+            parse_rule_file(REALS, str(path))
+
+
 def test_rule_file_rejects_rules_that_can_never_fire(tmp_path):
     """Symbols outside the field's alphabet, words that are no basis word
     and targets off source + d_shift(r) would load and match nothing; each
