@@ -432,7 +432,7 @@ def run(field: FieldId, spectrum: str, window: PageWindow,
         if cert is not None:
             return RunResult(pages, current, cert, "Einf")
         remaining = [rule for rule in rules if rule.page >= current.r]
-        if not remaining or not want_einf and current.window.shrink(current.r).empty():
+        if not remaining or (not want_einf and current.window.shrink(current.r).empty()):
             status = f"E{current.r} only"
             if want_einf:
                 raise WindowError(

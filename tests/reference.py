@@ -529,9 +529,8 @@ _KO_ORDERS = ([0], [2], [2], [], [0], [], [], [])
 
 
 def hermitian_kq_orders(q, n: int) -> list:
-    """Sorted orders of pi_{n,0} kq over F_q, or over its closure for q=None."""
-    if n < 0:
-        return []
+    """Sorted orders of pi_{n,0} kq, n >= 0, over F_q, or over its closure
+    for q=None."""
     if q is None:
         return list(_KO_ORDERS[n % 8])
     if n == 0:

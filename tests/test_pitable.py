@@ -173,7 +173,7 @@ def test_pi_below_the_first_page_is_zero():
 def test_weight_zero_kq_matches_hermitian_k_theory():
     """pi_{n,0} kq over F_q and its closure against Friedlander's closed
     form in tests/reference.py, which shares no code with esss: orders of
-    stems 0..63, over the odd prime powers up to 25 of both residues mod 4."""
+    stems 0..63, over prime powers q of both residues mod 4 and over Fbar."""
     for q in (None, 3, 5, 7, 9, 11, 13, 17, 25):
         field = ALG_CLOSED if q is None else Fq(q)
         for n in range(64):
