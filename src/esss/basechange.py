@@ -12,27 +12,25 @@ The maps commute with psi^3 - 1 (they preserve integral cells and the
 multiplier depends only on the slice), so on the L pages they are the maps
 engine._L_map induces on the kernel and cokernel parts.
 
-Every first-page map is read from one table, _kq_images, keyed by (source
-field, target field, tridegree): per source kq generator, the sparse column
-((target kq index, coefficient), ...) of its image, held as exact tuples of
-ints.  Equal pairs and columns are shared (_shared), so the collector stops
-tracking a new entry at the first collection it survives.  Unlike
-engine's first-page tables (eight fields) it lives as long as the process
-(cache_clear empties it), since callers pass one degree at a time and each
-map is asked for at its degree, one d1 up by the commutation check of the
-degree below, and again by compare_e2.  engine._L_map reads its entries for
-L; the commutation check and compare_e2 apply the columns directly.  Both
-comparisons decide injectivity with homalg.is_injective on the stacked
-rows of all targets: on first pages a map of groups, decided by two ranks;
-on second pages first-page cycles read modulo each target's boundaries,
-decided by the kernel lattice, so no target's second page is presented.
+Every first-page map is read from one table, engine's _images, keyed by
+(source field, target field, tridegree): per source kq generator, the
+sparse column ((target kq index, coefficient), ...) of its image, held as
+exact tuples of ints.  Equal pairs and columns are interned in engine's
+_pairs, so the collector stops tracking a new entry at the first collection
+it survives; table and interning go with engine's first-page tables.
+engine._L_map reads its entries for L; the commutation check and compare_e2
+apply the columns directly.  Both comparisons decide injectivity with
+homalg.is_injective on the stacked rows of all targets: on first pages a
+map of groups, decided by two ranks; on second pages first-page cycles read
+modulo each target's boundaries, decided by the kernel lattice, so no
+target's second page is presented.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
-from .engine import Page, _is_L, _kq_degree, _L_map, page1_basis, page1_d1
+from .engine import (Page, _images, _is_L, _kq_degree, _L_map, _pairs, page1_basis,
+                     page1_d1)
 from .fields import FieldId
 from .groups import TriDegree, d_shift
 from .homalg import composite_failure, is_injective
@@ -72,26 +70,25 @@ def _unit_image(src: FieldId, dst: FieldId, units):
     return []
 
 
-@lru_cache(maxsize=None)
-def _shared(part):
-    """The one copy of an equal pair or column that every table entry holds."""
-    return part
-
-
-@lru_cache(maxsize=None)
 def _kq_images(src: FieldId, dst: FieldId, deg: TriDegree):
     """Per source kq column at deg, ((target kq index, coefficient), ...) of its image.
 
     Words are matched on lead[1:], the lead monomial without its coefficient.
     """
-    index = {cs.gen.lead[1:]: i for i, cs in enumerate(_kq_degree(dst, deg))}
-    cols = []
-    for cs in _kq_degree(src, deg):
-        lead = cs.gen.lead
-        targets = (index.get(lead[1:5] + (units,)) for units in _unit_image(src, dst, lead.units))
-        col = tuple(_shared((t, 1 << lead.coeff2)) for t in targets if t is not None)
-        cols.append(_shared(col))
-    return tuple(cols)
+    key = (src, dst, deg)
+    hit = _images.get(key)
+    if hit is None:
+        index = {cs.gen.lead[1:]: i for i, cs in enumerate(_kq_degree(dst, deg))}
+        cols = []
+        for cs in _kq_degree(src, deg):
+            lead = cs.gen.lead
+            targets = (index.get(lead[1:5] + (units,)) for units in _unit_image(src, dst, lead.units))
+            pairs = [(t, 1 << lead.coeff2) for t in targets if t is not None]
+            col = tuple(_pairs.setdefault(p, p) for p in pairs)
+            cols.append(_pairs.setdefault(col, col))
+        # stored after the reads above, which empty _images when a ninth field arrives
+        hit = _images[key] = tuple(cols)
+    return hit
 
 
 def _map_columns(src, dst, spectrum, deg):

@@ -11,11 +11,12 @@ differential, and the comparison maps of basechange from the kq
 comparison maps.
 
 First-page entries are computed once and held in one table per field, a
-tuple of four dicts keyed by degree, for at most eight fields.  Equal
-degrees, summands and (index, multiplier) pairs are one object across
-fields: one intern dict per record type, as groups forbids mixing record and
-tuple keys.  A ninth field empties every table and intern dict together, so
-the interning never outlives the tables it serves.
+tuple of four dicts keyed by degree, for at most eight fields, and the kq
+comparison images of basechange in _images.  Equal degrees, summands,
+pairs and image columns are one object across fields: one intern dict per
+record type, as groups forbids mixing record and tuple keys.  A ninth field
+empties every table and intern dict together, so no first-page data and no
+interning outlives the fields it serves.
 
 The first page is generated from closed formulas, so build_page1 pads the
 requested window by one differential's reach and the second page is exact
@@ -121,7 +122,7 @@ def _name_from_vector(vec, basis) -> Generator:
 
 _MAX_FIELDS = 8
 _tables = {}
-_degrees, _summands, _pairs = {}, {}, {}
+_degrees, _summands, _pairs, _images = {}, {}, {}, {}
 
 
 def _per_field(slot: int):
@@ -132,7 +133,7 @@ def _per_field(slot: int):
             table = _tables.get(field)
             if table is None:
                 if len(_tables) == _MAX_FIELDS:
-                    for held in (_tables, _degrees, _summands, _pairs):
+                    for held in (_tables, _degrees, _summands, _pairs, _images):
                         held.clear()
                 table = _tables[field] = ({}, {}, {}, {})
             hit = table[slot].get(deg)

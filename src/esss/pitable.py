@@ -15,6 +15,7 @@ from .engine import Page, PageWindow, WindowError, run
 from .fields import FieldId
 from .groups import Generator, Monomial, TriDegree
 from .numthy import NU_INFINITY
+from .rules import parse_rule_file
 
 
 class ExtensionRule(NamedTuple):
@@ -164,9 +165,14 @@ def _column(einf: Page, s: int, w: int, f_top: int):
 
 def compute_pi_group(field: FieldId, spectrum: str, s: int, w: int,
                      rule_file: str | None = None) -> PiTable:
-    """Run the engine on an automatically chosen window covering (s, w)."""
+    """Run the engine on an automatically chosen window covering (s, w).
+
+    Pages 3 to R + 1, turned by a rule file up to d_R, each shrink the window
+    (PageWindow.shrink), so it is widened by all they take."""
     fb = f_bound(field, s)
-    window = PageWindow(s - 2, s + 2, 0, max(fb, 0) + 3, w, w)
+    rules = () if rule_file is None else parse_rule_file(field, rule_file)
+    r = max((rule.page for rule in rules), default=1)
+    window = PageWindow(s - r - 1, s + r + 1, 0, max(fb, 0) + (r + 1) ** 2 - 1, w, w)
     res = run(field, spectrum, window, rule_file=rule_file)
     return assemble_pi(res.einf, (s, s), (w, w))
 

@@ -13,7 +13,7 @@ from .basechange import compare_e1, compare_e2
 from .coefficients import coeff_classes
 from .engine import PageWindow, page1_basis, page1_d1, run
 from .fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
-from .groups import TriDegree, d_shift
+from .groups import d_shift
 from .homalg import composite_failure
 from .numthy import NU_INFINITY, bernoulli_denom_two_part, nu2
 from .oracles import les_oracle, mass_hz2n_oracle
@@ -78,14 +78,6 @@ def dd_failures(field, spectrum: str, degrees):
     return checked, failures
 
 
-def slice_degrees(s_range, f_range, w_min: int):
-    """Tridegrees with s + f even and >= 0, w from w_min to the slice index."""
-    (s_lo, s_hi), (f_lo, f_hi) = s_range, f_range
-    return [TriDegree(s, f, w) for s in range(s_lo, s_hi + 1) for f in range(f_lo, f_hi + 1)
-            if (s + f) % 2 == 0 and s + f >= 0
-            for w in range(w_min, (s + f) // 2 + 1)]
-
-
 def hasse_reports(spectrum: str, degrees, window: PageWindow):
     """First- and second-page comparison reports of Q(2,3,5,7) into R, Q2,
     Q3, Q5 and Q7: compare_e1 on `degrees`, compare_e2 on every degree of
@@ -124,7 +116,7 @@ def ddzero_suite(lines) -> bool:
 
 
 def hasse_suite(lines) -> bool:
-    degrees = slice_degrees((-3, 9), (0, 9), -3)
+    degrees = list(PageWindow(-3, 9, 0, 9, -3, 9).degrees())
     ok = True
     for spectrum in ("kq", "L"):
         rep1, rep2 = hasse_reports(spectrum, degrees, PageWindow(-3, 10, 0, 10, -3, 5))

@@ -1,16 +1,18 @@
 import gc
 import hashlib
 import re
+import subprocess
+import sys
 
 import pytest
 
-from esss import basechange, homalg
+from esss import basechange, engine, homalg
 from esss.basechange import (_commutes_with_d1, _kq_images, _map_columns, _unit_image,
                              compare_e1, compare_e2)
 from esss.engine import PageWindow, _d1_L, _kq_degree, _L_degree, page1_basis, page1_d1, run
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import TriDegree, d_shift
-from esss.verify import HASSE_DSTS, HASSE_SRC, hasse_reports as verify_hasse_reports, slice_degrees
+from esss.verify import HASSE_DSTS, HASSE_SRC, hasse_reports as verify_hasse_reports
 from reference import isomorphic_orders, page1_map_matrix
 
 
@@ -22,7 +24,7 @@ def hasse_reports():
     out = {}
     for spectrum in ("kq", "L"):
         out[1, spectrum], out[2, spectrum] = verify_hasse_reports(
-            spectrum, slice_degrees((-3, 8), (0, 8), -3), win)
+            spectrum, list(PageWindow(-3, 8, 0, 8, -3, 8).degrees()), win)
     return out
 
 
@@ -73,7 +75,7 @@ def test_first_page_maps_are_decided_by_ranks(monkeypatch):
     lattice, calls = homalg._lattice, []
     monkeypatch.setattr(homalg, "_lattice", lambda *args: calls.append(args) or lattice(*args))
     for spectrum in ("kq", "L"):
-        rep = compare_e1(HASSE_SRC, HASSE_DSTS, spectrum, slice_degrees((-3, 9), (0, 9), -3))
+        rep = compare_e1(HASSE_SRC, HASSE_DSTS, spectrum, PageWindow(-3, 9, 0, 9, -3, 9).degrees())
         assert len(rep.injective) == 499 and rep.all_injective
     assert calls == []
 
@@ -193,7 +195,7 @@ def test_L_map_keeps_kernel_classes_in_the_kernel(monkeypatch):
 
 
 TABLE_SRC, TABLE_DSTS = Q((2, 3)), [REALS, Q2, Qq(3)]
-TABLE_DEGREES = slice_degrees((-2, 5), (0, 5), -2)
+TABLE_DEGREES = list(PageWindow(-2, 5, 0, 5, -2, 5).degrees())
 
 
 def _table_reports(spectrum):
@@ -229,10 +231,10 @@ def test_window_report_is_the_union_of_degree_reports():
 def test_cold_and_warm_table_give_the_same_reports():
     """Reports from an empty image table equal reports read from a table
     warmed by other spectra, targets and degrees first."""
-    _kq_images.cache_clear()
+    engine._images.clear()
     cold = {sp: _table_reports(sp) for sp in ("kq", "L")}
-    assert _kq_images.cache_info().currsize > 0
-    compare_e1(TABLE_SRC, [Qq(3), REALS], "L", slice_degrees((-3, 7), (0, 7), -3))
+    assert engine._images
+    compare_e1(TABLE_SRC, [Qq(3), REALS], "L", PageWindow(-3, 7, 0, 7, -3, 7).degrees())
     for spectrum in ("L", "kq"):
         warm = _table_reports(spectrum)
         assert [_verdicts(r) for r in (warm[0], *warm[1], warm[2])] == \
@@ -255,27 +257,60 @@ def test_cached_images_are_untracked_by_the_collector():
     """The table holds exact tuples of ints only, which a full collection
     stops tracking: a warm table costs no later collection any work.  The
     kq check builds every key read below, the L check the rest of the
-    table's entries."""
+    table's entries.  Emptied tables first, as a ninth field leaves them,
+    so that no ninth field arrives while the four fields here build."""
+    for held in (engine._tables, engine._degrees, engine._summands, engine._pairs,
+                 engine._images):
+        held.clear()
     for spectrum in ("kq", "L"):
         compare_e1(TABLE_SRC, TABLE_DSTS, spectrum, TABLE_DEGREES)
     gc.collect()
-    misses = _kq_images.cache_info().misses
-    values = [_kq_images(TABLE_SRC, dst, d) for dst in TABLE_DSTS for deg in TABLE_DEGREES
-              for d in (deg, deg + d_shift(1))]
-    assert _kq_images.cache_info().misses == misses
+    entries = len(engine._images)
+    keys = [(TABLE_SRC, dst, d) for dst in TABLE_DSTS for deg in TABLE_DEGREES
+            for d in (deg, deg + d_shift(1))]
+    values = [_kq_images(*key) for key in keys]
+    assert len(engine._images) == entries
+    assert all(engine._images[key] is value for key, value in zip(keys, values))
     assert any(any(col) for col in values)
     assert [v for v in values if gc.is_tracked(v)] == []
+
+
+def test_image_table_is_bounded_by_the_field_tables():
+    """A process that compares Q(2,p) with R, Q2 and Q_p for twelve primes
+    holds the images of at most eight fields: R, Q2 and three supports with
+    their Q_p.  A ninth field empties the image table with the first-page
+    tables, so every entry's fields are held.  One support adds 723 entries
+    on this window; a table that outlived the field tables held 8,676."""
+    code = """if True:
+        import esss.engine as engine
+        from esss.basechange import compare_e1
+        from esss.engine import PageWindow
+        from esss.fields import Q2, REALS, Q, Qq
+        degrees = list(PageWindow(-3, 5, 0, 5, -3, 5).degrees())
+        sizes, orphans = [], 0
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+            compare_e1(Q((2, p)), [REALS, Q2, Qq(p)], "kq", degrees)
+            sizes.append(len(engine._images))
+            orphans += sum(src not in engine._tables or dst not in engine._tables
+                           for src, dst, _ in engine._images)
+        print(*sizes, orphans)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *sizes, orphans = map(int, proc.stdout.split())
+    assert 0 < max(sizes) <= 3 * sizes[0], sizes
+    assert orphans == 0, f"{orphans} entries of fields no table holds"
 
 
 def test_excluded_sources_are_counted(hasse_reports):
     assert hasse_reports[1, "kq"].excluded["Q2"] > 0
     assert hasse_reports[2, "kq"].excluded == {}
-    rep = compare_e1(Fq(3), [ALG_CLOSED], "kq", slice_degrees((-3, 7), (0, 7), -3))
+    rep = compare_e1(Fq(3), [ALG_CLOSED], "kq", PageWindow(-3, 7, 0, 7, -3, 7).degrees())
     assert rep.excluded == {"Fbar": 0}
 
 
 def test_base_change_to_closure_commutes():
-    degs = slice_degrees((-3, 7), (0, 7), -3)
+    degs = list(PageWindow(-3, 7, 0, 7, -3, 7).degrees())
     for field in (Fq(3), Fq(5), Qq(3), REALS):
         rep = compare_e1(field, [ALG_CLOSED], "kq", degs)
         assert rep.all_commute, field

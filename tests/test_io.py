@@ -300,6 +300,23 @@ def test_cli_page_2_ignores_rules_past_the_window(capsys, tmp_path):
         capsys, argv + ["--rules", str(rules)])
 
 
+def test_cli_pi_window_holds_the_rule_file_pages(capsys, tmp_path):
+    """A d2 rule turns page 3, which shrinks the window by one stem on each
+    side and five rows; `pi` widens its window for that, so it prints the
+    group a wide window gives (it raised `window filtration top ... cannot
+    certify` at these degrees)."""
+    from esss.cli import main
+    rules = tmp_path / "d2.rules"
+    rules.write_text("d2: 1 -> 1 iota rho^2 h1^2 # test\n")
+    for s, w in ((0, 0), (1, 3), (4, 2)):
+        assert main(["pi", "--field", "q2", "--spectrum", "L", "--stem", str(s),
+                     "--weight", str(w), "--rules", str(rules)]) == 0
+        res = run(Q2, "L", PageWindow(s - 4, s + 4, 0, s + 20, w, w), rule_file=str(rules))
+        assert res.einf.r == 3
+        want = assemble_pi(res.einf, (s, s), (w, w)).group_text(s, w)
+        assert capsys.readouterr() == (want + "\n", ""), (s, w)
+
+
 def test_console_script_is_the_fast_exit_entry(monkeypatch, capsys):
     """pyproject.toml's `esss` script names the entry that flushes and ends
     the process with os._exit and main()'s exit code."""
