@@ -12,7 +12,7 @@ import sys
 from .charts import chart_svg
 from .engine import PageWindow, WindowError, run
 from .fields import parse_field
-from .pitable import compute_pi_group
+from .pitable import compute_pi_group, f_bound
 from .rules import RuleFileError, parse_rule_file
 from .serialize import (document_json, page_document, page_markdown,
                         pi_document, pi_markdown)
@@ -82,15 +82,13 @@ def cmd_compute(args) -> int:
     window = PageWindow(s_lo, s_hi, f_lo, f_hi, w_lo, w_hi)
     want_page = args.page
     try:
+        rules = None if args.rules is None else parse_rule_file(field, args.rules)
         if want_page == "1":
             from .engine import build_page1
-            if args.rules is not None:
-                parse_rule_file(field, args.rules)  # refuses a bad rule file
             page = build_page1(field, args.spectrum, window)
             result = None
         else:
-            result = run(field, args.spectrum, window, rule_file=args.rules,
-                         want_einf=(want_page == "inf"))
+            result = run(field, args.spectrum, window, rules, want_einf=(want_page == "inf"))
             page = result.einf if want_page == "inf" else result.pages[1]
     except (WindowError, RuleFileError, OSError) as exc:
         # OSError: a rule file that cannot be read
@@ -110,7 +108,9 @@ def cmd_pi(args) -> int:
     except ValueError as exc:
         return _fail(exc)
     try:
-        table = compute_pi_group(field, args.spectrum, args.stem, args.weight, rule_file=args.rules)
+        f_bound(field, args.stem)  # refuses R and Q before their rule file is read
+        rules = None if args.rules is None else parse_rule_file(field, args.rules)
+        table = compute_pi_group(field, args.spectrum, args.stem, args.weight, rules)
     except (WindowError, RuleFileError, OSError) as exc:  # OSError: an unreadable rule file
         return _fail(exc)
     if args.format == "md":

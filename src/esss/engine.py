@@ -13,10 +13,10 @@ comparison maps.
 First-page entries are computed once and held in one table per field, a
 tuple of four dicts keyed by degree, for at most eight fields, and the kq
 comparison images of basechange in _images.  Equal degrees, summands,
-pairs and image columns are one object across fields: one intern dict per
-record type, as groups forbids mixing record and tuple keys.  A ninth field
-empties every table and intern dict together, so no first-page data and no
-interning outlives the fields it serves.
+pairs, image columns and differential rows are one object across fields:
+one intern dict per record type, as groups forbids mixing record and tuple
+keys.  A ninth field empties every table and intern dict together, so no
+first-page data and no interning outlives the fields it serves.
 
 The first page is generated from closed formulas, so build_page1 pads the
 requested window by one differential's reach and the second page is exact
@@ -39,7 +39,7 @@ from .fields import FieldId
 from .groups import CyclicSummand, Generator, Monomial, TriDegree, d_shift
 from .homalg import StructuredGroup, check_complex, homology_group
 from .numthy import nu2
-from .rules import d1_matrix, dense_rows, parse_rule_file
+from .rules import d1_matrix
 from .slices import e1_kq_basis, psi3_entries
 
 
@@ -86,7 +86,7 @@ class DegreeData(NamedTuple):
     summands: list  # page 1 shares the cached tuples of page1_basis: read only
     # page >= 2: expressions of the new generators over the previous page; page 1: ()
     history: list
-    diff: list | None  # rows of rules.dense_rows, shared across degrees: read only
+    diff: list | None  # dense int rows interned in _rows, shared across degrees: read only
 
 
 class Page(NamedTuple):
@@ -122,7 +122,7 @@ def _name_from_vector(vec, basis) -> Generator:
 
 _MAX_FIELDS = 8
 _tables = {}
-_degrees, _summands, _pairs, _images = {}, {}, {}, {}
+_degrees, _summands, _pairs, _images, _rows = {}, {}, {}, {}, {}
 
 
 def _per_field(slot: int):
@@ -133,7 +133,7 @@ def _per_field(slot: int):
             table = _tables.get(field)
             if table is None:
                 if len(_tables) == _MAX_FIELDS:
-                    for held in (_tables, _degrees, _summands, _pairs, _images):
+                    for held in (_tables, _degrees, _summands, _pairs, _images, _rows):
                         held.clear()
                 table = _tables[field] = ({}, {}, {}, {})
             hit = table[slot].get(deg)
@@ -143,6 +143,11 @@ def _per_field(slot: int):
             return hit
         return entry
     return cached
+
+
+def _shared(rows):
+    """Each dense row as the one list of its content in _rows."""
+    return [_rows.setdefault(tuple(row), row) for row in rows]
 
 
 @_per_field(0)
@@ -186,7 +191,7 @@ def _L_degree(field: FieldId, deg: TriDegree):
 
 @_per_field(2)
 def _d1_kq(field: FieldId, deg: TriDegree):
-    return d1_matrix(field, _kq_degree(field, deg), _kq_degree(field, deg + d_shift(1)))
+    return _shared(d1_matrix(field, _kq_degree(field, deg), _kq_degree(field, deg + d_shift(1))))
 
 
 def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_entries):
@@ -234,11 +239,10 @@ def _d1_L(field: FieldId, deg: TriDegree):
     def kq_entries(d):
         return ((a, j, x) for a, row in enumerate(_d1_kq(field, d)) for j, x in enumerate(row) if x)
     tgt = deg + d_shift(1)
-    rows = [{} for _ in _L_degree(field, tgt)[0]]
+    rows = [[0] * len(_L_degree(field, deg)[0]) for _ in _L_degree(field, tgt)[0]]
     for i, j, x in _L_map(field, field, deg, tgt, kq_entries):
-        if x:
-            rows[i][j] = x
-    return dense_rows(len(_L_degree(field, deg)[0]), rows)
+        rows[i][j] = x
+    return _shared(rows)
 
 
 def _is_L(spectrum: str) -> bool:
@@ -342,13 +346,13 @@ def turn_page(page: Page, higher_rules=()) -> Page:
 
 
 def _rule_diff(window: PageWindow, r: int, rules, summands: dict, deg: TriDegree):
-    """The page-r differential at deg from explicit rules, as rules.dense_rows;
-    None where its target leaves the window."""
+    """The page-r differential at deg from explicit rules, as dense rows
+    interned in _rows; None where its target leaves the window."""
     tgt = deg + d_shift(r)
     if tgt.f > window.f_max or tgt.s < window.s_min:
         return None
     tgt_sum = summands.get(tgt, ())
-    rows = [{} for _ in tgt_sum]
+    rows = [[0] * len(summands[deg]) for _ in tgt_sum]
     if rules and tgt_sum:
         index = {cs.gen.lead.with_coeff2(0): i for i, cs in enumerate(tgt_sum)}
         for j, cs in enumerate(summands[deg]):
@@ -357,9 +361,9 @@ def _rule_diff(window: PageWindow, r: int, rules, summands: dict, deg: TriDegree
                     continue
                 t = index.get(rule.target.with_coeff2(0))
                 if t is not None:
-                    order, x = tgt_sum[t].order, rows[t].get(j, 0) + rule.coefficient
+                    order, x = tgt_sum[t].order, rows[t][j] + rule.coefficient
                     rows[t][j] = x % order if order else x
-    return dense_rows(len(summands[deg]), rows)
+    return _shared(rows)
 
 
 class CollapseCertificate(NamedTuple):
@@ -404,19 +408,20 @@ class RunResult(NamedTuple):
 
 
 def run(field: FieldId, spectrum: str, window: PageWindow,
-        rule_file: str | None = None, want_einf: bool = True) -> RunResult:
+        rules: list | None = None, want_einf: bool = True) -> RunResult:
     """Iterate pages until a collapse certificate holds or data runs out.
 
     Only pairs of _CITED_COLLAPSE collapse.  Over the 2-adic rationals the
     citation decides at once; the other pairs try computed degree vanishing
-    first and fall back on their citation.  A rule file drops every
+    first and fall back on their citation.  rules are those of a parsed rule
+    file (None: no file), and a rule file, even an empty one, drops every
     citation.  Degree vanishing sees only the window, so uncited pairs
     ((R, kq), (R, L), (Q, L)) stop where their rules end, and with
     want_einf=False every pair also stops at the last page its window holds.
     """
     key = (field.kind, spectrum)
-    rules = () if rule_file is None else parse_rule_file(field, rule_file)
-    citation = _CITED_COLLAPSE.get(key) if rule_file is None else None
+    citation = _CITED_COLLAPSE.get(key) if rules is None else None
+    rules = rules or ()
     e1 = build_page1(field, spectrum, window)
     e2 = turn_page(e1, rules)
     pages = [e1, e2]

@@ -82,10 +82,6 @@ class Monomial(_MonomialFields):
                          f + self.h1 + self.iota,
                          w + self.h1 + self.v1 - self.tau)
 
-    @property
-    def slice_index(self) -> int:
-        return self.h1 + self.v1
-
     def with_coeff2(self, m: int) -> "Monomial":
         # the word is unchanged, so the checks of __new__ still hold
         return tuple.__new__(Monomial, (m,) + self[1:])

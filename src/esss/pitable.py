@@ -15,7 +15,6 @@ from .engine import Page, PageWindow, WindowError, run
 from .fields import FieldId
 from .groups import Generator, Monomial, TriDegree
 from .numthy import NU_INFINITY
-from .rules import parse_rule_file
 
 
 class ExtensionRule(NamedTuple):
@@ -164,16 +163,16 @@ def _column(einf: Page, s: int, w: int, f_top: int):
 
 
 def compute_pi_group(field: FieldId, spectrum: str, s: int, w: int,
-                     rule_file: str | None = None) -> PiTable:
+                     rules: list | None = None) -> PiTable:
     """Run the engine on an automatically chosen window covering (s, w).
 
-    Pages 3 to R + 1, turned by a rule file up to d_R, each shrink the window
-    (PageWindow.shrink), so it is widened by all they take."""
+    rules are passed to run.  Pages 3 to R + 1, turned by rules up to d_R,
+    each shrink the window (PageWindow.shrink), so it is widened by all they
+    take."""
     fb = f_bound(field, s)
-    rules = () if rule_file is None else parse_rule_file(field, rule_file)
-    r = max((rule.page for rule in rules), default=1)
+    r = max((rule.page for rule in rules or ()), default=1)
     window = PageWindow(s - r - 1, s + r + 1, 0, max(fb, 0) + (r + 1) ** 2 - 1, w, w)
-    res = run(field, spectrum, window, rule_file=rule_file)
+    res = run(field, spectrum, window, rules)
     return assemble_pi(res.einf, (s, s), (w, w))
 
 

@@ -28,15 +28,15 @@ gives literal rules in the line format
 
     d{r}: <source> -> <coefficient> <target> # <provenance>
 
-where source and target are single monomials whose unit words are basis
-words of the field on their cells, and the target sits at source +
-d_shift(r).  A line that breaks either, carries an `if` condition or is
-not UTF-8 text is rejected, not loaded to match nothing.  The coefficient,
-1 if left out, is ASCII digits with an optional minus sign.
+where source and target are single monomials, never empty (the unit is
+`1`), whose unit words are basis words of the field on their cells, and the
+target sits at source + d_shift(r).  A line that breaks either, carries an
+`if` condition or is not UTF-8 text is rejected, not loaded to match
+nothing.  The coefficient, 1 if left out, is ASCII digits with an optional
+minus sign.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .coefficients import mod2_stem_units, reduce_integral_units
@@ -78,24 +78,10 @@ def d1_components(field: FieldId, mono: Monomial):
     return out
 
 
-@lru_cache(maxsize=None)
-def _row(width: int, entries: tuple) -> list:
-    row = [0] * width
-    for j, x in entries:
-        row[j] = x
-    return row
-
-
-def dense_rows(width: int, rows) -> list:
-    """Dense rows of the given width from dicts {column: nonzero value}, drawn from one
-    process-lifetime table so that equal rows of all d1 matrices are one read-only list."""
-    return [_row(width, tuple(row.items())) for row in rows]
-
-
 def d1_matrix(field: FieldId, src_basis, tgt_basis):
-    """The first differential as an integer matrix between two tridegrees."""
+    """The first differential as a dense integer matrix between two tridegrees."""
     index = {cs.gen.lead: t for t, cs in enumerate(tgt_basis)}
-    rows = [{} for _ in tgt_basis]
+    rows = [[0] * len(src_basis) for _ in tgt_basis]
     for jcol, cs in enumerate(src_basis):
         for target in d1_components(field, cs.gen.lead):
             t = index.get(target)
@@ -105,10 +91,8 @@ def d1_matrix(field: FieldId, src_basis, tgt_basis):
                 t = index.get(target.with_coeff2(0))
             order = tgt_basis[t].order if t is not None else 0
             if order:  # each component adds the element of order 2 of its target
-                x = (rows[t].pop(jcol, 0) + (order >> 1)) % order
-                if x:
-                    rows[t][jcol] = x
-    return dense_rows(len(src_basis), rows)
+                rows[t][jcol] = (rows[t][jcol] + (order >> 1)) % order
+    return rows
 
 
 class HigherRule(NamedTuple):
@@ -201,9 +185,12 @@ def parse_rule_file(field: FieldId, path: str):
                 raise RuleFileError(f"line {lineno}: missing ->")
             if "if" in body.split():
                 raise RuleFileError(f"line {lineno}: conditions ('if') are not supported")
+            for side, text in (("source", src), ("target", tgt)):
+                if not text.strip():
+                    raise RuleFileError(f"line {lineno}: empty {side}")
             tgt_tokens = tgt.strip().split()
             coeff = 1
-            if tgt_tokens and tgt_tokens[0].removeprefix("-").isdecimal():
+            if tgt_tokens[0].removeprefix("-").isdecimal():
                 coeff = _ascii_int(tgt_tokens.pop(0), lineno)
             if coeff == 0:
                 raise RuleFileError(f"line {lineno}: target coefficient 0")

@@ -16,6 +16,7 @@ from esss.groups import TriDegree
 from esss.numthy import bernoulli_denom_two_part, nu2, s_q
 from esss.oracles import les_oracle, mass_hz2n_oracle
 from esss.pitable import assemble_pi, bernoulli_witness_order
+from esss.rules import parse_rule_file
 from esss.verify import TEN_FIELDS, dd_failures, hasse_reports, oracle_mismatches
 from reference import isomorphic_orders
 
@@ -270,7 +271,7 @@ def test_criterion_11_deferred_higher_rules():
     try:
         with open(path, "w") as fh:
             fh.write("# intentionally empty\n")
-        res = run(REALS, "L", win, rule_file=path, want_einf=False)
+        res = run(REALS, "L", win, parse_rule_file(REALS, path), want_einf=False)
         assert res.status == "E2 only"
         assert res.certificate is None
     finally:

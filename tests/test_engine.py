@@ -11,6 +11,7 @@ from esss.engine import (PageWindow, WindowError, build_page1, page1_basis, page
                          run, turn_page)
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import CyclicSummand, TriDegree, d_shift
+from esss.rules import parse_rule_file
 from esss.verify import HASSE_DSTS, HASSE_SRC
 from reference import isomorphic_orders, page1_map_matrix, slices_L
 
@@ -149,7 +150,12 @@ def test_e2_window_not_closed_error():
 
 def test_page1_d1_rows_are_shared():
     """Equal rows of the first-page differentials are one list, so there are
-    no more row objects than row contents."""
+    no more row objects than row contents.  Emptied tables first, as a ninth
+    field leaves them, so that no ninth field arrives while the two fields
+    here build: rows built after that clear would be new lists."""
+    for held in (engine._tables, engine._degrees, engine._summands, engine._pairs,
+                 engine._images, engine._rows):
+        held.clear()
     by_content, ids, rows = {}, set(), 0
     for field in (Fq(3), Q((2, 3, 5))):
         for spectrum in ("kq", "L"):
@@ -191,7 +197,7 @@ def test_empty_rule_file_refuses_certification(tmp_path):
     path = tmp_path / "empty.rules"
     path.write_text("# nothing here\n")
     res = run(REALS, "L", PageWindow(-2, 8, 0, 12, -6, 4),
-              rule_file=str(path), want_einf=False)
+              parse_rule_file(REALS, str(path)), want_einf=False)
     assert res.status == "E2 only"
     assert res.certificate is None
 
@@ -218,8 +224,8 @@ def test_run_decides_collapse_by_citation_then_degrees(tmp_path):
         got = {}
         for name, field in fields.items():
             for spectrum in ("kq", "L"):
-                res = run(field, spectrum, win, rule_file=rule_file and str(path),
-                          want_einf=False)
+                rules = None if rule_file is None else parse_rule_file(field, str(path))
+                res = run(field, spectrum, win, rules, want_einf=False)
                 cert = res.certificate
                 assert (res.einf is not None) == (cert is not None) == (res.status == "Einf")
                 got[f"{name} {spectrum}"] = res.status + (f" {cert.kind}" if cert else "")
@@ -232,7 +238,7 @@ def test_loaded_rule_is_applied(tmp_path):
     # keeps 2 tau^4; with no citation for (R, L) the run stops at E3
     path = tmp_path / "toy.rules"
     path.write_text("d2: tau^4 -> 1 iota rho^2 h1^2 tau^4  # synthetic\n")
-    res = run(REALS, "L", PageWindow(-2, 6, 0, 10, -4, 3), rule_file=str(path),
+    res = run(REALS, "L", PageWindow(-2, 6, 0, 10, -4, 3), parse_rule_file(REALS, str(path)),
               want_einf=False)
     src, tgt = TriDegree(0, 0, -4), TriDegree(-1, 5, -4)
     assert res.pages[1].data[src].diff == [[1]]
@@ -405,6 +411,38 @@ def test_equal_first_page_values_are_one_object(monkeypatch):
                 assert held is value, (field.text(), value)
                 across += seen.setdefault(value, field) != field
     assert across > 100
+
+
+def test_row_table_is_bounded_by_the_field_tables():
+    """A process that builds kq and L first pages over twelve fields interns
+    only the d1 rows of the tables it holds: from the ninth field on, every
+    row of engine._rows is, by identity, a row of a kq or L differential in
+    engine._tables.  The rows of the eight fields before are mostly not rows
+    of the four after, so a row table that outlived the field tables would
+    keep 485 rows no table holds."""
+    code = """if True:
+        import esss.engine as engine
+        from esss.engine import PageWindow, build_page1
+        from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
+        window = PageWindow(-3, 9, 0, 10, -4, 5)
+        fields = [Q((2, 3, 5)), Q((2, 3, 7)), Q((2, 3, 5, 7)), REALS, Q2, Qq(3), Qq(5),
+                  Q((2, 3)), Fq(3), Fq(5), Fq(7), ALG_CLOSED]
+        orphans, rows = 0, 0
+        for n, field in enumerate(fields):
+            for spectrum in ("kq", "L"):
+                build_page1(field, spectrum, window)
+            if n >= 8:
+                held = {id(row) for table in engine._tables.values() for d1 in table[2:]
+                        for diff in d1.values() for row in diff}
+                orphans += sum(id(row) not in held for row in engine._rows.values())
+                rows = max(rows, len(engine._rows))
+        print(len(fields), orphans, rows)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    fields, orphans, rows = map(int, proc.stdout.split())
+    assert fields == 12 and rows > 0, (fields, rows)
+    assert orphans == 0, f"{orphans} interned rows of fields no table holds"
 
 
 def test_field_tables_are_bounded():

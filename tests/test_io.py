@@ -14,6 +14,7 @@ from esss.charts import chart_svg
 from esss.engine import PageWindow, run
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq
 from esss.pitable import assemble_pi
+from esss.rules import parse_rule_file
 from esss.serialize import (SCHEMA, document_json, page_document, page_markdown,
                             parse_document, pi_markdown)
 
@@ -293,7 +294,8 @@ def test_cli_page_2_ignores_rules_past_the_window(capsys, tmp_path):
     docs = [json.loads(out) for out, err in outputs]
     assert [doc.pop("status") for doc in docs] == ["E2 only", "E3 only"]
     assert docs[0] == docs[1] and outputs[1].err == ""
-    res = run(REALS, "L", PageWindow(0, 4, 0, 6, -2, 1), rule_file=str(rules), want_einf=False)
+    res = run(REALS, "L", PageWindow(0, 4, 0, 6, -2, 1), parse_rule_file(REALS, str(rules)),
+              want_einf=False)
     assert res.status == "E3 only" and len(res.pages) == 3 and res.einf is None
     argv[argv.index("2")] = "inf"
     assert "window exhausted turning page 3" in _one_line_error(
@@ -311,7 +313,8 @@ def test_cli_pi_window_holds_the_rule_file_pages(capsys, tmp_path):
     for s, w in ((0, 0), (1, 3), (4, 2)):
         assert main(["pi", "--field", "q2", "--spectrum", "L", "--stem", str(s),
                      "--weight", str(w), "--rules", str(rules)]) == 0
-        res = run(Q2, "L", PageWindow(s - 4, s + 4, 0, s + 20, w, w), rule_file=str(rules))
+        res = run(Q2, "L", PageWindow(s - 4, s + 4, 0, s + 20, w, w),
+                  parse_rule_file(Q2, str(rules)))
         assert res.einf.r == 3
         want = assemble_pi(res.einf, (s, s), (w, w)).group_text(s, w)
         assert capsys.readouterr() == (want + "\n", ""), (s, w)

@@ -139,6 +139,21 @@ def test_rule_file_bad_exponent_names_the_line(tmp_path):
         parse_rule_file(REALS, str(bad))
 
 
+def test_rule_file_refuses_an_empty_source_or_target(tmp_path):
+    """An empty side is refused naming its line (an empty source loaded as
+    the class 1); the class 1 is written as a literal 1."""
+    path = tmp_path / "empty.rules"
+    path.write_text("d2: 1 -> 1 iota rho^2 h1^2 # x\n")
+    (rule,) = parse_rule_file(Q2, str(path))
+    assert rule.source == Monomial() and rule.target.text() == "iota rho^2 h1^2"
+    for line, side in (("d2:  -> 1 iota rho^2 h1^2", "source"),
+                       ("d2:\t-> iota rho^2 h1^2", "source"),
+                       ("d2: iota rho^2 h1^2 -> ", "target")):
+        path.write_text(f"# header\n{line} # x\n")
+        with pytest.raises(RuleFileError, match=f"line 2: empty {side}$"):
+            parse_rule_file(Q2, str(path))
+
+
 def test_rule_file_coefficients_are_signed_ascii_integers(tmp_path):
     """A target coefficient may carry a minus sign; a coefficient in either
     position is ASCII digits (an Arabic-Indic 3 is decimal to str.isdecimal

@@ -30,7 +30,7 @@ def test_slices_kq_weight_equals_slice_index():
     for c in range(0, 33):
         for sl in slices_kq(c):
             assert sl.weight == c
-            assert sl.cell.slice_index == c
+            assert sl.cell.h1 + sl.cell.v1 == c
 
 
 def test_slices_L():
