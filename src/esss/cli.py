@@ -10,7 +10,7 @@ import os
 import sys
 
 from .charts import chart_svg
-from .engine import PageWindow, WindowError, run
+from .engine import PageWindow, WindowError, build_page1, run
 from .fields import parse_field
 from .pitable import compute_pi_group, f_bound
 from .rules import RuleFileError, parse_rule_file
@@ -84,7 +84,6 @@ def cmd_compute(args) -> int:
     try:
         rules = None if args.rules is None else parse_rule_file(field, args.rules)
         if want_page == "1":
-            from .engine import build_page1
             page = build_page1(field, args.spectrum, window)
             result = None
         else:

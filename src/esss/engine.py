@@ -1,4 +1,4 @@
-"""Page turning, collapse certification, homotopy assembly, base change.
+"""First pages, page turning and collapse certification.
 
 Pages are stored per tridegree; the weight is preserved by every
 differential, so all computations slice cleanly over w.  The first page of
@@ -21,7 +21,9 @@ first-page data and no interning outlives the fields it serves.
 The first page is generated from closed formulas, so build_page1 pads the
 requested window by one differential's reach and the second page is exact
 on the full request.  Further pages shrink the window: page r+1 loses one
-stem on each side and 2r+1 rows of filtration.
+stem on each side and 2r+1 rows of filtration.  So every degree of a page
+has its target, and the source that hits it, on the page it was turned from,
+and every differential is a list of rows, empty where the target is zero.
 
 Turning a page splits each degree's summands into blocks, two summands
 sharing a block when a source or a target of the differentials touches
@@ -79,14 +81,16 @@ class PageWindow(NamedTuple):
 
 
 class WindowError(ValueError):
-    """A window is not closed under the differentials a caller needs."""
+    """A window or a run holds less than the caller asks of it."""
 
 
 class DegreeData(NamedTuple):
     summands: list  # page 1 shares the cached tuples of page1_basis: read only
     # page >= 2: expressions of the new generators over the previous page; page 1: ()
     history: list
-    diff: list | None  # dense int rows interned in _rows, shared across degrees: read only
+    # dense int rows interned in _rows, shared across degrees: read only; one
+    # row per summand of the target, which shrink keeps in the window
+    diff: list
 
 
 class Page(NamedTuple):
@@ -324,14 +328,10 @@ def turn_page(page: Page, higher_rules=()) -> Page:
         dd = page.data.get(deg)
         if dd is None:
             continue
-        if dd.diff is None:
-            raise WindowError(f"window not d-closed at {deg}")
         mid_orders = [cs.order for cs in dd.summands]
         tgt_orders = [cs.order for cs in page.summands(deg + shift)]
         src_deg = TriDegree(deg.s + 1, deg.f - (2 * r + 1), deg.w)
         src = page.data.get(src_deg)
-        if src is not None and src.diff is None:
-            raise WindowError(f"window not d-closed at {src_deg}")
         in_m = src.diff if src is not None else [[] for _ in dd.summands]
         src_orders = [cs.order for cs in src.summands] if src is not None else []
         H = _homology(in_m, src_orders, dd.diff, mid_orders, tgt_orders)
@@ -340,18 +340,16 @@ def turn_page(page: Page, higher_rules=()) -> Page:
                              for order, vec in zip(H.orders, H.gens)]
             history[deg] = [tuple(vec) for vec in H.gens]
     rules = [rule for rule in higher_rules if rule.page == r + 1]
-    data = {deg: DegreeData(summ, history[deg], _rule_diff(new_window, r + 1, rules, summands, deg))
+    data = {deg: DegreeData(summ, history[deg], _rule_diff(r + 1, rules, summands, deg))
             for deg, summ in summands.items()}
     return Page(page.field, page.spectrum, r + 1, new_window, data)
 
 
-def _rule_diff(window: PageWindow, r: int, rules, summands: dict, deg: TriDegree):
+def _rule_diff(r: int, rules, summands: dict, deg: TriDegree):
     """The page-r differential at deg from explicit rules, as dense rows
-    interned in _rows; None where its target leaves the window."""
-    tgt = deg + d_shift(r)
-    if tgt.f > window.f_max or tgt.s < window.s_min:
-        return None
-    tgt_sum = summands.get(tgt, ())
+    interned in _rows: one row per summand at deg + d_shift(r), so none
+    where that target leaves the window."""
+    tgt_sum = summands.get(deg + d_shift(r), ())
     rows = [[0] * len(summands[deg]) for _ in tgt_sum]
     if rules and tgt_sum:
         index = {cs.gen.lead.with_coeff2(0): i for i, cs in enumerate(tgt_sum)}
@@ -390,14 +388,16 @@ _CITED_COLLAPSE = {
 
 def degree_vanishing(page: Page) -> bool:
     """No differential of any later page has nonzero source and target in
-    the page's window."""
-    max_r = (page.window.f_max - page.window.f_min) // 2 + 1
-    nonzero = set(page.data)
-    for deg in nonzero:
-        for r in range(page.r, max_r + 1):
-            if deg + d_shift(r) in nonzero:
-                return False
-    return True
+    the page's window.
+
+    A d_r with r >= page.r runs from (s, f, w) to (s - 1, f + 2r + 1, w);
+    f - s has one parity on the page, so such a pair exists exactly when
+    the top nonzero f at (s - 1, w) is f + 2 page.r + 1 or more."""
+    top = {}
+    for deg in page.data:
+        top[deg.s, deg.w] = max(deg.f, top.get((deg.s, deg.w), deg.f))
+    return all(top.get((deg.s - 1, deg.w), deg.f) < deg.f + 2 * page.r + 1
+               for deg in page.data)
 
 
 class RunResult(NamedTuple):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .engine import Page, PageWindow, WindowError, run
-from .fields import FieldId
+from .fields import FieldId, presentation
 from .groups import Generator, Monomial, TriDegree
 from .numthy import NU_INFINITY
 
@@ -108,16 +108,15 @@ class PiTable(NamedTuple):
         return sorted(pe.order for pe in self.entries.get((s, w), []))
 
 
-# filtration of any class is bounded by its stem plus twice the maximal
-# coefficient stem drop plus the iota shift; fields with rho towers escape
-_F_SLACK = {"c": 3, "fq": 5, "qq": 7, "q2": 7}
-
-
 def f_bound(field: FieldId, s: int) -> int:
-    if field.kind not in _F_SLACK:
+    """The top filtration of a class in stem s: Monomial.degree gives f - s =
+    2 (coefficient stem drop) + 2 iota - 2 v1, and a rho tower has no
+    lowest coefficient stem."""
+    pres = presentation(field)
+    if pres.rho_tower:
         raise WindowError(
             f"pi assembly over {field.text()} has unbounded filtration columns")
-    return s + _F_SLACK[field.kind]
+    return s + 2 - 2 * min(pres.stems)
 
 
 def assemble_pi(einf: Page, s_range, w_range) -> PiTable:

@@ -32,8 +32,8 @@ where source and target are single monomials, never empty (the unit is
 `1`), whose unit words are basis words of the field on their cells, and the
 target sits at source + d_shift(r).  A line that breaks either, carries an
 `if` condition or is not UTF-8 text is rejected, not loaded to match
-nothing.  The coefficient, 1 if left out, is ASCII digits with an optional
-minus sign.
+nothing.  The page number r is ASCII digits; the coefficient, 1 if left
+out, is ASCII digits with an optional minus sign.
 """
 from __future__ import annotations
 
@@ -85,10 +85,6 @@ def d1_matrix(field: FieldId, src_basis, tgt_basis):
     for jcol, cs in enumerate(src_basis):
         for target in d1_components(field, cs.gen.lead):
             t = index.get(target)
-            if t is None:
-                # rho-fourth components name integral torsion without its
-                # 2-power prefix; match on the underlying word
-                t = index.get(target.with_coeff2(0))
             order = tgt_basis[t].order if t is not None else 0
             if order:  # each component adds the element of order 2 of its target
                 rows[t][jcol] = (rows[t][jcol] + (order >> 1)) % order
@@ -175,7 +171,7 @@ def parse_rule_file(field: FieldId, path: str):
                 raise RuleFileError(f"line {lineno}: empty provenance")
             head, _, rest = body.partition(":")
             head = head.strip()
-            if not head.startswith("d") or not head[1:].isdecimal():
+            if not head.startswith("d") or not (head[1:].isascii() and head[1:].isdecimal()):
                 raise RuleFileError(f"line {lineno}: bad page marker {head!r}")
             page = int(head[1:])
             if page < 2:

@@ -33,9 +33,7 @@ def page_document(page: Page, result: RunResult | None = None, window=None) -> d
     diffs = []
     for deg in degrees:
         dd = page.data[deg]
-        if dd.diff is None or not dd.summands:
-            continue
-        if not any(any(row) for row in dd.diff):
+        if not dd.summands or not any(any(row) for row in dd.diff):
             continue
         diffs.append({
             "source": [deg.s, deg.f, deg.w],

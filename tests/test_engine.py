@@ -7,10 +7,10 @@ import pytest
 import esss.engine as engine
 import reference
 from esss.coefficients import coeff_classes
-from esss.engine import (PageWindow, WindowError, build_page1, page1_basis, page1_d1,
-                         run, turn_page)
+from esss.engine import (DegreeData, Page, PageWindow, WindowError, build_page1,
+                         degree_vanishing, page1_basis, page1_d1, run, turn_page)
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
-from esss.groups import CyclicSummand, TriDegree, d_shift
+from esss.groups import CyclicSummand, Generator, Monomial, TriDegree, d_shift
 from esss.rules import parse_rule_file
 from esss.verify import HASSE_DSTS, HASSE_SRC
 from reference import isomorphic_orders, page1_map_matrix, slices_L
@@ -141,11 +141,44 @@ def test_q2_worked_positions_L():
     assert iu == [-13, -11, -9, -7, -5, -3, -1, 2]
 
 
-def test_e2_window_not_closed_error():
+def test_turning_past_the_window_raises_window_exhausted():
     page = build_page1(ALG_CLOSED, "kq", PageWindow(0, 4, 0, 6, -2, 2))
     e2 = turn_page(page)
-    with pytest.raises(WindowError):
+    with pytest.raises(WindowError, match="window exhausted turning page 3"):
         turn_page(turn_page(e2))  # exhausts the filtration headroom
+
+
+def test_shrunk_windows_hold_every_target():
+    """Every degree of shrink(r) has its page-r target in the window, so a
+    turned page never reads a differential past the page it came from."""
+    rng = random.Random(27)
+    for _ in range(300):
+        s0, f0, w0 = rng.randint(-6, 6), rng.randint(-2, 3), rng.randint(-6, 3)
+        win = PageWindow(s0, s0 + rng.randint(0, 12), f0, f0 + rng.randint(0, 24),
+                         w0, w0 + rng.randint(0, 4))
+        for r in range(1, 5):
+            for deg in win.shrink(r).degrees():
+                assert deg + d_shift(r) in win, (win, r, deg)
+
+
+@pytest.mark.parametrize("field, spectrum, lines", [
+    (REALS, "L", ("d2: tau^4 -> 1 iota rho^2 h1^2 tau^4", "d3: h1 tau^4 -> 1 rho^4 h1^4 tau^3")),
+    (Q2, "kq", ("d2: v1^2 -> 1 rho h1^4 tau", "d3: v1^2 tau^2 -> 1 rho^2 h1^5 tau^3")),
+])
+def test_turned_differentials_have_a_row_per_target_summand(tmp_path, field, spectrum, lines):
+    """A differential is rows, never None: one per summand at its target,
+    none where the target is zero or past the window.  Pages are turned
+    until the window runs out, past any collapse."""
+    path = tmp_path / "rules.rules"
+    path.write_text("".join(f"{line}  # synthetic\n" for line in lines))
+    rules = parse_rule_file(field, str(path))
+    page, turned = build_page1(field, spectrum, PageWindow(-2, 8, 0, 16, -6, 3)), 0
+    while not page.window.shrink(page.r).empty():
+        page, turned = turn_page(page, rules), turned + 1
+        for deg, dd in page.data.items():
+            assert len(dd.diff) == len(page.summands(deg + d_shift(page.r))), (page.r, deg)
+            assert all(len(row) == len(dd.summands) for row in dd.diff)
+    assert turned == 3
 
 
 def test_page1_d1_rows_are_shared():
@@ -230,6 +263,22 @@ def test_run_decides_collapse_by_citation_then_degrees(tmp_path):
                 assert (res.einf is not None) == (cert is not None) == (res.status == "Einf")
                 got[f"{name} {spectrum}"] = res.status + (f" {cert.kind}" if cert else "")
         assert got == {k: want[rule_file].get(k, "E2 only") for k in got}, rule_file
+
+
+def test_degree_vanishing_sees_the_longest_differential_the_window_holds():
+    """The only blocking pair is a d4, the longest differential a window of
+    rows 0..9 holds; shorter and passed differentials do not block."""
+    def page(r, *degs):
+        data = {deg: DegreeData([CyclicSummand(2, Generator.of(Monomial(h1=1)), deg)], [], [])
+                for deg in degs}
+        return Page(ALG_CLOSED, "kq", r, PageWindow(0, 4, 0, 9, 0, 0), data)
+
+    src = TriDegree(2, 0, 0)
+    for r in (2, 3, 4):
+        assert not degree_vanishing(page(r, src, TriDegree(1, 9, 0)))
+    assert degree_vanishing(page(5, src, TriDegree(1, 9, 0)))
+    assert not degree_vanishing(page(2, src, TriDegree(1, 5, 0), TriDegree(3, 0, 0)))
+    assert degree_vanishing(page(2, src, TriDegree(1, 3, 0), TriDegree(2, 8, 0)))
 
 
 def test_loaded_rule_is_applied(tmp_path):

@@ -1,10 +1,10 @@
 """Homotopy assembly against independently enumerated table rows."""
 import pytest
 
-from esss.engine import PageWindow, run
+from esss.engine import PageWindow, build_page1, run
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Qq
 from esss.numthy import nu2, s_q, vmin
-from esss.pitable import assemble_pi, compute_pi_group
+from esss.pitable import assemble_pi, compute_pi_group, f_bound
 from reference import hermitian_kq_orders
 
 
@@ -179,6 +179,17 @@ def test_weight_zero_kq_matches_hermitian_k_theory():
         for n in range(64):
             got = compute_pi_group(field, "kq", n, 0).orders(n, 0)
             assert got == hermitian_kq_orders(q, n), (field.text(), n, got)
+
+
+def test_f_bound_is_the_top_of_the_first_page():
+    """The top f - s of L's first page is f_bound's, with no slack row; kq
+    tops out 2 lower (no iota)."""
+    for field in (ALG_CLOSED, Fq(3), Fq(5), Qq(3), Qq(5), Q2):
+        page = {sp: build_page1(field, sp, PageWindow(-6, 14, 0, 22, -8, 7))
+                for sp in ("kq", "L")}
+        top = {sp: max(deg.f - deg.s for deg in p.data) for sp, p in page.items()}
+        assert top == {"L": f_bound(field, 0), "kq": f_bound(field, 0) - 2}, field.text()
+        assert all(f_bound(field, s) - s == top["L"] for s in range(-4, 8))
 
 
 def test_pi_assembly_rejects_unbounded_fields():

@@ -179,6 +179,17 @@ def test_rule_file_coefficients_are_signed_ascii_integers(tmp_path):
             parse_rule_file(REALS, str(path))
 
 
+def test_rule_file_page_marker_is_ascii_digits(tmp_path):
+    """An Arabic-Indic 3 is decimal to str.isdecimal and int, and made a d3
+    rule of this line."""
+    path = tmp_path / "marker.rules"
+    path.write_text("# header\nd\u0663: h1 tau^4 -> 1 rho^4 h1^4 tau^3  # x\n", encoding="utf-8")
+    with pytest.raises(RuleFileError, match="line 2: bad page marker 'd\u0663'"):
+        parse_rule_file(REALS, str(path))
+    path.write_text("d3: h1 tau^4 -> 1 rho^4 h1^4 tau^3  # x\n")
+    assert [rule.page for rule in parse_rule_file(REALS, str(path))] == [3]
+
+
 def test_rule_file_rejects_rules_that_can_never_fire(tmp_path):
     """Symbols outside the field's alphabet, words that are no basis word
     and targets off source + d_shift(r) would load and match nothing; each
