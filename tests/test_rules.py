@@ -180,8 +180,8 @@ def test_rule_file_coefficients_are_signed_ascii_integers(tmp_path):
 
 
 def test_rule_file_page_marker_is_ascii_digits(tmp_path):
-    """An Arabic-Indic 3 is decimal to str.isdecimal and int, and made a d3
-    rule of this line."""
+    """An Arabic-Indic 3 passes str.isdecimal and int, so this line loaded
+    as a d3 rule; the marker is refused with its line named."""
     path = tmp_path / "marker.rules"
     path.write_text("# header\nd\u0663: h1 tau^4 -> 1 rho^4 h1^4 tau^3  # x\n", encoding="utf-8")
     with pytest.raises(RuleFileError, match="line 2: bad page marker 'd\u0663'"):
