@@ -92,15 +92,20 @@ def _kq_images(src: FieldId, dst: FieldId, deg: TriDegree):
 
 
 def _map_columns(src, dst, spectrum, deg):
-    """The first-page comparison map at deg as sparse columns."""
+    """The first-page comparison map at deg as sparse columns; L's are held
+    in _images under (src, dst, deg, "L") as _kq_images holds kq's."""
     if not _is_L(spectrum):
         return _kq_images(src, dst, deg)
-    def kq_entries(d):
-        return ((t, j, c) for j, col in enumerate(_kq_images(src, dst, d)) for t, c in col)
-    cols = [[] for _ in page1_basis(src, spectrum, deg)]
-    for i, j, x in _L_map(src, dst, deg, deg, kq_entries):
-        cols[j].append((i, x))
-    return cols
+    key = (src, dst, deg, spectrum)
+    if key not in _images:
+        def kq_entries(d):
+            return ((t, j, c) for j, col in enumerate(_kq_images(src, dst, d)) for t, c in col)
+        cols = [[] for _ in page1_basis(src, spectrum, deg)]
+        for i, j, x in _L_map(src, dst, deg, deg, kq_entries):
+            cols[j].append(_pairs.setdefault((i, x), (i, x)))
+        # stored after the reads above, which empty _images when a ninth field arrives
+        _images[key] = tuple(_pairs.setdefault(col, col) for col in map(tuple, cols))
+    return _images[key]
 
 
 def _row_dicts(cols, n_rows):

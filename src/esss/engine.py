@@ -12,11 +12,11 @@ comparison maps.
 
 First-page entries are computed once and held in one table per field, a
 tuple of four dicts keyed by degree, for at most eight fields, and the kq
-comparison images of basechange in _images.  Equal degrees, summands,
-pairs, image columns and differential rows are one object across fields:
-one intern dict per record type, as groups forbids mixing record and tuple
-keys.  A ninth field empties every table and intern dict together, so no
-first-page data and no interning outlives the fields it serves.
+and L comparison columns of basechange in _images.  Equal degrees,
+summands, tuples and rows are one object across fields: one intern dict
+per record type, as groups forbids mixing record and tuple keys.  A ninth
+field empties every table and intern dict together, so no first-page data
+and no interning outlives the fields it serves.
 
 The first page is generated from closed formulas, so build_page1 pads the
 requested window by one differential's reach and the second page is exact
@@ -27,19 +27,18 @@ and every differential is a list of rows, empty where the target is zero.
 
 Turning a page splits each degree's summands into blocks, two summands
 sharing a block when a source or a target of the differentials touches
-both.  Where every block is one summand the homology is closed form; ties
-between equal orders and larger blocks go to homalg.homology_group.  Either
-way the result is homology_group's, generator vectors and their order
-included.
+both.  The homology is closed form where every entry is 1 and each larger
+block is Z/2 without homology, else homalg.homology_group's; the closed
+form is homology_group's too, generator vectors and their order included.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import NamedTuple
 
 from .fields import FieldId
 from .groups import CyclicSummand, Generator, Monomial, TriDegree, d_shift
-from .homalg import StructuredGroup, check_complex, homology_group
+from .homalg import StructuredGroup, _lattice, check_complex, homology_group
 from .numthy import nu2
 from .rules import d1_matrix
 from .slices import e1_kq_basis, psi3_entries
@@ -170,7 +169,9 @@ def _L_degree(field: FieldId, deg: TriDegree):
     """
     kq_here = _kq_degree(field, deg)
     kq_up = _kq_degree(field, TriDegree(deg.s + 1, deg.f - 1, deg.w))
-    summands, parts, vectors = [], [], []
+    if not kq_here and not kq_up:
+        return (), (), ()  # a constant: every such entry is this one tuple
+    summands, vectors = [], []
     for i, (cs, d) in enumerate(zip(kq_here, psi3_entries(field, kq_here))):
         if cs.order == 0 and d:
             continue
@@ -180,17 +181,18 @@ def _L_degree(field: FieldId, deg: TriDegree):
             mono = cs.gen.lead.with_coeff2(cs.gen.lead.coeff2 + mult.bit_length() - 1)
             cs = CyclicSummand(order, Generator.of(mono), deg)
         summands.append(cs)
-        parts.append("K")
         vectors.append(_pairs.setdefault((i, mult), (i, mult)))
     for i, (cs, d) in enumerate(zip(kq_up, psi3_entries(field, kq_up))):
         t = cs.gen.lead
         mono = Monomial(coeff2=t.coeff2, iota=1, h1=t.h1, v1=t.v1,
                         tau=t.tau, units=t.units)
         summands.append(CyclicSummand(gcd(d, cs.order), Generator.of(mono), deg))
-        parts.append("C")
         vectors.append(_pairs.setdefault((i, 1), (i, 1)))
     # kernel classes first; vectors are sparse: (ambient kq index, multiplier)
-    return tuple(_summands.setdefault(cs, cs) for cs in summands), tuple(parts), tuple(vectors)
+    parts = ("K",) * (len(summands) - len(kq_up)) + ("C",) * len(kq_up)
+    vectors = tuple(vectors)
+    return (tuple(_summands.setdefault(cs, cs) for cs in summands),
+            _pairs.setdefault(parts, parts), _pairs.setdefault(vectors, vectors))
 
 
 @_per_field(2)
@@ -286,29 +288,47 @@ def build_page1(field: FieldId, spectrum: str, window: PageWindow) -> Page:
 def _homology(in_m, src_orders, diff, mid_orders, tgt_orders):
     """homology_group of the dense maps in_m and diff, read as rows of dicts.
 
-    With one summand k per block and every entry 1, the kernel at k is
-    generated by c e_k, c the lcm of the orders of k's targets (0 when one
-    is free: no kernel); with g the gcd of k's order and entries the image
-    is g Z, and the summand is Z/(lcm(c, g) / c).  The SNF lists summands
-    by ascending order, free last, so only ties need its pivots.
+    With every entry 1, a summand k that shares no source or target has its
+    kernel generated by c e_k, c the lcm of the orders of k's targets (0 when
+    one is free: no kernel); with g the gcd of k's order and entries the
+    image is g Z, and the summand is Z/(lcm(c, g) / c).  The summands that
+    share must be Z/2, mapping to Z/2, with no homology: two F2 ranks.  The
+    SNF lists summands by ascending order, free last, and orders ties as its
+    relation SNF does on _lattice's kernel vectors, a sharing summand's of
+    order 1: step by step the first least order is swapped forward.
     """
     a_rows = [{j: x for j, x in enumerate(row) if x} for row in in_m]
     b_rows = [{k: x for k, x in enumerate(row) if x} for row in diff]
-    sources = [j for row in a_rows for j in row]
-    if (len(sources) == len(set(sources)) and all(len(row) <= 1 for row in b_rows)
-            and all(x == 1 for row in a_rows + b_rows for x in row.values())):
+    a_cols = [sum(1 << k for k, x in enumerate(col) if x) for col in zip(*in_m)]
+    b_cols = [sum(1 << k for k in row) for row in b_rows]
+    block = 0  # the summands that share a source or a target, as a bitmask
+    for m in a_cols + b_cols:
+        block |= m if m & (m - 1) else 0
+    basis = []  # F2 echelon form of A's columns and, shifted apart, B's rows on block
+    for v in [m for m in a_cols if m & block] + [m << len(mid_orders) for m in b_cols if m & block]:
+        for b in basis:
+            v = min(v, v ^ b)
+        basis += [v] if v else []
+    if all(x == 1 for row in a_rows + b_rows for x in row.values()) and (not block or (
+            all(o == 2 for k, o in enumerate(mid_orders) if block >> k & 1)
+            and all(o == 2 for o, m in zip(tgt_orders, b_cols) if m & block)
+            and len(basis) == block.bit_count())):
         check_complex(a_rows, b_rows, tgt_orders)
         c = [1] * len(mid_orders)
         for o, row in zip(tgt_orders, b_rows):
             for k in row:
                 c[k] = lcm(c[k], o)
-        order = {k: lcm(ck, gcd(mid_orders[k], *a_rows[k].values())) // ck
+        order = {k: 1 if block >> k & 1 else lcm(ck, gcd(mid_orders[k], *a_rows[k].values())) // ck
                  for k, ck in enumerate(c) if ck}
-        gens = sorted((k for k, o in order.items() if o != 1),
-                      key=lambda k: (order[k] == 0, order[k]))
-        if len({order[k] for k in gens}) == len(gens):
-            return StructuredGroup([order[k] for k in gens],
-                                   [[c[k] * (a == k) for a in range(len(c))] for k in gens])
+        gens = sorted((k for k, o in order.items() if o != 1), key=lambda k: order[k] or inf)
+        if len({order[k] for k in gens}) < len(gens):
+            gens = [min(v) for v in _lattice(b_rows, len(mid_orders), tgt_orders)]
+            for t in range(len(gens)):
+                i = min(range(t, len(gens)), key=lambda i: order[gens[i]] or inf)
+                gens[t], gens[i] = gens[i], gens[t]
+            gens = [k for k in gens if order[k] != 1]
+        return StructuredGroup([order[k] for k in gens],
+                               [[c[k] * (a == k) for a in range(len(c))] for k in gens])
     return homology_group(a_rows, src_orders, b_rows, mid_orders, tgt_orders)
 
 
@@ -323,18 +343,18 @@ def turn_page(page: Page, higher_rules=()) -> Page:
     new_window = page.window.shrink(r)
     if new_window.empty():
         raise WindowError(f"window exhausted turning page {r}")
-    summands, history = {}, {}
+    summands, history, turned = {}, {}, {}
     for deg in new_window.degrees():
         dd = page.data.get(deg)
         if dd is None:
             continue
-        mid_orders = [cs.order for cs in dd.summands]
-        tgt_orders = [cs.order for cs in page.summands(deg + shift)]
-        src_deg = TriDegree(deg.s + 1, deg.f - (2 * r + 1), deg.w)
-        src = page.data.get(src_deg)
-        in_m = src.diff if src is not None else [[] for _ in dd.summands]
-        src_orders = [cs.order for cs in src.summands] if src is not None else []
-        H = _homology(in_m, src_orders, dd.diff, mid_orders, tgt_orders)
+        src = page.data.get(TriDegree(deg.s + 1, deg.f - (2 * r + 1), deg.w))
+        in_m = src.diff if src else [()] * len(dd.summands)
+        orders = [tuple(cs.order for cs in summ) for summ in (
+            src.summands if src else (), dd.summands, page.summands(deg + shift))]
+        # the page holds its rows, interned: equal complexes have equal row ids
+        key = (tuple(map(id, in_m)), tuple(map(id, dd.diff)), *orders)
+        H = turned[key] = turned.get(key) or _homology(in_m, orders[0], dd.diff, *orders[1:])
         if H.orders:
             summands[deg] = [CyclicSummand(order, _name_from_vector(vec, dd.summands), deg)
                              for order, vec in zip(H.orders, H.gens)]

@@ -181,7 +181,9 @@ def test_L_map_keeps_kernel_classes_in_the_kernel(monkeypatch):
     assert _kq_degree(dst, deg)[0].order == 0
     assert 0 not in [vec[0] for p, vec in zip(parts, vectors) if p == "K"]
     assert page1_map_matrix(src, dst, "L", deg) == [[1]]
-    # the cached table is warm now; the patch replaces it, not its entries
+    # the table is warm now: the L columns go, so that they are rebuilt, and
+    # the patch replaces the kq table, not its entries
+    del engine._images[src, dst, deg, "L"]
     calls = []
 
     def images(s, t, d):
@@ -230,10 +232,11 @@ def test_window_report_is_the_union_of_degree_reports():
 
 def test_cold_and_warm_table_give_the_same_reports():
     """Reports from an empty image table equal reports read from a table
-    warmed by other spectra, targets and degrees first."""
+    warmed by other spectra, targets and degrees first; the table holds the
+    L columns next to the kq images."""
     engine._images.clear()
     cold = {sp: _table_reports(sp) for sp in ("kq", "L")}
-    assert engine._images
+    assert {key[3:] for key in engine._images} == {(), ("L",)}
     compare_e1(TABLE_SRC, [Qq(3), REALS], "L", PageWindow(-3, 7, 0, 7, -3, 7).degrees())
     for spectrum in ("L", "kq"):
         warm = _table_reports(spectrum)
@@ -276,11 +279,12 @@ def test_cached_images_are_untracked_by_the_collector():
 
 
 def test_image_table_is_bounded_by_the_field_tables():
-    """A process that compares Q(2,p) with R, Q2 and Q_p for twelve primes
-    holds the images of at most eight fields: R, Q2 and three supports with
-    their Q_p.  A ninth field empties the image table with the first-page
-    tables, so every entry's fields are held.  One support adds 723 entries
-    on this window; a table that outlived the field tables held 8,676."""
+    """A process that compares Q(2,p) with R, Q2 and Q_p for twelve primes,
+    kq and L, holds the images of at most eight fields: R, Q2 and three
+    supports with their Q_p.  A ninth field empties the image table, kq
+    images and L columns alike, with the first-page tables, so every entry's
+    fields are held.  One support adds 723 kq and 798 L entries on this
+    window; a table that outlived the field tables held 8,676 kq entries."""
     code = """if True:
         import esss.engine as engine
         from esss.basechange import compare_e1
@@ -289,16 +293,19 @@ def test_image_table_is_bounded_by_the_field_tables():
         degrees = list(PageWindow(-3, 5, 0, 5, -3, 5).degrees())
         sizes, orphans = [], 0
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-            compare_e1(Q((2, p)), [REALS, Q2, Qq(p)], "kq", degrees)
+            for spectrum in ("kq", "L"):
+                compare_e1(Q((2, p)), [REALS, Q2, Qq(p)], spectrum, degrees)
             sizes.append(len(engine._images))
+            held_L = sum(key[3:] == ("L",) for key in engine._images)
             orphans += sum(src not in engine._tables or dst not in engine._tables
-                           for src, dst, _ in engine._images)
-        print(*sizes, orphans)
+                           for src, dst, *_ in engine._images)
+        print(*sizes, held_L, orphans)
     """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    *sizes, orphans = map(int, proc.stdout.split())
+    *sizes, held_L, orphans = map(int, proc.stdout.split())
     assert 0 < max(sizes) <= 3 * sizes[0], sizes
+    assert held_L > 0, "no L columns held"
     assert orphans == 0, f"{orphans} entries of fields no table holds"
 
 

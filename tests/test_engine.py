@@ -1,6 +1,8 @@
+import itertools
 import random
 import subprocess
 import sys
+from operator import mul
 
 import pytest
 
@@ -336,8 +338,12 @@ def _assert_turned_as_by_the_whole_matrix_snf(pages):
 
 
 @pytest.mark.parametrize("criterion", [4, 7, 10])
-def test_turn_page_equals_the_whole_matrix_snf(criterion):
-    """The pages of acceptance criteria 4, 7 and 10, on their windows."""
+def test_turn_page_equals_the_whole_matrix_snf(criterion, monkeypatch):
+    """The pages of acceptance criteria 4, 7 and 10, on their windows.  Over
+    F_q every degree is closed form, ties included (criterion 7 has 1,134
+    of them), so no page turn of criteria 4 and 7 calls homology_group."""
+    calls, whole = [], engine.homology_group
+    monkeypatch.setattr(engine, "homology_group", lambda *a: calls.append(a) or whole(*a))
     if criterion == 4:
         runs = [run(Fq(q), "kq", PageWindow(0, 21, 0, 27, -10, 11)) for q in (3, 5, 7, 13)]
     elif criterion == 7:
@@ -346,6 +352,7 @@ def test_turn_page_equals_the_whole_matrix_snf(criterion):
     else:
         runs = [run(field, spectrum, PageWindow(-3, 16, 0, 12, -4, 8), want_einf=False)
                 for spectrum in ("kq", "L") for field in [HASSE_SRC] + HASSE_DSTS]
+    assert criterion == 10 or calls == [], len(calls)
     for res in runs:
         _assert_turned_as_by_the_whole_matrix_snf(res.pages)
 
@@ -354,15 +361,18 @@ def _random_complex(rng):
     """A complex S -> M -> T of cyclic sums whose middle falls into blocks
     of one, two or three summands, in shuffled coordinates.  One-summand
     blocks carry entries 1 and orders from a short list, so that orders tie
-    and free summands and free targets occur; larger blocks carry random
-    entries, their sources drawn from the kernel of their targets."""
+    and free summands and free targets occur.  Half the larger blocks are
+    Z/2 throughout with entries 1, their sources nonzero F2 kernel vectors
+    of their targets: all of them (no homology) or some; the other half
+    carry random entries, their sources drawn from the kernel of their
+    targets."""
     orders = (0, 2, 2, 4, 8)
     mid, tgt, src, b_entries, a_entries = [], [], [], [], []
     for _ in range(rng.randrange(1, 7)):
         size = rng.choice((1, 1, 1, 2, 3))
         block = list(range(len(mid), len(mid) + size))
-        mid += [rng.choice(orders) for _ in block]
         if size == 1:
+            mid.append(rng.choice(orders))
             side = rng.choice(("targets", "sources", "neither"))
             for _ in range(rng.randrange(1, 3) if side != "neither" else 0):
                 if side == "targets":
@@ -372,13 +382,24 @@ def _random_complex(rng):
                     a_entries.append({block[0]: 1})
                     src.append(rng.choice(orders))
             continue
-        B = [[rng.randint(-3, 3) for _ in block] for _ in range(rng.randrange(0, 3))]
-        t_orders = [rng.choice(orders) for _ in B]
-        lattice = (reference._kernel_lattice(B, size, t_orders) if B
-                   else [[int(a == i) for a in range(size)] for i in range(size)])
+        z2 = rng.random() < 0.5
+        mid += [2 if z2 else rng.choice(orders) for _ in block]
+        lo, hi = (0, 1) if z2 else (-3, 3)
+        B = [[rng.randint(lo, hi) for _ in block] for _ in range(rng.randrange(0, 3))]
+        t_orders = [2 if z2 else rng.choice(orders) for _ in B]
         for row, o in zip(B, t_orders):
             b_entries.append(dict(zip(block, row)))
             tgt.append(o)
+        if z2:
+            vectors = [v for v in itertools.product((0, 1), repeat=size)
+                       if any(v) and all(sum(map(mul, row, v)) % 2 == 0 for row in B)]
+            for v in rng.sample(vectors, len(vectors) if rng.random() < 0.5 else
+                                rng.randrange(len(vectors) + 1)):
+                a_entries.append(dict(zip(block, v)))
+                src.append(rng.choice(orders))
+            continue
+        lattice = (reference._kernel_lattice(B, size, t_orders) if B
+                   else [[int(a == i) for a in range(size)] for i in range(size)])
         for _ in range(rng.randrange(0, 3)):
             coeffs = [rng.randint(-1, 1) for _ in lattice]
             col = [sum(c * v[a] for c, v in zip(coeffs, lattice)) for a in range(size)]
@@ -394,9 +415,10 @@ def _random_complex(rng):
 
 
 def test_block_split_equals_the_whole_matrix_snf_on_random_complexes(monkeypatch):
-    calls = []
-    whole = engine.homology_group
+    calls, replays = [], []
+    whole, lattice = engine.homology_group, engine._lattice
     monkeypatch.setattr(engine, "homology_group", lambda *a: calls.append(a) or whole(*a))
+    monkeypatch.setattr(engine, "_lattice", lambda *a: replays.append(a) or lattice(*a))
     rng = random.Random(7)
 
     def result(f, *args):
@@ -406,17 +428,22 @@ def test_block_split_equals_the_whole_matrix_snf_on_random_complexes(monkeypatch
         except ValueError as exc:
             return str(exc)
 
-    broken = 0
+    broken = shared = 0
     for trial in range(600):
         A, src, B, mid, tgt = _random_complex(rng)
         if trial % 5 == 0 and B and A and src:
             # a 1 added anywhere in A: mostly no longer a complex
             A[rng.randrange(len(mid))][rng.randrange(len(src))] += 1
         want = result(reference.homology_group, A, src, B, mid, tgt)
+        before = len(replays)
         assert result(engine._homology, A, src, B, mid, tgt) == want, (A, src, B, mid, tgt)
         broken += isinstance(want, str)
-    # every path ran: the closed form, homology_group, and both complex checks
+        # a tie replayed next to a Z/2 block without homology
+        shared += len(replays) > before and any(sum(map(bool, v)) > 1 for v in B + list(zip(*A)))
+    # every path ran: the closed form with and without ties and Z/2 blocks,
+    # homology_group, and both complex checks
     assert broken > 20 and 600 - len(calls) > 100 and len(calls) - broken > 100
+    assert len(replays) > 40 and shared > 10, (len(replays), shared)
     with pytest.raises(ValueError, match="not a complex"):
         engine._homology([[1]], [2], [[1]], [2], [2])
 
