@@ -13,17 +13,17 @@ multiplier depends only on the slice), so on the L pages they are the maps
 engine._L_map induces on the kernel and cokernel parts.
 
 Every first-page map is read from one table, engine's _images, keyed by
-(source field, target field, tridegree): per source kq generator, the
-sparse column ((target kq index, coefficient), ...) of its image, held as
-exact tuples of ints.  Equal pairs and columns are interned in engine's
-_pairs, so the collector stops tracking a new entry at the first collection
-it survives; table and interning go with engine's first-page tables.
-engine._L_map reads its entries for L; the commutation check and compare_e2
-apply the columns directly.  Both comparisons decide injectivity with
-homalg.is_injective on the stacked rows of all targets: on first pages a
-map of groups, decided by two ranks; on second pages first-page cycles read
-modulo each target's boundaries, decided by the kernel lattice, so no
-target's second page is presented.
+(source field, target field, tridegree), with "L" appended for L: per
+source generator, the sparse column ((target index, coefficient), ...) of
+its image, as exact tuples of ints, L's gathered once from what _L_map
+reads off kq's.  Equal pairs and columns are interned in engine's _pairs,
+so the collector stops tracking a new entry at the first collection it
+survives; table and interning go with engine's first-page tables.  The
+commutation check and compare_e2 apply the columns.  Both decide
+injectivity with homalg.is_injective on the stacked rows of all targets:
+on first pages a map of groups, decided by two ranks; on second pages
+first-page cycles read modulo each target's boundaries, decided by the
+kernel lattice, so no target's second page is presented.
 """
 from __future__ import annotations
 

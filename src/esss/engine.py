@@ -291,11 +291,11 @@ def _homology(in_m, src_orders, diff, mid_orders, tgt_orders):
     With every entry 1, a summand k that shares no source or target has its
     kernel generated by c e_k, c the lcm of the orders of k's targets (0 when
     one is free: no kernel); with g the gcd of k's order and entries the
-    image is g Z, and the summand is Z/(lcm(c, g) / c).  The summands that
-    share must be Z/2, mapping to Z/2, with no homology: two F2 ranks.  The
-    SNF lists summands by ascending order, free last, and orders ties as its
-    relation SNF does on _lattice's kernel vectors, a sharing summand's of
-    order 1: step by step the first least order is swapped forward.
+    image is g Z, and the summand is Z/(lcm(c, g) / c).  Summands that share
+    must be Z/2 into Z/2 with no homology (two F2 ranks); other degrees go to
+    homology_group.  The SNF lists summands by ascending order, free last,
+    and orders ties as its relation SNF does on _lattice's kernel vectors, a
+    sharing summand's of order 1: the first least order is swapped forward.
     """
     a_rows = [{j: x for j, x in enumerate(row) if x} for row in in_m]
     b_rows = [{k: x for k, x in enumerate(row) if x} for row in diff]

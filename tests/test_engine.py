@@ -448,6 +448,30 @@ def test_block_split_equals_the_whole_matrix_snf_on_random_complexes(monkeypatch
         engine._homology([[1]], [2], [[1]], [2], [2])
 
 
+def test_turn_page_turns_each_complex_once_and_tells_target_orders_apart(monkeypatch):
+    """Three degrees of a hand-made first page share one row object [1] from
+    Z: into Z/2 at two of them, into Z/4 at the third.  turn_page computes
+    the two equal complexes once, and the third as its own: Z generated by
+    4, not the 2 of the others."""
+    calls, homology = [], engine._homology
+    monkeypatch.setattr(engine, "_homology", lambda *a: calls.append(a) or homology(*a))
+    row = [1]
+
+    def degree(s, f, order, diff):
+        deg = TriDegree(s, f, 0)
+        return deg, DegreeData([CyclicSummand(order, Generator.of(Monomial(tau=f)), deg)], (), diff)
+
+    page = Page(ALG_CLOSED, "kq", 1, PageWindow(0, 4, 0, 6, 0, 0), dict([
+        degree(1, 1, 0, [row]), degree(0, 4, 2, []),
+        degree(3, 1, 0, [row]), degree(2, 4, 4, []),
+        degree(3, 3, 0, [row]), degree(2, 6, 2, [])]))
+    nxt = turn_page(page)
+    assert len(calls) == 2
+    assert [nxt.data[TriDegree(s, f, 0)].history for s, f in ((1, 1), (3, 1), (3, 3))] == \
+        [[(2,)], [(4,)], [(2,)]]
+    _assert_turned_as_by_the_whole_matrix_snf([page, nxt])
+
+
 def test_records_keep_their_behaviour():
     """The value records compare and hash as tuples, PageWindow keeps its
     own `in`, and the records that change in place still take updates."""
