@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .engine import (Page, _images, _is_L, _kq_degree, _L_map, _pairs, page1_basis,
-                     page1_d1)
+from .engine import (Page, _images, _is_L, _kq_degree, _L_degree, _L_map, _pairs,
+                     page1_basis, page1_d1)
 from .fields import FieldId
 from .groups import TriDegree, d_shift
 from .homalg import composite_failure, is_injective
@@ -100,8 +100,9 @@ def _map_columns(src, dst, spectrum, deg):
     if key not in _images:
         def kq_entries(d):
             return ((t, j, c) for j, col in enumerate(_kq_images(src, dst, d)) for t, c in col)
-        cols = [[] for _ in page1_basis(src, spectrum, deg)]
-        for i, j, x in _L_map(src, dst, deg, deg, kq_entries):
+        source = _L_degree(src, deg)
+        cols = [[] for _ in source[0]]
+        for i, j, x in _L_map(src, dst, deg, deg, kq_entries, source, _L_degree(dst, deg)):
             cols[j].append(_pairs.setdefault((i, x), (i, x)))
         # stored after the reads above, which empty _images when a ninth field arrives
         _images[key] = tuple(_pairs.setdefault(col, col) for col in map(tuple, cols))

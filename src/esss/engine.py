@@ -13,10 +13,10 @@ comparison maps.
 First-page entries are computed once and held in one table per field, a
 tuple of four dicts keyed by degree, for at most eight fields, and the kq
 and L comparison columns of basechange in _images.  Equal degrees,
-summands, tuples and rows are one object across fields: one intern dict
-per record type, as groups forbids mixing record and tuple keys.  A ninth
-field empties every table and intern dict together, so no first-page data
-and no interning outlives the fields it serves.
+summands, tuples, rows and matrices are one object across fields: one
+intern dict per record type, as groups forbids mixing record and tuple
+keys; _d1_L induces each L differential once per distinct input.  A ninth
+field empties every table, intern dict and memo together (_clear).
 
 The first page is generated from closed formulas, so build_page1 pads the
 requested window by one differential's reach and the second page is exact
@@ -87,8 +87,8 @@ class DegreeData(NamedTuple):
     summands: list  # page 1 shares the cached tuples of page1_basis: read only
     # page >= 2: expressions of the new generators over the previous page; page 1: ()
     history: list
-    # dense int rows interned in _rows, shared across degrees: read only; one
-    # row per summand of the target, which shrink keeps in the window
+    # int rows interned in _rows, the list in _matrices, shared: read only;
+    # one row per summand of the target, which shrink keeps in the window
     diff: list
 
 
@@ -124,8 +124,13 @@ def _name_from_vector(vec, basis) -> Generator:
 
 
 _MAX_FIELDS = 8
-_tables = {}
-_degrees, _summands, _pairs, _images, _rows = {}, {}, {}, {}, {}
+_tables, _degrees, _summands, _pairs, _images, _rows, _matrices, _induced = ({} for _ in range(8))
+
+
+def _clear():
+    """Empties every table, intern dict and memo together: no id key outlives its object."""
+    for held in (_tables, _degrees, _summands, _pairs, _images, _rows, _matrices, _induced):
+        held.clear()
 
 
 def _per_field(slot: int):
@@ -136,8 +141,7 @@ def _per_field(slot: int):
             table = _tables.get(field)
             if table is None:
                 if len(_tables) == _MAX_FIELDS:
-                    for held in (_tables, _degrees, _summands, _pairs, _images, _rows):
-                        held.clear()
+                    _clear()
                 table = _tables[field] = ({}, {}, {}, {})
             hit = table[slot].get(deg)
             if hit is None:
@@ -149,8 +153,9 @@ def _per_field(slot: int):
 
 
 def _shared(rows):
-    """Each dense row as the one list of its content in _rows."""
-    return [_rows.setdefault(tuple(row), row) for row in rows]
+    """The one list in _matrices of the matrix's content, its rows in _rows."""
+    rows = [_rows.setdefault(tuple(row), row) for row in rows]
+    return _matrices.setdefault(tuple(map(id, rows)), rows)
 
 
 @_per_field(0)
@@ -177,22 +182,21 @@ def _L_degree(field: FieldId, deg: TriDegree):
             continue
         order = gcd(d, cs.order)
         mult = cs.order // order if order else 1
-        if mult > 1:  # else the kernel is the whole kq summand
+        if mult > 1:  # else the kernel is the whole kq summand, interned already
             mono = cs.gen.lead.with_coeff2(cs.gen.lead.coeff2 + mult.bit_length() - 1)
             cs = CyclicSummand(order, Generator.of(mono), deg)
+            cs = _summands.setdefault(cs, cs)
         summands.append(cs)
         vectors.append(_pairs.setdefault((i, mult), (i, mult)))
     for i, (cs, d) in enumerate(zip(kq_up, psi3_entries(field, kq_up))):
-        t = cs.gen.lead
-        mono = Monomial(coeff2=t.coeff2, iota=1, h1=t.h1, v1=t.v1,
-                        tau=t.tau, units=t.units)
-        summands.append(CyclicSummand(gcd(d, cs.order), Generator.of(mono), deg))
+        mono = tuple.__new__(Monomial, (cs.gen.lead[0], 1) + cs.gen.lead[2:])  # as with_coeff2
+        cs = CyclicSummand(gcd(d, cs.order), Generator.of(mono), deg)
+        summands.append(_summands.setdefault(cs, cs))
         vectors.append(_pairs.setdefault((i, 1), (i, 1)))
     # kernel classes first; vectors are sparse: (ambient kq index, multiplier)
     parts = ("K",) * (len(summands) - len(kq_up)) + ("C",) * len(kq_up)
     vectors = tuple(vectors)
-    return (tuple(_summands.setdefault(cs, cs) for cs in summands),
-            _pairs.setdefault(parts, parts), _pairs.setdefault(vectors, vectors))
+    return tuple(summands), _pairs.setdefault(parts, parts), _pairs.setdefault(vectors, vectors)
 
 
 @_per_field(2)
@@ -200,8 +204,9 @@ def _d1_kq(field: FieldId, deg: TriDegree):
     return _shared(d1_matrix(field, _kq_degree(field, deg), _kq_degree(field, deg + d_shift(1))))
 
 
-def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_entries):
-    """The map a kq map induces on L's first page, from (src, deg) to (dst, tgt).
+def _L_map(src, dst, deg, tgt, kq_entries, source, target):
+    """The map a kq map induces on L's first page, from (src, deg) to (dst, tgt),
+    whose _L_degree entries are source and target.
 
     kq_entries(d) gives the nonzero entries of the kq map from src at d to
     dst at d + (tgt - deg), as (target kq index, source kq index, value).
@@ -210,8 +215,7 @@ def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_entrie
     at deg, cokernel classes one stem up; with a diagonal psi^3 - 1 both are
     componentwise 2-power shifts, and a kernel class must land in the kernel.
     """
-    s_sum, s_part, s_vec = _L_degree(src, deg)
-    t_sum, t_part, t_vec = _L_degree(dst, tgt)
+    (s_sum, s_part, s_vec), (t_sum, t_part, t_vec) = source, target
     if not s_sum or not t_sum:
         return
     sk, tk = s_part.count("K"), t_part.count("K")
@@ -239,16 +243,21 @@ def _L_map(src: FieldId, dst: FieldId, deg: TriDegree, tgt: TriDegree, kq_entrie
 
 @_per_field(3)
 def _d1_L(field: FieldId, deg: TriDegree):
-    """The page-1 differential of L at deg, in the K/C generator bases: the
-    map _L_map induces from the entries of the kq d1 at deg and a stem up,
-    read off its rows in place."""
+    """L's page-1 differential at deg in the K/C bases, induced by _L_map from the
+    kq d1s it reads (at deg, a stem up) once per _induced key: ids, target orders."""
     def kq_entries(d):
-        return ((a, j, x) for a, row in enumerate(_d1_kq(field, d)) for j, x in enumerate(row) if x)
-    tgt = deg + d_shift(1)
-    rows = [[0] * len(_L_degree(field, deg)[0]) for _ in _L_degree(field, tgt)[0]]
-    for i, j, x in _L_map(field, field, deg, tgt, kq_entries):
-        rows[i][j] = x
-    return _shared(rows)
+        return ((a, j, x) for a, row in enumerate(kq[d]) for j, x in enumerate(row) if x)
+    tgt, up = deg + d_shift(1), TriDegree(deg.s + 1, deg.f - 1, deg.w)
+    source, target = _L_degree(field, deg), _L_degree(field, tgt)
+    kq = {deg: "K" in source[1] and _kq_degree(field, tgt) and _d1_kq(field, deg),
+          up: "C" in source[1] and "C" in target[1] and _d1_kq(field, up)}
+    key = (*map(id, (*source[1:], *target[1:], *kq.values())), *(cs.order for cs in target[0]))
+    if key not in _induced:
+        rows = [[0] * len(source[0]) for _ in target[0]]
+        for i, j, x in _L_map(field, field, deg, tgt, kq_entries, source, target):
+            rows[i][j] = x
+        _induced[key] = _shared(rows)
+    return _induced[key]
 
 
 def _is_L(spectrum: str) -> bool:
@@ -352,8 +361,8 @@ def turn_page(page: Page, higher_rules=()) -> Page:
         in_m = src.diff if src else [()] * len(dd.summands)
         orders = [tuple(cs.order for cs in summ) for summ in (
             src.summands if src else (), dd.summands, page.summands(deg + shift))]
-        # the page holds its rows, interned: equal complexes have equal row ids
-        key = (tuple(map(id, in_m)), tuple(map(id, dd.diff)), *orders)
+        # interned matrices: equal complexes have equal ids (no source: the orders)
+        key = (src and id(in_m), id(dd.diff), *orders)
         H = turned[key] = turned.get(key) or _homology(in_m, orders[0], dd.diff, *orders[1:])
         if H.orders:
             summands[deg] = [CyclicSummand(order, _name_from_vector(vec, dd.summands), deg)

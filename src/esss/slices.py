@@ -28,7 +28,7 @@ def e1_kq_basis(field: FieldId, deg: TriDegree):
         h1 = c - e
         for order, gen, _ in coeff_classes(field, 1 if h1 else NU_INFINITY, s - c - e, w - c):
             coeff2, _, _, _, tau, units = gen.lead
-            mono = Monomial(coeff2=coeff2, h1=h1, v1=e, tau=tau, units=units)
+            mono = tuple.__new__(Monomial, (coeff2, 0, h1, e, tau, units))  # as with_coeff2
             assert mono.degree() == deg, (mono, deg)
             out.append(CyclicSummand(order, Generator.of(mono), deg))
     out.sort(key=lambda cs: cs.gen.sort_key())

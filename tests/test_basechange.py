@@ -262,9 +262,7 @@ def test_cached_images_are_untracked_by_the_collector():
     kq check builds every key read below, the L check the rest of the
     table's entries.  Emptied tables first, as a ninth field leaves them,
     so that no ninth field arrives while the four fields here build."""
-    for held in (engine._tables, engine._degrees, engine._summands, engine._pairs,
-                 engine._images):
-        held.clear()
+    engine._clear()
     for spectrum in ("kq", "L"):
         compare_e1(TABLE_SRC, TABLE_DSTS, spectrum, TABLE_DEGREES)
     gc.collect()

@@ -184,14 +184,14 @@ def test_turned_differentials_have_a_row_per_target_summand(tmp_path, field, spe
 
 
 def test_page1_d1_rows_are_shared():
-    """Equal rows of the first-page differentials are one list, so there are
-    no more row objects than row contents.  Emptied tables first, as a ninth
-    field leaves them, so that no ninth field arrives while the two fields
-    here build: rows built after that clear would be new lists."""
-    for held in (engine._tables, engine._degrees, engine._summands, engine._pairs,
-                 engine._images, engine._rows):
-        held.clear()
+    """Equal rows of the first-page differentials are one list, and so are
+    equal differentials, so there are no more row or matrix objects than
+    contents.  Emptied tables first, as a ninth field leaves them, so that
+    no ninth field arrives while the two fields here build: rows and
+    matrices built after that clear would be new lists."""
+    engine._clear()
     by_content, ids, rows = {}, set(), 0
+    by_matrix, matrix_ids, matrices = {}, set(), 0
     for field in (Fq(3), Q((2, 3, 5))):
         for spectrum in ("kq", "L"):
             for w in range(-3, 2):
@@ -200,7 +200,77 @@ def test_page1_d1_rows_are_shared():
                     assert by_content.setdefault(tuple(row), row) is row
                     ids.add(id(row))
                     rows += 1
+                for diff in (dd.diff for dd in page.data.values()):
+                    assert by_matrix.setdefault(tuple(map(tuple, diff)), diff) is diff
+                    matrix_ids.add(id(diff))
+                    matrices += 1
     assert len(ids) <= len(by_content) and rows > 10 * len(by_content)
+    assert len(matrix_ids) <= len(by_matrix) and matrices > 3 * len(by_matrix)
+
+
+def _L_fill(field, deg):
+    """The L first differential at deg filled afresh from what _L_map induces."""
+    tgt = deg + d_shift(1)
+    source, target = engine._L_degree(field, deg), engine._L_degree(field, tgt)
+    rows = [[0] * len(source[0]) for _ in target[0]]
+
+    def kq_entries(d):
+        return ((a, j, x) for a, row in enumerate(engine._d1_kq(field, d))
+                for j, x in enumerate(row) if x)
+    for i, j, x in engine._L_map(field, field, deg, tgt, kq_entries, source, target):
+        rows[i][j] = x
+    return rows
+
+
+def test_induced_L_differentials_equal_a_direct_fill():
+    """Every L first differential that _d1_L holds over Fq(3), Q2, R and
+    Q(2,3,5) equals the map _L_map induces afresh, with the memo of induced
+    maps emptied first: its key tells apart every input of the fill.  The
+    four fields build right after a clear that follows builds over three
+    others, so a memo that outlived the clear would keep matrices that no
+    table holds, and answer for ids that may now name other objects."""
+    window = PageWindow(-4, 12, 0, 14, -4, 3)
+    for field in (Fq(5), Qq(3), Q((2, 3, 7))):
+        build_page1(field, "L", window)
+    engine._clear()
+    fields = (Fq(3), Q2, REALS, Q((2, 3, 5)))
+    for field in fields:
+        build_page1(field, "L", window)
+    assert set(engine._tables) == set(fields)
+    held = {field: dict(engine._tables[field][3]) for field in fields}
+    ids = {id(diff) for d1 in held.values() for diff in d1.values()}
+    assert all(id(diff) in ids for diff in engine._induced.values())
+    engine._induced.clear()
+    compared = 0
+    for field, d1 in held.items():
+        for deg, diff in d1.items():
+            assert diff == _L_fill(field, deg), (field.text(), deg)
+            compared += any(map(any, diff))
+    assert compared > 1000, compared
+
+
+def test_induced_L_differentials_tell_target_orders_apart():
+    """Two hand-made degrees of one field share every interned input of the
+    L differential, a kernel class 2 times its kq class mapping by the kq
+    d1 [[1]] onto a whole kq class, but that class is Z/2 at one and Z/4 at
+    the other: the induced entries are 0 and 2.  On the fields of
+    test_induced_L_differentials_equal_a_direct_fill a key without the
+    target orders gives the same matrices, so this is the case that needs
+    them in the memo's key."""
+    engine._clear()
+    field = Fq(3)
+    kq, L, d1, _ = engine._tables.setdefault(field, ({}, {}, {}, {}))
+    parts, source, target = ("K",), ((0, 2),), ((0, 1),)
+    matrix = engine._shared([[1]])
+    for w, order in ((100, 2), (101, 4)):
+        deg = TriDegree(0, 0, w)
+        tgt = deg + d_shift(1)
+        summand = CyclicSummand(order, Generator.of(Monomial(tau=w)), tgt)
+        kq[tgt], d1[deg] = (summand,), matrix
+        L[deg] = (CyclicSummand(4, Generator.of(Monomial(tau=w)), deg),), parts, source
+        L[tgt] = (summand,), parts, target
+    assert [page1_d1(field, "L", TriDegree(0, 0, w)) for w in (100, 101)] == [[[0]], [[2]]]
+    engine._clear()
 
 
 def test_statuses_for_pluggable_pairs():
@@ -449,22 +519,22 @@ def test_block_split_equals_the_whole_matrix_snf_on_random_complexes(monkeypatch
 
 
 def test_turn_page_turns_each_complex_once_and_tells_target_orders_apart(monkeypatch):
-    """Three degrees of a hand-made first page share one row object [1] from
-    Z: into Z/2 at two of them, into Z/4 at the third.  turn_page computes
-    the two equal complexes once, and the third as its own: Z generated by
-    4, not the 2 of the others."""
+    """Three degrees of a hand-made first page share one matrix object [[1]],
+    as a page shares its interned matrices, from Z: into Z/2 at two of them,
+    into Z/4 at the third.  turn_page computes the two equal complexes once,
+    and the third as its own: Z generated by 4, not the 2 of the others."""
     calls, homology = [], engine._homology
     monkeypatch.setattr(engine, "_homology", lambda *a: calls.append(a) or homology(*a))
-    row = [1]
+    matrix = [[1]]
 
     def degree(s, f, order, diff):
         deg = TriDegree(s, f, 0)
         return deg, DegreeData([CyclicSummand(order, Generator.of(Monomial(tau=f)), deg)], (), diff)
 
     page = Page(ALG_CLOSED, "kq", 1, PageWindow(0, 4, 0, 6, 0, 0), dict([
-        degree(1, 1, 0, [row]), degree(0, 4, 2, []),
-        degree(3, 1, 0, [row]), degree(2, 4, 4, []),
-        degree(3, 3, 0, [row]), degree(2, 6, 2, [])]))
+        degree(1, 1, 0, matrix), degree(0, 4, 2, []),
+        degree(3, 1, 0, matrix), degree(2, 4, 4, []),
+        degree(3, 3, 0, matrix), degree(2, 6, 2, [])]))
     nxt = turn_page(page)
     assert len(calls) == 2
     assert [nxt.data[TriDegree(s, f, 0)].history for s, f in ((1, 1), (3, 1), (3, 3))] == \
@@ -492,12 +562,11 @@ def test_records_keep_their_behaviour():
     assert (pe.order, pe.gen.text(), pe.h_torsion, pe.glued) == (8, "2 iota v1^2", 3, True)
 
 
-def test_equal_first_page_values_are_one_object(monkeypatch):
+def test_equal_first_page_values_are_one_object():
     """The first-page tables keep one copy of each equal summand and of each
     equal (index, multiplier) pair of _L_degree, across fields."""
     # empty tables: a ninth field, as earlier tests build, empties the intern dicts
-    for name in ("_tables", "_degrees", "_summands", "_pairs"):
-        monkeypatch.setattr(engine, name, {})
+    engine._clear()
     window = PageWindow(-2, 8, 0, 8, -3, 4)
     first, seen, across = {}, {}, 0
     for field in (ALG_CLOSED, Fq(3)):
@@ -517,9 +586,10 @@ def test_row_table_is_bounded_by_the_field_tables():
     """A process that builds kq and L first pages over twelve fields interns
     only the d1 rows of the tables it holds: from the ninth field on, every
     row of engine._rows is, by identity, a row of a kq or L differential in
-    engine._tables.  The rows of the eight fields before are mostly not rows
-    of the four after, so a row table that outlived the field tables would
-    keep 485 rows no table holds."""
+    engine._tables, and so is every matrix of engine._matrices and every L
+    differential induced in engine._induced.  The rows of the eight fields
+    before are mostly not rows of the four after, so a row table that
+    outlived the field tables would keep 485 rows no table holds."""
     code = """if True:
         import esss.engine as engine
         from esss.engine import PageWindow, build_page1
@@ -527,22 +597,28 @@ def test_row_table_is_bounded_by_the_field_tables():
         window = PageWindow(-3, 9, 0, 10, -4, 5)
         fields = [Q((2, 3, 5)), Q((2, 3, 7)), Q((2, 3, 5, 7)), REALS, Q2, Qq(3), Qq(5),
                   Q((2, 3)), Fq(3), Fq(5), Fq(7), ALG_CLOSED]
-        orphans, rows = 0, 0
+        orphans, rows, lost, matrices = 0, 0, 0, 0
         for n, field in enumerate(fields):
             for spectrum in ("kq", "L"):
                 build_page1(field, spectrum, window)
             if n >= 8:
-                held = {id(row) for table in engine._tables.values() for d1 in table[2:]
-                        for diff in d1.values() for row in diff}
+                diffs = [diff for table in engine._tables.values() for d1 in table[2:]
+                         for diff in d1.values()]
+                held = {id(row) for diff in diffs for row in diff}
                 orphans += sum(id(row) not in held for row in engine._rows.values())
                 rows = max(rows, len(engine._rows))
-        print(len(fields), orphans, rows)
+                held = set(map(id, diffs))
+                kept = [*engine._matrices.values(), *engine._induced.values()]
+                lost += sum(id(diff) not in held for diff in kept)
+                matrices = max(matrices, len(kept))
+        print(len(fields), orphans, rows, lost, matrices)
     """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    fields, orphans, rows = map(int, proc.stdout.split())
-    assert fields == 12 and rows > 0, (fields, rows)
+    fields, orphans, rows, lost, matrices = map(int, proc.stdout.split())
+    assert fields == 12 and rows > 0 and matrices > 0, (fields, rows, matrices)
     assert orphans == 0, f"{orphans} interned rows of fields no table holds"
+    assert lost == 0, f"{lost} interned or induced matrices of fields no table holds"
 
 
 def test_field_tables_are_bounded():

@@ -167,8 +167,7 @@ def test_pi_columns_read_few_coefficient_groups(monkeypatch):
     """A pi window at stem 4k - 1 reads a few coefficient groups per degree,
     not one per cell of its slice, so the count does not grow with k
     (116,561 and 451,897 when every cell was read)."""
-    for name in ("_tables", "_degrees", "_summands", "_pairs"):
-        monkeypatch.setattr(engine, name, {})
+    engine._clear()
     calls = []
 
     def counted(*args):
