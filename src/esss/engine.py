@@ -25,20 +25,16 @@ stem on each side and 2r+1 rows of filtration.  So every degree of a page
 has its target, and the source that hits it, on the page it was turned from,
 and every differential is a list of rows, empty where the target is zero.
 
-Turning a page splits each degree's summands into blocks, two summands
-sharing a block when a source or a target of the differentials touches
-both.  The homology is closed form where every entry is 1 and each larger
-block is Z/2 without homology, else homalg.homology_group's; the closed
-form is homology_group's too, generator vectors and their order included.
+Turning a page takes homalg.homology_group of each distinct complex once.
 """
 from __future__ import annotations
 
-from math import gcd, inf, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .fields import FieldId
 from .groups import CyclicSummand, Generator, Monomial, TriDegree, d_shift
-from .homalg import StructuredGroup, _lattice, check_complex, homology_group
+from .homalg import homology_group
 from .numthy import nu2
 from .rules import d1_matrix
 from .slices import e1_kq_basis, psi3_entries
@@ -294,53 +290,6 @@ def build_page1(field: FieldId, spectrum: str, window: PageWindow) -> Page:
     return Page(field, spectrum, 1, padded, data)
 
 
-def _homology(in_m, src_orders, diff, mid_orders, tgt_orders):
-    """homology_group of the dense maps in_m and diff, read as rows of dicts.
-
-    With every entry 1, a summand k that shares no source or target has its
-    kernel generated by c e_k, c the lcm of the orders of k's targets (0 when
-    one is free: no kernel); with g the gcd of k's order and entries the
-    image is g Z, and the summand is Z/(lcm(c, g) / c).  Summands that share
-    must be Z/2 into Z/2 with no homology (two F2 ranks); other degrees go to
-    homology_group.  The SNF lists summands by ascending order, free last,
-    and orders ties as its relation SNF does on _lattice's kernel vectors, a
-    sharing summand's of order 1: the first least order is swapped forward.
-    """
-    a_rows = [{j: x for j, x in enumerate(row) if x} for row in in_m]
-    b_rows = [{k: x for k, x in enumerate(row) if x} for row in diff]
-    a_cols = [sum(1 << k for k, x in enumerate(col) if x) for col in zip(*in_m)]
-    b_cols = [sum(1 << k for k in row) for row in b_rows]
-    block = 0  # the summands that share a source or a target, as a bitmask
-    for m in a_cols + b_cols:
-        block |= m if m & (m - 1) else 0
-    basis = []  # F2 echelon form of A's columns and, shifted apart, B's rows on block
-    for v in [m for m in a_cols if m & block] + [m << len(mid_orders) for m in b_cols if m & block]:
-        for b in basis:
-            v = min(v, v ^ b)
-        basis += [v] if v else []
-    if all(x == 1 for row in a_rows + b_rows for x in row.values()) and (not block or (
-            all(o == 2 for k, o in enumerate(mid_orders) if block >> k & 1)
-            and all(o == 2 for o, m in zip(tgt_orders, b_cols) if m & block)
-            and len(basis) == block.bit_count())):
-        check_complex(a_rows, b_rows, tgt_orders)
-        c = [1] * len(mid_orders)
-        for o, row in zip(tgt_orders, b_rows):
-            for k in row:
-                c[k] = lcm(c[k], o)
-        order = {k: 1 if block >> k & 1 else lcm(ck, gcd(mid_orders[k], *a_rows[k].values())) // ck
-                 for k, ck in enumerate(c) if ck}
-        gens = sorted((k for k, o in order.items() if o != 1), key=lambda k: order[k] or inf)
-        if len({order[k] for k in gens}) < len(gens):
-            gens = [min(v) for v in _lattice(b_rows, len(mid_orders), tgt_orders)]
-            for t in range(len(gens)):
-                i = min(range(t, len(gens)), key=lambda i: order[gens[i]] or inf)
-                gens[t], gens[i] = gens[i], gens[t]
-            gens = [k for k in gens if order[k] != 1]
-        return StructuredGroup([order[k] for k in gens],
-                               [[c[k] * (a == k) for a in range(len(c))] for k in gens])
-    return homology_group(a_rows, src_orders, b_rows, mid_orders, tgt_orders)
-
-
 def turn_page(page: Page, higher_rules=()) -> Page:
     """Homology with respect to the page's differential; names carried over.
 
@@ -363,7 +312,9 @@ def turn_page(page: Page, higher_rules=()) -> Page:
             src.summands if src else (), dd.summands, page.summands(deg + shift))]
         # interned matrices: equal complexes have equal ids (no source: the orders)
         key = (src and id(in_m), id(dd.diff), *orders)
-        H = turned[key] = turned.get(key) or _homology(in_m, orders[0], dd.diff, *orders[1:])
+        H = turned[key] = turned.get(key) or homology_group(
+            [{j: x for j, x in enumerate(row) if x} for row in in_m], orders[0],
+            [{k: x for k, x in enumerate(row) if x} for row in dd.diff], *orders[1:])
         if H.orders:
             summands[deg] = [CyclicSummand(order, _name_from_vector(vec, dd.summands), deg)
                              for order, vec in zip(H.orders, H.gens)]

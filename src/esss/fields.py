@@ -21,11 +21,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .numthy import OddPrimePower
-
-
-def _is_odd_prime(p) -> bool:
-    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, int(p ** 0.5) + 1, 2))
+from .numthy import OddPrimePower, odd_prime_base
 
 
 class _FieldIdFields(NamedTuple):
@@ -46,7 +42,7 @@ class FieldId(_FieldIdFields):
             raise ValueError(f"a support set is meaningless for {kind}")
         if kind == "fq":
             OddPrimePower(q)  # validates
-        elif kind == "qq" and not _is_odd_prime(q):
+        elif kind == "qq" and odd_prime_base(q) != q:
             # completions are taken at primes, not prime powers
             raise ValueError(f"Q_q requires an odd prime, got {q}")
         elif kind == "q":
@@ -56,7 +52,7 @@ class FieldId(_FieldIdFields):
             if 2 not in support:
                 raise ValueError("the support set over Q must contain 2")
             for p in support:
-                if p != 2 and not _is_odd_prime(p):
+                if p != 2 and odd_prime_base(p) != p:
                     raise ValueError(f"the support set over Q takes primes, not {p}")
         return tuple.__new__(cls, (kind, q, support))
 

@@ -7,10 +7,15 @@ Maps are rows {column: nonzero entry} in the generator bases, columns
 indexed by source summands; nothing is done modulo a proxy prime.  Kernels
 and homology go through Smith normal form on the nonzero entries, which
 tracks only the transforms (U^-1 included, so no second SNF inverts U) and
-the coordinates of V that its caller reads.  `is_injective` decides a map
-of 2-groups and Z's by two ranks and any other map by its kernel lattice.
+the coordinates of V that its caller reads.  `homology_group` first tries a
+closed form, for complexes whose entries are all 1 and whose summands that
+share a source or a target are Z/2 without homology; it lists the summands
+in the SNF's order, ties too.  `is_injective` decides a map of 2-groups
+and Z's by two ranks and any other map by its kernel lattice.
 """
 from __future__ import annotations
+
+from math import gcd, inf, lcm
 
 
 def _add_scaled(x, c, y):
@@ -126,6 +131,16 @@ def _lattice(b_rows, n, tgt_orders):
     return [c for c in _kernel_rows(rows, n + len(rows), n) if c]
 
 
+def _f2_rank(vectors):
+    """The rank over F2 of vectors given as int bitmasks."""
+    basis = []  # each later vector reduced by the earlier: their top bits stay apart
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        basis += [v] if v else []
+    return len(basis)
+
+
 def _socle_test(a_rows, src_orders, tgt_orders):
     """is_injective of a map of groups, sources of order 0 or 2^k > 1, else None.
 
@@ -144,14 +159,9 @@ def _socle_test(a_rows, src_orders, tgt_orders):
                 return None
             if s and t and a * (s >> 1) % t:
                 bits[j] |= 1 << i
-    pivots = {}
-    for s, v in zip(src_orders, bits):
-        if s:
-            while v & -v in pivots:
-                v ^= pivots[v & -v]
-            if not v:
-                return False
-            pivots[v & -v] = v
+    socle = [v for s, v in zip(src_orders, bits) if s]
+    if _f2_rank(socle) < len(socle):
+        return False
     free = [dict(row) for row, t in zip(a_rows, tgt_orders) if not t]
     return len(_eliminate(free, len(src_orders))) == src_orders.count(0)
 
@@ -199,10 +209,48 @@ def homology_group(a_rows, src_orders, b_rows, mid_orders, tgt_orders):
     their rows given as dicts.
 
     Raises ValueError (not a complex) if B A is nonzero modulo the target
-    orders.  Generators of the result are vectors in M's coordinates.
+    orders.  Generators of the result are vectors in M's coordinates, listed
+    by ascending order, free last, as the relation SNF lists them.
+
+    Closed form where every entry is 1: a summand k that shares no source or
+    target has its kernel generated by c e_k, c the lcm of the orders of k's
+    targets (0 when one is free: no kernel); with g the gcd of k's order and
+    entries the image is g Z, and the summand is Z/(lcm(c, g) / c).  Summands
+    that share must be Z/2 into Z/2 with no homology (two F2 ranks); any
+    other complex goes to the SNF.  Ties are ordered as the relation SNF
+    orders them on _lattice's kernel vectors, a sharing summand's of order 1:
+    _eliminate's pivot, the first least order, is swapped forward.
     """
     check_complex(a_rows, b_rows, tgt_orders)
     n = len(mid_orders)
+    a_cols = [0] * len(src_orders)
+    for k, row in enumerate(a_rows):
+        for j in row:
+            a_cols[j] |= 1 << k
+    b_cols = [sum(1 << k for k in row) for row in b_rows]
+    block = 0  # the summands that share a source or a target, as a bitmask
+    for m in a_cols + b_cols:
+        block |= m if m & (m - 1) else 0
+    if all(x == 1 for row in a_rows + b_rows for x in row.values()) and (not block or (
+            all(o == 2 for k, o in enumerate(mid_orders) if block >> k & 1)
+            and all(o == 2 for o, m in zip(tgt_orders, b_cols) if m & block)
+            and _f2_rank([m for m in a_cols if m & block] + [m << n for m in b_cols if m & block])
+            == block.bit_count())):
+        c = [1] * n
+        for o, row in zip(tgt_orders, b_rows):
+            for k in row:
+                c[k] = lcm(c[k], o)
+        order = {k: 1 if block >> k & 1 else lcm(ck, gcd(mid_orders[k], *a_rows[k].values())) // ck
+                 for k, ck in enumerate(c) if ck}
+        gens = sorted((k for k, o in order.items() if o != 1), key=lambda k: order[k] or inf)
+        if len({order[k] for k in gens}) < len(gens):
+            gens = [min(v) for v in _lattice(b_rows, n, tgt_orders)]
+            for t in range(len(gens)):
+                i = min(range(t, len(gens)), key=lambda i: order[gens[i]] or inf)
+                gens[t], gens[i] = gens[i], gens[t]
+            gens = [k for k in gens if order[k] != 1]
+        return StructuredGroup([order[k] for k in gens],
+                               [[c[k] * (a == k) for a in range(n)] for k in gens])
     C = _lattice(b_rows, n, tgt_orders)
     r = len(C)
     if not r:

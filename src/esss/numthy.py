@@ -7,7 +7,7 @@ by a large integer, so torsion-order arithmetic cannot silently overflow.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 
 class _Infinity:
@@ -60,20 +60,15 @@ def vmin(a, b):
     return min(a, b)
 
 
-def _is_odd_prime_power(q: int) -> bool:
+def odd_prime_base(q: int):
+    """The prime p with q = p^k, k >= 1, for an odd q >= 3; None for any other q.
+    Trial division stops at the square root: past it q is prime."""
     if q < 3 or q % 2 == 0:
-        return False
-    # strip the smallest prime factor repeatedly
-    p = None
-    for cand in range(3, q + 1, 2):
-        if q % cand == 0:
-            p = cand
-            break
-    if p is None:
-        return False
+        return None
+    p = next((d for d in range(3, isqrt(q) + 1, 2) if q % d == 0), q)
     while q % p == 0:
         q //= p
-    return q == 1
+    return p if q == 1 else None
 
 
 class OddPrimePower(int):
@@ -82,7 +77,7 @@ class OddPrimePower(int):
     __slots__ = ()
 
     def __new__(cls, q):
-        if not _is_odd_prime_power(q):
+        if odd_prime_base(q) is None:
             raise ValueError(f"{q} is not an odd prime power >= 3")
         return super().__new__(cls, q)
 

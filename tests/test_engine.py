@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import subprocess
@@ -7,6 +8,7 @@ from operator import mul
 import pytest
 
 import esss.engine as engine
+import esss.homalg as homalg
 import reference
 from esss.coefficients import coeff_classes
 from esss.engine import (DegreeData, Page, PageWindow, WindowError, build_page1,
@@ -384,6 +386,18 @@ def test_page_orders_divide_previous():
         assert len(o2) <= len(o1) + rank1
 
 
+def _count_relation_snfs(monkeypatch):
+    """The matrices homalg._eliminate is called on with W, as it is only by
+    homology_group's relation SNF, listed as the calls come."""
+    relations, eliminate = [], homalg._eliminate
+
+    def counted(D, n, W=None, VT=None):
+        relations.extend([D] if W is not None else [])
+        return eliminate(D, n, W, VT)
+    monkeypatch.setattr(homalg, "_eliminate", counted)
+    return relations
+
+
 def _assert_turned_as_by_the_whole_matrix_snf(pages):
     """Every degree of every page after the first equals what the dense
     homology_group of tests/reference.py gives on the previous page: the
@@ -411,9 +425,8 @@ def _assert_turned_as_by_the_whole_matrix_snf(pages):
 def test_turn_page_equals_the_whole_matrix_snf(criterion, monkeypatch):
     """The pages of acceptance criteria 4, 7 and 10, on their windows.  Over
     F_q every degree is closed form, ties included (criterion 7 has 1,134
-    of them), so no page turn of criteria 4 and 7 calls homology_group."""
-    calls, whole = [], engine.homology_group
-    monkeypatch.setattr(engine, "homology_group", lambda *a: calls.append(a) or whole(*a))
+    of them), so no page turn of criteria 4 and 7 runs a relation SNF."""
+    relations = _count_relation_snfs(monkeypatch)
     if criterion == 4:
         runs = [run(Fq(q), "kq", PageWindow(0, 21, 0, 27, -10, 11)) for q in (3, 5, 7, 13)]
     elif criterion == 7:
@@ -422,7 +435,7 @@ def test_turn_page_equals_the_whole_matrix_snf(criterion, monkeypatch):
     else:
         runs = [run(field, spectrum, PageWindow(-3, 16, 0, 12, -4, 8), want_einf=False)
                 for spectrum in ("kq", "L") for field in [HASSE_SRC] + HASSE_DSTS]
-    assert criterion == 10 or calls == [], len(calls)
+    assert (relations != []) == (criterion == 10), len(relations)
     for res in runs:
         _assert_turned_as_by_the_whole_matrix_snf(res.pages)
 
@@ -485,10 +498,8 @@ def _random_complex(rng):
 
 
 def test_block_split_equals_the_whole_matrix_snf_on_random_complexes(monkeypatch):
-    calls, replays = [], []
-    whole, lattice = engine.homology_group, engine._lattice
-    monkeypatch.setattr(engine, "homology_group", lambda *a: calls.append(a) or whole(*a))
-    monkeypatch.setattr(engine, "_lattice", lambda *a: replays.append(a) or lattice(*a))
+    relations, lattices, lattice = _count_relation_snfs(monkeypatch), [], homalg._lattice
+    monkeypatch.setattr(homalg, "_lattice", lambda *a: lattices.append(a) or lattice(*a))
     rng = random.Random(7)
 
     def result(f, *args):
@@ -498,24 +509,39 @@ def test_block_split_equals_the_whole_matrix_snf_on_random_complexes(monkeypatch
         except ValueError as exc:
             return str(exc)
 
-    broken = shared = 0
+    paths = collections.Counter()
     for trial in range(600):
         A, src, B, mid, tgt = _random_complex(rng)
         if trial % 5 == 0 and B and A and src:
             # a 1 added anywhere in A: mostly no longer a complex
             A[rng.randrange(len(mid))][rng.randrange(len(src))] += 1
         want = result(reference.homology_group, A, src, B, mid, tgt)
-        before = len(replays)
-        assert result(engine._homology, A, src, B, mid, tgt) == want, (A, src, B, mid, tgt)
-        broken += isinstance(want, str)
-        # a tie replayed next to a Z/2 block without homology
-        shared += len(replays) > before and any(sum(map(bool, v)) > 1 for v in B + list(zip(*A)))
+        seen = len(lattices), len(relations)
+        a_rows, b_rows = ([{j: x for j, x in enumerate(row) if x} for row in M] for M in (A, B))
+        assert result(homalg.homology_group, a_rows, src, b_rows, mid, tgt) == want, \
+            (A, src, B, mid, tgt)
+        # the path taken: the SNF runs _lattice, and its relation SNF unless the
+        # kernel is zero; the closed form runs _lattice only to replay a tie
+        lattice_calls, relation_calls = len(lattices) - seen[0], len(relations) - seen[1]
+        if isinstance(want, str):
+            ones = all(x == 1 for row in a_rows + b_rows for x in row.values())
+            paths["not a complex, entries 1" if ones else "not a complex"] += 1
+        elif relation_calls or (lattice_calls and not want[0]):
+            paths["snf"] += 1
+        elif lattice_calls:
+            paths["tie"] += 1
+            # a tie replayed next to a Z/2 block without homology
+            paths["tie, shared"] += any(sum(map(bool, v)) > 1 for v in B + list(zip(*A)))
+        else:
+            paths["closed"] += 1
     # every path ran: the closed form with and without ties and Z/2 blocks,
-    # homology_group, and both complex checks
-    assert broken > 20 and 600 - len(calls) > 100 and len(calls) - broken > 100
-    assert len(replays) > 40 and shared > 10, (len(replays), shared)
+    # the SNF, and the complex check on complexes bound for either
+    assert paths["closed"] + paths["tie"] > 100 and paths["snf"] > 100, paths
+    assert paths["tie"] > 40 and paths["tie, shared"] > 10, paths
+    broken = paths["not a complex"], paths["not a complex, entries 1"]
+    assert sum(broken) > 20 and min(broken) > 5, paths
     with pytest.raises(ValueError, match="not a complex"):
-        engine._homology([[1]], [2], [[1]], [2], [2])
+        homalg.homology_group([{0: 1}], [2], [{0: 1}], [2], [2])
 
 
 def test_turn_page_turns_each_complex_once_and_tells_target_orders_apart(monkeypatch):
@@ -523,8 +549,8 @@ def test_turn_page_turns_each_complex_once_and_tells_target_orders_apart(monkeyp
     as a page shares its interned matrices, from Z: into Z/2 at two of them,
     into Z/4 at the third.  turn_page computes the two equal complexes once,
     and the third as its own: Z generated by 4, not the 2 of the others."""
-    calls, homology = [], engine._homology
-    monkeypatch.setattr(engine, "_homology", lambda *a: calls.append(a) or homology(*a))
+    calls, homology = [], engine.homology_group
+    monkeypatch.setattr(engine, "homology_group", lambda *a: calls.append(a) or homology(*a))
     matrix = [[1]]
 
     def degree(s, f, order, diff):

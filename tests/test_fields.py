@@ -1,3 +1,4 @@
+import time
 from types import MappingProxyType
 
 import pytest
@@ -6,7 +7,23 @@ from esss import fields
 from esss.coefficients import mod2_stem_units
 from esss.fields import (ALG_CLOSED, Q2, REALS, FieldId, Fq, Q, Qq, parse_field,
                          rho_power_times)
+from esss.numthy import OddPrimePower
 from reference import hilbert_symbol_bit, rho_table_mismatches
+
+
+def test_large_prime_powers_validate_in_under_a_second():
+    """Trial division stops at the square root, for prime powers and for the
+    primes of Q_q alike; the refusals keep their messages."""
+    start = time.perf_counter()
+    assert Fq(1000000007).q == 1000000007 and OddPrimePower(3 ** 19) == 3 ** 19
+    assert Qq(1000000007).q == 1000000007
+    assert time.perf_counter() - start < 1.0
+    for bad in (1, 2, 15, 105):
+        for make in (Fq, OddPrimePower):
+            with pytest.raises(ValueError, match=f"^{bad} is not an odd prime power >= 3$"):
+                make(bad)
+    with pytest.raises(ValueError, match="^Q_q requires an odd prime, got 9$"):
+        Qq(9)
 
 
 def test_validation():
