@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .fields import FieldId, Fq, presentation
 from .groups import CyclicSummand, Generator, Monomial, unit_word_degree
-from .numthy import NU_INFINITY, s_q, vmin
+from .numthy import NU_INFINITY, s_q
 
 
 def _summand(order, units, tau, coeff2=0):
@@ -100,7 +100,7 @@ def _r(field, n, s, w):
 def _fq(field, n, s, w):
     if s not in (0, -1) or w > s:
         return []
-    i = vmin(s_q(field.q, -w - 1), n)
+    i = min(s_q(field.q, -w - 1), n)
     if s == 0:
         return _kernel(i, n, (), -w)
     return [_summand(1 << i, ((field.x_symbol, 1),), -w - 1)]
@@ -124,17 +124,17 @@ def _qq(field, n, s, w):
 
 def _q2(field, n, s, w):
     if s == 0 and w <= 0:
-        return _kernel(vmin(s_q(3, -w - 1), n), n, (), -w)
+        return _kernel(min(s_q(3, -w - 1), n), n, (), -w)
     if s == -1 and w <= -1:
         j = -w - 1
         if w % 2:  # odd weight: u truncated, pi full, rho plain
-            return _kernel(vmin(s_q(3, j - 1), n), n, (("u", 1),), j) + [
+            return _kernel(min(s_q(3, j - 1), n), n, (("u", 1),), j) + [
                 _summand(_full(n), (("pi", 1),), j), _summand(2, (("rho", 1),), j)]
         # even weight: u full, pi truncated, rho top
         return [_summand(_full(n), (("u", 1),), j),
-                _reduced(vmin(s_q(3, j), n), n, (("pi", 1),), j)] + _kernel(1, n, (("rho", 1),), j)
+                _reduced(min(s_q(3, j), n), n, (("pi", 1),), j)] + _kernel(1, n, (("rho", 1),), j)
     if s == -2 and w <= -2:
-        return [_reduced(vmin(s_q(3, -w - 2), n), n, (("rho", 2),), -w - 2)]
+        return [_reduced(min(s_q(3, -w - 2), n), n, (("rho", 2),), -w - 2)]
     return []
 
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .numthy import OddPrimePower, odd_prime_base
+from .numthy import odd_prime_base
 
 
 class _FieldIdFields(NamedTuple):
@@ -40,8 +40,8 @@ class FieldId(_FieldIdFields):
             raise ValueError(f"q is {'required' if q is None else 'meaningless'} for {kind}")
         if support is not None and kind != "q":
             raise ValueError(f"a support set is meaningless for {kind}")
-        if kind == "fq":
-            OddPrimePower(q)  # validates
+        if kind == "fq" and odd_prime_base(q) is None:
+            raise ValueError(f"{q} is not an odd prime power >= 3")
         elif kind == "qq" and odd_prime_base(q) != q:
             # completions are taken at primes, not prime powers
             raise ValueError(f"Q_q requires an odd prime, got {q}")

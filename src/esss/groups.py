@@ -5,10 +5,9 @@ single monomial, but surviving classes over the 2-adic rationals can be
 honest two-term sums, so the sum form is first-class.
 
 TriDegree, Monomial, Generator, CyclicSummand and every other esss record
-whose attributes are never reassigned are immutable tuple records, so
-hashing, equality and construction run in C; a Generator is the tuple of
-its terms.  Caveat: a record equals any tuple of equal values, so no dict
-or set may mix such keys.
+are immutable tuple records, so hashing, equality and construction run in C;
+a Generator is the tuple of its terms.  Caveat: a record equals any tuple
+of equal values, so no dict or set may mix such keys.
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ and Z's by two ranks and any other map by its kernel lattice.
 from __future__ import annotations
 
 from math import gcd, inf, lcm
+from typing import NamedTuple
 
 
 def _add_scaled(x, c, y):
@@ -105,7 +106,7 @@ def _kernel_rows(D, n, keep):
     return VT[len(_eliminate(D, n, VT=VT)):]
 
 
-class StructuredGroup:
+class StructuredGroup(NamedTuple):
     """Cyclic decomposition with generator expressions in ambient coordinates.
 
     orders[i] is 0 for Z and the cyclic order otherwise; gens[i] is the
@@ -113,14 +114,8 @@ class StructuredGroup:
     presentation the group was computed from.
     """
 
-    __slots__ = ("orders", "gens")
-
-    def __init__(self, orders, gens):
-        self.orders = orders
-        self.gens = gens
-
-    def __repr__(self):
-        return f"StructuredGroup(orders={self.orders})"
+    orders: list
+    gens: list
 
 
 def _lattice(b_rows, n, tgt_orders):

@@ -1,47 +1,18 @@
 """Two-adic number theory used by every order computation in the engine.
 
 All arithmetic is exact: big integers and Fractions only.  The dyadic
-valuation of 0 is represented by the dedicated sentinel NU_INFINITY, never
-by a large integer, so torsion-order arithmetic cannot silently overflow.
+valuation of 0 and the modulus of HZ are NU_INFINITY, which is math.inf, the
+infinity homalg also sorts free summands by, never a large integer.  The
+builtin min returns one of its arguments, so a minimum of valuations still
+passes `is NU_INFINITY`; no code does arithmetic on it.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, inf, isqrt
 
 
-class _Infinity:
-    """Order-absorbing sentinel for nu2(0) and for the modulus of HZ."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NU_INFINITY"
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-
-NU_INFINITY = _Infinity()
+NU_INFINITY = inf
 
 
 def nu2(n: int) -> int:
@@ -49,15 +20,6 @@ def nu2(n: int) -> int:
     if n < 1:
         raise ValueError(f"nu2 requires n >= 1, got {n}")
     return (n & -n).bit_length() - 1
-
-
-def vmin(a, b):
-    """Minimum of two valuations, either of which may be NU_INFINITY."""
-    if isinstance(a, _Infinity):
-        return b
-    if isinstance(b, _Infinity):
-        return a
-    return min(a, b)
 
 
 def odd_prime_base(q: int):
@@ -71,17 +33,6 @@ def odd_prime_base(q: int):
     return p if q == 1 else None
 
 
-class OddPrimePower(int):
-    """An odd prime power q >= 3; any other value raises ValueError."""
-
-    __slots__ = ()
-
-    def __new__(cls, q):
-        if odd_prime_base(q) is None:
-            raise ValueError(f"{q} is not an odd prime power >= 3")
-        return super().__new__(cls, q)
-
-
 def s_q(q: int, i: int) -> int:
     """The torsion-exponent function for finite-field integral coefficients.
 
@@ -90,7 +41,6 @@ def s_q(q: int, i: int) -> int:
     i = -1 the value is NU_INFINITY (nu2(0) convention), which is what the
     mod-2^n coefficient formulas need at the top of a tau-tower.
     """
-    OddPrimePower(q)  # validates
     if i < -1:
         raise ValueError(f"s_q is defined for i >= -1, got {i}")
     if i == -1:

@@ -6,6 +6,9 @@ group.  Extensions are only ever applied from the shipped rule families,
 each an instance of a printed relation; where the engine has no rule and
 more than one torsion layer is present (the 2-adic rationals, the reals,
 the rationals), the entry is marked unresolved rather than guessed.
+Layers are PiEntry records: gluing puts a new record, of the product order,
+in the lhs layer's place and drops the partner, and the h-torsion exponent
+is read off the order.  assemble_pi gives every entry of a table a status.
 """
 from __future__ import annotations
 
@@ -24,8 +27,6 @@ class ExtensionRule(NamedTuple):
     stripped (the printed generator); otherwise keep the lhs name.
     """
 
-    kind: str               # "hidden-h" | "additive-relation"
-    description: str
     matches_lhs: object     # Monomial -> bool
     rhs_of: object          # Monomial -> Monomial
     promote: bool
@@ -46,11 +47,8 @@ def extension_rules(field: FieldId, spectrum: str):
         def rhs_l(m: Monomial):
             return Monomial(h1=3, v1=m.v1 - 2, tau=m.tau + 1, units=m.units)
 
-        rules.append(ExtensionRule(
-            "additive-relation",
-            "4 iota v1^(4k+2) tau^i = v1^4k h1^3 tau^(i+1), in all unit multiples",
-            lhs_l, rhs_l, promote=True,
-        ))
+        # 4 iota v1^(4k+2) tau^i = v1^4k h1^3 tau^(i+1), in all unit multiples
+        rules.append(ExtensionRule(lhs_l, rhs_l, promote=True))
     if spectrum == "kq" and field.kind in ("fq", "qq"):
         x = field.x_symbol
 
@@ -62,23 +60,21 @@ def extension_rules(field: FieldId, spectrum: str):
             return Monomial(h1=3, v1=m.v1 - 2, tau=m.tau + 2,
                             units=_strip_unit(m.units, x))
 
-        rules.append(ExtensionRule(
-            "hidden-h",
-            "h * 2 x v1^(4k+2) tau^i = tau^(i+2) h1^3 v1^4k",
-            lhs_kq, rhs_kq, promote=False,
-        ))
+        # the hidden h: h * 2 x v1^(4k+2) tau^i = tau^(i+2) h1^3 v1^4k
+        rules.append(ExtensionRule(lhs_kq, rhs_kq, promote=False))
     return rules
 
 
-class PiEntry:
-    __slots__ = ("order", "gen", "h_torsion", "filtration", "glued")  # glued in place
+class PiEntry(NamedTuple):
+    order: int              # 0 for Z (2-locally)
+    gen: Generator
+    filtration: int
+    glued: bool = False
 
-    def __init__(self, order: int, gen: Generator, h_torsion, filtration: int):
-        self.order = order              # 0 for Z (2-locally)
-        self.gen = gen
-        self.h_torsion = h_torsion      # int exponent, or NU_INFINITY
-        self.filtration = filtration
-        self.glued = False
+    @property
+    def h_torsion(self):
+        """The exponent of the order's 2-power, NU_INFINITY for Z."""
+        return NU_INFINITY if self.order == 0 else self.order.bit_length() - 1
 
     @property
     def name(self) -> str:
@@ -99,7 +95,7 @@ class PiTable(NamedTuple):
         if not entry:
             return "0"
         text = " + ".join(pe.group_text() for pe in entry)
-        note = self.status.get((s, w), "resolved")
+        note = self.status[(s, w)]
         if note != "resolved":
             text += f"  [{note}]"
         return text
@@ -156,8 +152,7 @@ def _column(einf: Page, s: int, w: int, f_top: int):
         if (s + f) % 2:
             continue
         for cs in einf.summands(TriDegree(s, f, w)):
-            h = NU_INFINITY if cs.order == 0 else cs.order.bit_length() - 1
-            out.append(PiEntry(cs.order, cs.gen, h, f))
+            out.append(PiEntry(cs.order, cs.gen, f))
     return out
 
 
@@ -194,32 +189,25 @@ def bernoulli_witness_order(field: FieldId, k: int) -> int:
 
 
 def _apply_extensions(column, rules):
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            for pe in list(column):
-                if pe.order == 0 or pe.glued or not pe.gen.is_single():
-                    continue
-                mono = pe.gen.lead
-                if not rule.matches_lhs(mono):
-                    continue
-                target = rule.rhs_of(mono.with_coeff2(0)).with_coeff2(0)
-                partner = None
-                for other in column:
-                    if other is pe or other.order == 0 or not other.gen.is_single():
-                        continue
-                    if other.gen.lead.with_coeff2(0) == target:
-                        partner = other
-                        break
-                if partner is None:
-                    continue
-                column.remove(partner)
-                pe.order = pe.order * partner.order
-                if rule.promote:
-                    pe.gen = Generator.of(mono.with_coeff2(mono.coeff2 - 1))
-                pe.h_torsion = pe.order.bit_length() - 1
-                pe.glued = True
-                changed = True
-    column.sort(key=lambda pe: (pe.filtration, pe.gen.sort_key()))
-    return column
+    """The column's layers, sorted by filtration and name, with each layer a
+    rule matches glued under its partner layer, which leaves the column.
+    One pass suffices: a partner (h1^3) never matches a rule (h1 = 0), so
+    gluing only takes partners away."""
+    layers = list(column)
+    for rule in rules:
+        for i, pe in enumerate(layers):
+            if pe is None or pe.order == 0 or pe.glued or not pe.gen.is_single():
+                continue
+            mono = pe.gen.lead
+            if not rule.matches_lhs(mono):
+                continue
+            target = rule.rhs_of(mono.with_coeff2(0)).with_coeff2(0)
+            j = next((j for j, other in enumerate(layers)
+                      if j != i and other is not None and other.order and other.gen.is_single()
+                      and other.gen.lead.with_coeff2(0) == target), None)
+            if j is None:
+                continue
+            gen = Generator.of(mono.with_coeff2(mono.coeff2 - 1)) if rule.promote else pe.gen
+            layers[i] = PiEntry(pe.order * layers[j].order, gen, pe.filtration, True)
+            layers[j] = None
+    return sorted(filter(None, layers), key=lambda pe: (pe.filtration, pe.gen.sort_key()))

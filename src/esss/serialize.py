@@ -110,7 +110,7 @@ def pi_markdown(table: PiTable) -> str:
         "|-----------|--------|-------------|---------------------|",
     ]
     for (s, w) in sorted(table.entries):
-        status = table.status.get((s, w), "resolved")
+        status = table.status[(s, w)]
         note = "" if status == "resolved" else status
         for pe in table.entries[(s, w)]:
             lines.append(f"| {pe.name} | ({s},{w}) | {note} | {_h_text(pe.h_torsion)} |")
@@ -122,7 +122,7 @@ def pi_document(table: PiTable) -> dict:
     for (s, w) in sorted(table.entries):
         entries.append({
             "s": s, "w": w,
-            "status": table.status.get((s, w), "resolved"),
+            "status": table.status[(s, w)],
             "summands": [{"order": _order_text(pe.order), "generator": pe.name,
                           "h_torsion": _h_text(pe.h_torsion)}
                          for pe in table.entries[(s, w)]],

@@ -570,7 +570,7 @@ def test_turn_page_turns_each_complex_once_and_tells_target_orders_apart(monkeyp
 
 def test_records_keep_their_behaviour():
     """The value records compare and hash as tuples, PageWindow keeps its
-    own `in`, and the records that change in place still take updates."""
+    own `in`, and gluing returns a new record and leaves its inputs as they were."""
     from esss.groups import Generator, Monomial
     from esss.pitable import PiEntry, _apply_extensions, extension_rules
 
@@ -582,10 +582,14 @@ def test_records_keep_their_behaviour():
     assert w == PageWindow(0, 4, 0, 6, -1, 1) and len({w, PageWindow(0, 4, 0, 6, -1, 1)}) == 1
     assert TriDegree(2, 3, 1) in w and TriDegree(5, 3, 1) not in w and TriDegree(0, 0, 2) not in w
     # 4 iota v1^2 glues over 2 h1^3 tau (the closed-field L relation)
-    pe = PiEntry(4, Generator.of(Monomial(coeff2=2, iota=1, v1=2)), 2, 0)
-    partner = PiEntry(2, Generator.of(Monomial(h1=3, tau=1)), 1, 3)
-    assert _apply_extensions([pe, partner], extension_rules(ALG_CLOSED, "L")) == [pe]
-    assert (pe.order, pe.gen.text(), pe.h_torsion, pe.glued) == (8, "2 iota v1^2", 3, True)
+    pe = PiEntry(4, Generator.of(Monomial(coeff2=2, iota=1, v1=2)), 0)
+    partner = PiEntry(2, Generator.of(Monomial(h1=3, tau=1)), 3)
+    column = [pe, partner]
+    [glued] = _apply_extensions(column, extension_rules(ALG_CLOSED, "L"))
+    assert (glued.order, glued.gen.text(), glued.h_torsion, glued.glued) == (8, "2 iota v1^2", 3, True)
+    assert glued.filtration == 0 and column == [pe, partner]
+    assert (pe.order, pe.gen.text(), pe.h_torsion, pe.glued) == (4, "4 iota v1^2", 2, False)
+    assert (partner.order, partner.h_torsion, partner.glued) == (2, 1, False)
 
 
 def test_equal_first_page_values_are_one_object():

@@ -1,6 +1,6 @@
 """Source hygiene: every imported name in src/esss and tests is read, and
 every top-level name of src/esss is read somewhere in src/esss, tests or
-perfbench."""
+perfbench, and no class of src/esss changes an attribute in place."""
 import ast
 from pathlib import Path
 
@@ -82,3 +82,51 @@ def test_no_unused_top_level_names():
              for path in SRC for line, name in top_level_names(path.read_text())
              if name not in read]
     assert not found, "defined at top level and never read:\n" + "\n".join(found)
+
+
+def _is_self(node):
+    return isinstance(node, ast.Name) and node.id in ("self", "cls")
+
+
+def _sets_attribute(node):
+    """An assignment to, or deletion of, an attribute of self or cls, by
+    statement or by setattr / __setattr__."""
+    if isinstance(node, ast.Attribute):
+        return not isinstance(node.ctx, ast.Load) and _is_self(node.value)
+    return (isinstance(node, ast.Call) and node.args and _is_self(node.args[0])
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("setattr", "__setattr__", "delattr", "__delattr__"))
+
+
+def mutable_classes(source):
+    """(line, class) for each class that defines __init__ or sets or deletes
+    an attribute of self or cls, in source order."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        init = any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                   for item in node.body)
+        if init or any(_sets_attribute(sub) for sub in ast.walk(node)):
+            out.append((node.lineno, node.name))
+    return sorted(out)
+
+
+def test_mutable_class_is_found():
+    source = ("class A(tuple):\n    def f(self): return self.x\n"
+              "class B:\n    def __init__(self): pass\n"
+              "class C:\n    def f(self): self.n += 1\n"
+              "class D:\n    @classmethod\n    def f(cls): cls.k = 1\n"
+              "class E:\n    def f(self): del self.x\n"
+              "class F(tuple):\n    def f(self): object.__setattr__(self, 'x', 1)\n"
+              "class G:\n    def f(self): setattr(self, 'x', getattr(self, 'y'))\n")
+    assert mutable_classes(source) == [
+        (3, "B"), (5, "C"), (7, "D"), (10, "E"), (12, "F"), (14, "G")]
+
+
+def test_no_class_changes_in_place():
+    """Every esss value is a NamedTuple record, a tuple subclass or a
+    builtin, so no class holds state that a method can change."""
+    found = [f"{path.relative_to(ROOT)}:{line} {name}"
+             for path in SRC for line, name in mutable_classes(path.read_text())]
+    assert not found, "classes with __init__ or attribute assignment:\n" + "\n".join(found)

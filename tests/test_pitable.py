@@ -3,7 +3,7 @@ import pytest
 
 from esss.engine import PageWindow, build_page1, run
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Qq
-from esss.numthy import nu2, s_q, vmin
+from esss.numthy import nu2, s_q
 from esss.pitable import assemble_pi, compute_pi_group, f_bound
 from reference import hermitian_kq_orders
 
@@ -101,12 +101,12 @@ def fq_L_rows(q, s_range, w_range):
             if k % 2 == 1 and e <= a:
                 order = 1 << (e - 1)                  # green fired
             else:
-                order = 1 << vmin(e, a)
+                order = 1 << min(e, a)
             add(4 * k - 1, 2 * k - 1 - i, order)
     for k in range(1, 8):                             # cokernel families
         a = nu2(k) + 3
         for i in range(imax):
-            e = vmin(s_q(q, i), a)
+            e = min(s_q(q, i), a)
             if k % 2 == 0:
                 order = 1 << e                        # no differential, no glue
             elif s_q(q, i) > 3:
@@ -127,6 +127,13 @@ def test_f5_pi_spot_anchors():
     # kernel family k=1, i=0: s_3(0)=1 <= 3, green fires, order drops to 1
     got = table.orders(3, 1)
     assert 4 not in got
+
+
+def test_pi_table_repr_is_the_same_in_two_runs():
+    """A table prints its records by value, so two equal tables print alike."""
+    want = ("PiTable(field=F5, spectrum='L', entries={(3, 2): [PiEntry(order=8, "
+            "gen=<iota v1^2>, filtration=1, glued=True)]}, status={(3, 2): 'resolved'})")
+    assert [repr(compute_pi_group(Fq(5), "L", 3, 2)) for _ in range(2)] == [want, want]
 
 
 def test_fq_L_families_match_enumeration():

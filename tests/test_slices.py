@@ -4,7 +4,7 @@ from esss.coefficients import coeff_classes, coefficient_stems
 from esss.engine import _L_degree
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import Monomial, TriDegree
-from esss.numthy import NU_INFINITY, nu2, s_q, vmin
+from esss.numthy import NU_INFINITY, nu2, s_q
 from esss.pitable import compute_pi_group
 from esss.slices import e1_kq_basis, psi3_entries
 from reference import e1_kq_all_cells, slices_kq, slices_L
@@ -114,7 +114,7 @@ def test_kc_order_bookkeeping():
                 (ker,), (cok,) = kc_classes(Fq(q), Monomial(v1=2 * k, tau=i, units=((x, 1),)))
                 lk = ker.order.bit_length() - 1
                 lc = cok.order.bit_length() - 1
-                assert lk + lc == 2 * vmin(s_q(q, i), nu2(k) + 3)
+                assert lk + lc == 2 * min(s_q(q, i), nu2(k) + 3)
 
 
 def test_kc_families_q2_underlined():
