@@ -39,7 +39,8 @@ def s_q(q: int, i: int) -> int:
     For q = 1 mod 4 this is nu2(q-1) + nu2(i+1); for q = 3 mod 4 it is 1 on
     even i and nu2(q^2-1) + nu2(i+1) - 1 on odd i.  Defined for i >= 0; for
     i = -1 the value is NU_INFINITY (nu2(0) convention), which is what the
-    mod-2^n coefficient formulas need at the top of a tau-tower.
+    mod-2^n coefficient formulas need at the top of a tau-tower.  q is not
+    checked here: callers pass a FieldId's q, checked when it was made, or 3.
     """
     if i < -1:
         raise ValueError(f"s_q is defined for i >= -1, got {i}")
