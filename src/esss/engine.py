@@ -10,13 +10,13 @@ kernel, induced map on the cokernel): its differential from the kq
 differential, and the comparison maps of basechange from the kq
 comparison maps.
 
-First-page entries are computed once and held in one table per field, a
-tuple of four dicts keyed by degree, for at most eight fields, and the kq
-and L comparison columns of basechange in _images.  Equal degrees,
-summands, tuples, rows and matrices are one object across fields: one
-intern dict per record type, as groups forbids mixing record and tuple
-keys; _d1_L induces each L differential once per distinct input.  A ninth
-field empties every table, intern dict and memo together (_clear).
+First-page entries are computed once and held in one table per field for
+at most eight fields: five dicts, four keyed by degree and the memo of
+rules.d1_shifts by signature; basechange's comparison columns are in
+_images.  Equal degrees, summands, tuples, rows and matrices are one object
+across fields: one intern dict per record type, as groups forbids mixing
+record and tuple keys; _d1_L induces each L differential once per distinct
+input.  A ninth field empties every table, intern dict and memo (_clear).
 
 The first page is generated from closed formulas, so build_page1 pads the
 requested window by one differential's reach and the second page is exact
@@ -51,10 +51,9 @@ class PageWindow(NamedTuple):
     def degrees(self):
         for w in range(self.w_min, self.w_max + 1):
             for s in range(self.s_min, self.s_max + 1):
-                f0 = self.f_min + ((self.f_min + s) % 2)
+                f0 = max(self.f_min + (self.f_min + s) % 2, max(0, 2 * w) - s)  # s + f >= 0, 2w
                 for f in range(f0, self.f_max + 1, 2):
-                    if s + f >= 0 and (s + f) // 2 >= w:
-                        yield TriDegree(s, f, w)
+                    yield tuple.__new__(TriDegree, (s, f, w))  # as TriDegree(s, f, w)
 
     def __contains__(self, deg):
         return (self.s_min <= deg.s <= self.s_max
@@ -129,20 +128,24 @@ def _clear():
         held.clear()
 
 
+def _table(field: FieldId):
+    """The field's table, made on first use; past _MAX_FIELDS every table goes."""
+    if field not in _tables and len(_tables) == _MAX_FIELDS:
+        _clear()
+    return _tables.setdefault(field, ({}, {}, {}, {}, {}))
+
+
 def _per_field(slot: int):
     """Computes each (field, deg) entry once, into dict `slot` of the field's
-    table under the interned degree; past _MAX_FIELDS every table goes."""
+    table under the interned degree.  Callers that already hold the table read
+    its dicts and call the entry only on a miss."""
     def cached(build):
         def entry(field: FieldId, deg: TriDegree):
-            table = _tables.get(field)
-            if table is None:
-                if len(_tables) == _MAX_FIELDS:
-                    _clear()
-                table = _tables[field] = ({}, {}, {}, {})
-            hit = table[slot].get(deg)
+            held = (_tables.get(field) or _table(field))[slot]
+            hit = held.get(deg)
             if hit is None:
                 deg = _degrees.setdefault(deg, deg)
-                hit = table[slot][deg] = build(field, deg)
+                hit = held[deg] = build(field, deg)
             return hit
         return entry
     return cached
@@ -156,7 +159,8 @@ def _shared(rows):
 
 @_per_field(0)
 def _kq_degree(field: FieldId, deg: TriDegree):
-    return tuple(_summands.setdefault(cs, cs) for cs in e1_kq_basis(field, deg))
+    basis = e1_kq_basis(field, deg)
+    return tuple(map(_summands.setdefault, basis, basis))
 
 
 @_per_field(1)
@@ -168,8 +172,9 @@ def _L_degree(field: FieldId, deg: TriDegree):
     (o = 0 for Z) the kernel is Z/gcd(d, o), generated by o / gcd(d, o)
     times the kq class (none on Z unless d = 0), the cokernel Z/gcd(d, o).
     """
-    kq_here = _kq_degree(field, deg)
-    kq_up = _kq_degree(field, TriDegree(deg.s + 1, deg.f - 1, deg.w))
+    kq, up = _tables[field][0], tuple.__new__(TriDegree, (deg.s + 1, deg.f - 1, deg.w))
+    kq_here = kq[deg] if deg in kq else _kq_degree(field, deg)
+    kq_up = kq[up] if up in kq else _kq_degree(field, up)
     if not kq_here and not kq_up:
         return (), (), ()  # a constant: every such entry is this one tuple
     summands, vectors = [], []
@@ -185,8 +190,9 @@ def _L_degree(field: FieldId, deg: TriDegree):
         summands.append(cs)
         vectors.append(_pairs.setdefault((i, mult), (i, mult)))
     for i, (cs, d) in enumerate(zip(kq_up, psi3_entries(field, kq_up))):
-        mono = tuple.__new__(Monomial, (cs.gen.lead[0], 1) + cs.gen.lead[2:])  # as with_coeff2
-        cs = CyclicSummand(gcd(d, cs.order), Generator.of(mono), deg)
+        lead = cs.gen[0]  # the iota class, built as with_coeff2 and Generator.of do
+        gen = tuple.__new__(Generator, (tuple.__new__(Monomial, (lead[0], 1) + lead[2:]),))
+        cs = CyclicSummand(gcd(d, cs.order), gen, deg)
         summands.append(_summands.setdefault(cs, cs))
         vectors.append(_pairs.setdefault((i, 1), (i, 1)))
     # kernel classes first; vectors are sparse: (ambient kq index, multiplier)
@@ -197,7 +203,9 @@ def _L_degree(field: FieldId, deg: TriDegree):
 
 @_per_field(2)
 def _d1_kq(field: FieldId, deg: TriDegree):
-    return _shared(d1_matrix(field, _kq_degree(field, deg), _kq_degree(field, deg + d_shift(1))))
+    kq, tgt = _tables[field][0], tuple.__new__(TriDegree, (deg.s - 1, deg.f + 3, deg.w))
+    return _shared(d1_matrix(field, kq.get(deg) or _kq_degree(field, deg),
+                             kq.get(tgt) or _kq_degree(field, tgt), _tables[field][4]))
 
 
 def _L_map(src, dst, deg, tgt, kq_entries, source, target):
@@ -241,14 +249,20 @@ def _L_map(src, dst, deg, tgt, kq_entries, source, target):
 def _d1_L(field: FieldId, deg: TriDegree):
     """L's page-1 differential at deg in the K/C bases, induced by _L_map from the
     kq d1s it reads (at deg, a stem up) once per _induced key: ids, target orders."""
-    def kq_entries(d):
-        return ((a, j, x) for a, row in enumerate(kq[d]) for j, x in enumerate(row) if x)
-    tgt, up = deg + d_shift(1), TriDegree(deg.s + 1, deg.f - 1, deg.w)
-    source, target = _L_degree(field, deg), _L_degree(field, tgt)
-    kq = {deg: "K" in source[1] and _kq_degree(field, tgt) and _d1_kq(field, deg),
-          up: "C" in source[1] and "C" in target[1] and _d1_kq(field, up)}
-    key = (*map(id, (*source[1:], *target[1:], *kq.values())), *(cs.order for cs in target[0]))
+    (kq, L, d1), (s, f, w) = _tables[field][:3], deg  # neighbours skip TriDegree's frame
+    tgt = tuple.__new__(TriDegree, (s - 1, f + 3, w))
+    up = tuple.__new__(TriDegree, (s + 1, f - 1, w))
+    source, target = L.get(deg) or _L_degree(field, deg), L.get(tgt) or _L_degree(field, tgt)
+    # a kq d1 is nonempty wherever _L_map reads it, so `or` calls an entry only on a miss
+    here = "K" in source[1] and (kq.get(tgt) or _kq_degree(field, tgt)) and (
+        d1.get(deg) or _d1_kq(field, deg))
+    there = "C" in source[1] and "C" in target[1] and (d1.get(up) or _d1_kq(field, up))
+    key = (id(source[1]), id(source[2]), id(target[1]), id(target[2]), id(here), id(there),
+           *[cs.order for cs in target[0]])
     if key not in _induced:
+        def kq_entries(d):
+            return ((a, j, x) for a, row in enumerate(here if d == deg else there)
+                    for j, x in enumerate(row) if x)
         rows = [[0] * len(source[0]) for _ in target[0]]
         for i, j, x in _L_map(field, field, deg, tgt, kq_entries, source, target):
             rows[i][j] = x
@@ -279,14 +293,17 @@ def page1_d1(field: FieldId, spectrum: str, deg: TriDegree):
 
 def build_page1(field: FieldId, spectrum: str, window: PageWindow) -> Page:
     """The first page on a padded window, with its differential attached."""
-    is_L = _is_L(spectrum)
-    d1 = _d1_L if is_L else _d1_kq
+    is_L, table = _is_L(spectrum), _table(field)
+    bases, basis, d1s, d1 = ((table[1], _L_degree, table[3], _d1_L) if is_L
+                             else (table[0], _kq_degree, table[2], _d1_kq))
     padded = window.pad(1, 3)
     data = {}
     for deg in padded.degrees():
-        summands = _L_degree(field, deg)[0] if is_L else _kq_degree(field, deg)
+        summands = bases[deg] if deg in bases else basis(field, deg)
+        if is_L:
+            summands = summands[0]
         if summands:
-            data[deg] = DegreeData(summands, (), d1(field, deg))
+            data[deg] = DegreeData(summands, (), d1s[deg] if deg in d1s else d1(field, deg))
     return Page(field, spectrum, 1, padded, data)
 
 

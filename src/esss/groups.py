@@ -11,6 +11,7 @@ of equal values, so no dict or set may mix such keys.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -26,6 +27,7 @@ def _unit_degree(sym: str, exp: int):
     raise ValueError(f"unknown unit symbol {sym!r}")
 
 
+@lru_cache(maxsize=None)  # a word's degree; the words are those of the field presentations
 def unit_word_degree(units):
     """The (s, f, w) of a unit word, the sum of its symbols' degrees."""
     s = f = w = 0
@@ -76,10 +78,9 @@ class Monomial(_MonomialFields):
         return tuple.__new__(cls, (coeff2, iota, h1, v1, tau, units))
 
     def degree(self) -> TriDegree:
-        s, f, w = unit_word_degree(self.units)
-        return TriDegree(s + self.h1 + 2 * self.v1 - self.iota,
-                         f + self.h1 + self.iota,
-                         w + self.h1 + self.v1 - self.tau)
+        _, iota, h1, v1, tau, units = self
+        s, f, w = unit_word_degree(units)  # the TriDegree below skips its Python __new__
+        return tuple.__new__(TriDegree, (s + h1 + 2 * v1 - iota, f + h1 + iota, w + h1 + v1 - tau))
 
     def with_coeff2(self, m: int) -> "Monomial":
         # the word is unchanged, so the checks of __new__ still hold

@@ -10,17 +10,17 @@ most three components, uniform across the supported bases:
     mod 4 (k even) or j = 1, 2 mod 4 (k odd), only over bases where rho^2
     survives;
   * a rho^4 component into the h1^(a-1) v1^(2k+2) cell, firing when j = 3
-    mod 4, only over bases with rho^4; with a = 1 it lands on 2-torsion of
-    the integral cell.
+    mod 4 and a >= 1, only over bases with rho^4; with a = 1 it lands on
+    2-torsion of the integral cell.
 
-The last two components multiply the coefficient word by the stated rho
-power through the field's presentation (fields.presentation), so every
-relation of the base field is applied on the way and no kind is tested
-here; over finite fields and the odd q-adics they vanish identically and
-only the tau-shift family remains.  The differential on the fiber
-spectrum L is not a separate rule table: it is the restriction of this
-one to the kernel of psi^3 - 1 plus the map induced on the cokernel
-(iota classes).
+Each component moves (a, 2k, j) by a fixed shift and carries a target word,
+so d1_shifts states d1 once per signature (a = 0, k mod 2, j mod 4, mu) and
+d1_matrix shifts each class by the entry of its caller's memo.  The rho
+components multiply mu through the field's presentation
+(fields.presentation) with every relation of the base field, so no kind is
+tested here; over finite fields and the odd q-adics only the tau shift
+remains.  On the fiber spectrum L, d1 is this one on the kernel of psi^3 - 1
+plus the map induced on the cokernel (iota classes).
 
 Higher differentials are never invented: this module states none, and
 which pairs collapse by citation is engine's table.  A user-supplied file
@@ -44,47 +44,49 @@ from .fields import FieldId, presentation, rho_power_times
 from .groups import Monomial, d_shift, unit_word_degree
 
 
-def _sq2_coefficient(j: int, k: int) -> int:
-    if k % 2 == 0:
-        return 1 if j % 4 in (2, 3) else 0
-    return 1 if j % 4 in (1, 2) else 0
+def d1_shifts(field: FieldId, integral: bool, k_odd: int, tau_mod4: int, units: tuple):
+    """d1 of the E1(kq) classes of one signature (integral cell, k odd, j mod 4, word),
+    as ((dh1, dv1, dtau, target word), ...): each component is a fixed shift."""
+    if integral:
+        units = reduce_integral_units(field, units)
+        if units is None:
+            return ()
+    out = []
+    if k_odd:
+        out.append((3, -2, 1, units))
+    if tau_mod4 in ((1, 2) if k_odd else (2, 3)):
+        out.extend((1, 0, -1, u2) for u2 in rho_power_times(field, units, 2))
+    if tau_mod4 == 3 and not integral:
+        out.extend((-1, 2, -3, u4) for u4 in rho_power_times(field, units, 4))
+    return tuple(out)
 
 
 def d1_components(field: FieldId, mono: Monomial):
-    """Differential components of one E1(kq) basis monomial.
-
-    Returns a list of target Monomials (each an order-2 target except the
-    rho-fourth component with a = 1, which hits integral 2-torsion); the
-    matrix builder matches them against the target-degree basis.
-    """
-    assert mono.iota == 0 and mono.coeff2 == 0
+    """d1 of one E1(kq) basis monomial as target Monomials, each of order 2
+    except the rho^4 component with a = 1, which hits integral 2-torsion."""
+    assert mono.iota == 0 and mono.coeff2 == 0 and mono.tau >= 0
     a, e, j = mono.h1, mono.v1, mono.tau
-    k = e // 2
-    integral_cell = a == 0
-    units = mono.units
-    if integral_cell:
-        units = reduce_integral_units(field, units)
-        if units is None:
-            return []
-    out = []
-    if k % 2 == 1:
-        out.append(Monomial(h1=a + 3, v1=e - 2, tau=j + 1, units=units))
-    if j >= 1 and _sq2_coefficient(j, k):
-        for u2 in rho_power_times(field, units, 2):
-            out.append(Monomial(h1=a + 1, v1=e, tau=j - 1, units=u2))
-    if j >= 3 and j % 4 == 3 and a >= 1:
-        for u4 in rho_power_times(field, units, 4):
-            out.append(Monomial(h1=a - 1, v1=e + 2, tau=j - 3, units=u4))
-    return out
+    return [Monomial(h1=a + dh, v1=e + dv, tau=j + dt, units=word)
+            for dh, dv, dt, word in d1_shifts(field, a == 0, e >> 1 & 1, j & 3, mono.units)]
 
 
-def d1_matrix(field: FieldId, src_basis, tgt_basis):
-    """The first differential as a dense integer matrix between two tridegrees."""
+def d1_matrix(field: FieldId, src_basis, tgt_basis, shifts: dict):
+    """The first differential as a dense integer matrix between two tridegrees;
+    shifts, kept by the caller, memoizes d1_shifts by signature for this field."""
+    if not tgt_basis:
+        return []
     index = {cs.gen.lead: t for t, cs in enumerate(tgt_basis)}
     rows = [[0] * len(src_basis) for _ in tgt_basis]
     for jcol, cs in enumerate(src_basis):
-        for target in d1_components(field, cs.gen.lead):
-            t = index.get(target)
+        coeff2, iota, a, e, j, units = cs.gen.lead
+        assert iota == 0 and coeff2 == 0 and j >= 0
+        signature = (a == 0, e >> 1 & 1, j & 3, units)
+        moves = shifts.get(signature)
+        if moves is None:
+            moves = shifts[signature] = d1_shifts(field, *signature)
+            d1_components(field, cs.gen.lead)  # the checks of its target Monomials
+        for dh, dv, dt, word in moves:  # the key tuple equals the target Monomial
+            t = index.get((0, 0, a + dh, e + dv, j + dt, word))
             order = tgt_basis[t].order if t is not None else 0
             if order:  # each component adds the element of order 2 of its target
                 rows[t][jcol] = (rows[t][jcol] + (order >> 1)) % order

@@ -7,6 +7,8 @@ the cells whose coefficient group coefficients.coefficient_stems allows.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .coefficients import coeff_classes, coefficient_stems
 from .fields import FieldId
 from .groups import CyclicSummand, Generator, Monomial, TriDegree
@@ -23,16 +25,17 @@ def e1_kq_basis(field: FieldId, deg: TriDegree):
     # in the band; e runs from lo >= 0, so an upper end below it visits none
     stems = coefficient_stems(field, w - c)
     lo = max(0, s - c - (stems.stop - 1))
-    out = []
+    keyed = []
     for e in range(lo + lo % 2, min(c, s - c - stems.start) + 1, 2):
         h1 = c - e
         for order, gen, _ in coeff_classes(field, 1 if h1 else NU_INFINITY, s - c - e, w - c):
             coeff2, _, _, _, tau, units = gen.lead
             mono = tuple.__new__(Monomial, (coeff2, 0, h1, e, tau, units))  # as with_coeff2
             assert mono.degree() == deg, (mono, deg)
-            out.append(CyclicSummand(order, Generator.of(mono), deg))
-    out.sort(key=lambda cs: cs.gen.sort_key())
-    return out
+            cs = CyclicSummand(order, tuple.__new__(Generator, (mono,)), deg)  # as Generator.of
+            keyed.append(((0, units, e, h1, tau, coeff2), cs))  # its one term's sort_key
+    keyed.sort(key=itemgetter(0))
+    return [cs for _, cs in keyed]
 
 
 def psi3_entries(field: FieldId, basis):
@@ -42,8 +45,5 @@ def psi3_entries(field: FieldId, basis):
     2^(nu2(k)+3) (2-locally exact), is zero on the weight-0 slice, and is
     zero on every mod-2 cell.
     """
-    diag = []
-    for cs in basis:
-        _, _, h1, v1, _, _ = cs.gen.lead
-        diag.append(1 << a_q(v1) if h1 == 0 and v1 else 0)  # v1 = c on the integral cell
-    return diag
+    return [1 << a_q(cs.gen.lead.v1) if cs.gen.lead.h1 == 0 and cs.gen.lead.v1 else 0
+            for cs in basis]  # v1 = c on the integral cell

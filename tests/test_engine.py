@@ -15,7 +15,7 @@ from esss.engine import (DegreeData, Page, PageWindow, WindowError, build_page1,
                          degree_vanishing, page1_basis, page1_d1, run, turn_page)
 from esss.fields import ALG_CLOSED, Q2, REALS, Fq, Q, Qq
 from esss.groups import CyclicSummand, Generator, Monomial, TriDegree, d_shift
-from esss.rules import parse_rule_file
+from esss.rules import d1_components, parse_rule_file
 from esss.verify import HASSE_DSTS, HASSE_SRC
 from reference import isomorphic_orders, page1_map_matrix, slices_L
 
@@ -210,6 +210,38 @@ def test_page1_d1_rows_are_shared():
     assert len(matrix_ids) <= len(by_matrix) and matrices > 3 * len(by_matrix)
 
 
+def _kq_fill(field, src, tgt):
+    """The kq first differential filled straight from rules.d1_components."""
+    index = {cs.gen.lead: t for t, cs in enumerate(tgt)}
+    rows = [[0] * len(src) for _ in tgt]
+    for j, cs in enumerate(src):
+        for target in d1_components(field, cs.gen.lead):
+            t = index.get(target)
+            order = tgt[t].order if t is not None else 0
+            if order:
+                rows[t][j] = (rows[t][j] + order // 2) % order
+    return rows
+
+
+def test_kq_d1_by_shifts_equals_a_fill_from_d1_components():
+    """Every kq first differential of a window over eight fields, built from
+    the memo of rules.d1_shifts that each field's table keeps, equals the fill
+    from d1_components, class by class.  The memo starts empty and serves
+    every class of a field whose signature it has seen, so a signature that
+    leaves out what the rule reads (j mod 4, k mod 2, the cell or the word)
+    hands some class the components of another."""
+    engine._clear()
+    window = PageWindow(-2, 12, 0, 14, -5, 2)
+    compared = 0
+    for field in (ALG_CLOSED, Fq(3), Fq(5), Qq(3), Qq(5), Q2, REALS, Q((2, 3, 5))):
+        for deg in window.degrees():
+            src, tgt = page1_basis(field, "kq", deg), page1_basis(field, "kq", deg + d_shift(1))
+            diff = page1_d1(field, "kq", deg)
+            assert diff == _kq_fill(field, src, tgt), (field.text(), deg)
+            compared += sum(x != 0 for row in diff for x in row)
+    assert compared > 1000, compared
+
+
 def _L_fill(field, deg):
     """The L first differential at deg filled afresh from what _L_map induces."""
     tgt = deg + d_shift(1)
@@ -261,7 +293,7 @@ def test_induced_L_differentials_tell_target_orders_apart():
     them in the memo's key."""
     engine._clear()
     field = Fq(3)
-    kq, L, d1, _ = engine._tables.setdefault(field, ({}, {}, {}, {}))
+    kq, L, d1, _, _ = engine._tables.setdefault(field, ({}, {}, {}, {}, {}))
     parts, source, target = ("K",), ((0, 2),), ((0, 1),)
     matrix = engine._shared([[1]])
     for w, order in ((100, 2), (101, 4)):
@@ -632,7 +664,7 @@ def test_row_table_is_bounded_by_the_field_tables():
             for spectrum in ("kq", "L"):
                 build_page1(field, spectrum, window)
             if n >= 8:
-                diffs = [diff for table in engine._tables.values() for d1 in table[2:]
+                diffs = [diff for table in engine._tables.values() for d1 in table[2:4]
                          for diff in d1.values()]
                 held = {id(row) for diff in diffs for row in diff}
                 orphans += sum(id(row) not in held for row in engine._rows.values())
@@ -655,9 +687,9 @@ def test_field_tables_are_bounded():
     """A process that builds first pages over 24 fields holds the tables of
     at most eight: a ninth field empties every table and intern dict, so the
     interning never outlives its tables and equal summands of the held
-    tables stay one object.  Eight fields on this window hold 26,524 entries
-    and at most 10,496 interned values; without the bound the entries grow
-    by about 3,300 per field."""
+    tables stay one object.  Eight fields on this window hold 27,408 entries
+    (884 of them d1 shifts by signature) and at most 10,583 interned values;
+    without the bound the entries grow by about 3,400 per field."""
     code = """if True:
         import esss.engine as engine
         from esss.engine import PageWindow, build_page1
@@ -673,7 +705,7 @@ def test_field_tables_are_bounded():
                     ninth = len(engine._tables)
             held = sum(len(entries) for table in engine._tables.values() for entries in table)
             interned = len(engine._degrees) + len(engine._summands) + len(engine._pairs)
-            summands = [cs for kq, L, _, _ in engine._tables.values()
+            summands = [cs for kq, L, *_ in engine._tables.values()
                         for basis in (*kq.values(), *(entry[0] for entry in L.values()))
                         for cs in basis]
             copies = len(set(map(id, summands))) - len(set(summands))
