@@ -253,7 +253,7 @@ def _d1_L(field: FieldId, deg: TriDegree):
     tgt = tuple.__new__(TriDegree, (s - 1, f + 3, w))
     up = tuple.__new__(TriDegree, (s + 1, f - 1, w))
     source, target = L.get(deg) or _L_degree(field, deg), L.get(tgt) or _L_degree(field, tgt)
-    # a kq d1 is nonempty wherever _L_map reads it, so `or` calls an entry only on a miss
+    # `or` calls an entry on a miss or for an empty kq basis; a kq d1 _L_map reads is nonempty
     here = "K" in source[1] and (kq.get(tgt) or _kq_degree(field, tgt)) and (
         d1.get(deg) or _d1_kq(field, deg))
     there = "C" in source[1] and "C" in target[1] and (d1.get(up) or _d1_kq(field, up))
